@@ -303,7 +303,7 @@ pub struct TraceRow {
 
 /// Streams one [`TraceRow`] per round into a JSONL file.
 ///
-/// Drive it from the [`run_campaign_with`] observer; rows are written on
+/// Drive it from the [`run_campaign_opts`] observer; rows are written on
 /// the last slot of every round. Counters are cumulative — diffing
 /// consecutive rows recovers per-round rates.
 ///

@@ -123,6 +123,14 @@ pub struct FleetOptions {
     pub retain: FleetRetention,
 }
 
+impl FleetOptions {
+    /// Executor shards this fleet runs on: [`Self::shards`], or one per
+    /// available core.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.unwrap_or_else(fleet_exec::default_shards).max(1)
+    }
+}
+
 /// One vehicle's scored outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VehicleOutcome {
@@ -431,16 +439,7 @@ impl FleetAccumulator {
 
 /// Runs a fleet and aggregates.
 pub fn run_fleet(spec: &ClusterSpec, cfg: FleetConfig) -> Result<FleetOutcome, CampaignError> {
-    run_fleet_with_params(spec, cfg, EngineParams::default())
-}
-
-/// Runs a fleet with explicit engine parameters (ablations).
-pub fn run_fleet_with_params(
-    spec: &ClusterSpec,
-    cfg: FleetConfig,
-    params: EngineParams,
-) -> Result<FleetOutcome, CampaignError> {
-    run_fleet_configured(spec, cfg, params, &FleetOptions::default())
+    run_fleet_configured(spec, cfg, EngineParams::default(), &FleetOptions::default())
 }
 
 /// Runs a fleet with explicit engine parameters and [`FleetOptions`]
@@ -451,25 +450,12 @@ pub fn run_fleet_configured(
     params: EngineParams,
     opts: &FleetOptions,
 ) -> Result<FleetOutcome, CampaignError> {
-    // Pre-flight: the base vehicle (before per-vehicle fault sampling)
-    // must analyze clean, otherwise every vehicle would fail identically.
-    let mut base = ExperimentSpec::with_campaign(spec, &opts.base_faults, cfg.accel, cfg.rounds);
-    base.ona = params.ona;
-    base.trust = params.trust;
-    base.advisor = params.advisor;
-    let report = analyze(&base);
-    if report.has_errors()
-        || (opts.deny_diagnosability
-            && report.diagnostics.iter().any(|d| d.code.is_diagnosability()))
-    {
-        return Err(CampaignError::Rejected(report));
-    }
+    preflight(spec, cfg, params, opts)?;
     let seeds = SeedSource::new(cfg.seed);
-    let shards = opts.shards.unwrap_or_else(default_shards).max(1);
     let parts = fleet_exec::run_sharded(
         cfg.vehicles,
         FLEET_BLOCK,
-        shards,
+        opts.shard_count(),
         || FleetAccumulator::new(cfg.vehicles, opts.retain),
         |acc, range| {
             for v in range {
@@ -486,10 +472,27 @@ pub fn run_fleet_configured(
     Ok(acc.finish())
 }
 
-/// One executor shard per available core (the per-vehicle simulations are
-/// CPU-bound and independent).
-fn default_shards() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// The fleet pre-flight, stored or not: the base vehicle (before
+/// per-vehicle fault sampling) must analyze clean, otherwise every
+/// vehicle would fail identically.
+pub(crate) fn preflight(
+    spec: &ClusterSpec,
+    cfg: FleetConfig,
+    params: EngineParams,
+    opts: &FleetOptions,
+) -> Result<(), CampaignError> {
+    let mut base = ExperimentSpec::with_campaign(spec, &opts.base_faults, cfg.accel, cfg.rounds);
+    base.ona = params.ona;
+    base.trust = params.trust;
+    base.advisor = params.advisor;
+    let report = analyze(&base);
+    if report.has_errors()
+        || (opts.deny_diagnosability
+            && report.diagnostics.iter().any(|d| d.code.is_diagnosability()))
+    {
+        return Err(CampaignError::Rejected(report));
+    }
+    Ok(())
 }
 
 pub(crate) fn run_vehicle(

@@ -1,7 +1,9 @@
-//! Sharded work-stealing execution over a dense index space.
+//! Sharded work-stealing execution over a dense index space — the one
+//! parallel executor of the workspace (fleets, stored-fleet batches and
+//! experiment sweeps all run on it).
 //!
-//! The fleet path needs two properties the vendored rayon stand-in's
-//! static contiguous split cannot give it at 10⁶ vehicles:
+//! The fleet path needs two properties a static contiguous split cannot
+//! give it at 10⁶ vehicles:
 //!
 //! 1. **Streaming aggregation** — a shard folds each finished item into
 //!    its own accumulator immediately instead of materializing a
@@ -9,6 +11,9 @@
 //! 2. **Work stealing** — shards pull fixed-size index *blocks* from a
 //!    shared atomic cursor, so a straggler block (an expensive vehicle)
 //!    idles one shard for one block, not a whole contiguous range.
+//!
+//! Callers that do want every result back, in order, use [`map_ordered`]
+//! on top of the same executor.
 //!
 //! Determinism contract: blocks are dealt in ascending order and each
 //! block is processed front-to-back by exactly one shard, so the set of
@@ -73,6 +78,37 @@ where
             .collect();
         handles.into_iter().map(|h| h.join().expect("fleet shard panicked")).collect()
     })
+}
+
+/// Blocks dealt per shard by [`map_ordered`]: enough that a straggler
+/// block leaves the other shards something to steal, few enough that the
+/// cursor is not contended on cheap items.
+const MAP_BLOCKS_PER_SHARD: u64 = 4;
+
+/// Maps `f` over `0..items` on [`run_sharded`] and returns the results in
+/// index order, whichever shard finished which block first.
+///
+/// The block size follows from `items` and `shards` (about
+/// [`MAP_BLOCKS_PER_SHARD`] blocks per shard); since every result lands
+/// at its own index, it never shows in the output.
+pub fn map_ordered<R, F>(items: u64, shards: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(u64) -> R + Sync,
+{
+    let block = items.div_ceil(shards.max(1) as u64 * MAP_BLOCKS_PER_SHARD);
+    let parts = run_sharded(items, block, shards, Vec::new, |acc: &mut Vec<(u64, R)>, r| {
+        acc.extend(r.map(|i| (i, f(i))));
+    });
+    let mut pairs: Vec<(u64, R)> = parts.into_iter().flatten().collect();
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, r)| r).collect()
+}
+
+/// One shard per available core: the executor's default when the caller
+/// pins no shard count.
+pub fn default_shards() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
@@ -154,5 +190,49 @@ mod tests {
             &vec![0],
             "work stealing must let the free shard take the remaining blocks"
         );
+    }
+
+    #[test]
+    fn map_ordered_keeps_input_order_behind_a_straggler() {
+        // Index 0 waits until the last index has finished (the other
+        // shard drains the remaining blocks), so it finishes last; the
+        // output must still be in index order.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let done_rx = std::sync::Mutex::new(done_rx);
+        let xs = map_ordered(64, 2, |i| {
+            match i {
+                0 => {
+                    let rx = done_rx.lock().expect("only index 0 takes the receiver");
+                    rx.recv_timeout(Duration::from_secs(10)).expect("index 63 finishes first");
+                }
+                63 => done_tx.send(()).expect("index 0 is still waiting"),
+                _ => {}
+            }
+            i * i
+        });
+        assert_eq!(xs, (0..64).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_ordered_of_empty_input_is_empty() {
+        assert!(map_ordered(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn map_ordered_with_fewer_items_than_shards_covers_every_item() {
+        for n in 1..=4 {
+            assert_eq!(map_ordered(n, 8, |i| i + 1), (1..=n).collect::<Vec<_>>(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn map_ordered_with_one_more_item_than_shards_covers_every_item() {
+        for shards in [1, 2, 3, 7] {
+            let n = shards as u64 + 1;
+            assert_eq!(
+                map_ordered(n, shards, |i| i * 2),
+                (0..n).map(|i| i * 2).collect::<Vec<_>>()
+            );
+        }
     }
 }

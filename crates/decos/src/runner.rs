@@ -146,46 +146,18 @@ pub struct RunOptions {
 
 /// Runs a campaign.
 pub fn run_campaign(c: &Campaign) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_with(c, |_, _, _| {})
+    run_campaign_opts(c, EngineParams::default(), RunOptions::default(), &mut [], |_, _, _| {})
 }
 
-/// Runs a campaign with a per-slot observer (for trajectory sampling and
-/// custom instrumentation). The observer sees the cluster, the engine and
-/// the slot record *after* both diagnoses ingested it.
-pub fn run_campaign_with(
-    c: &Campaign,
-    observe: impl FnMut(&ClusterSim, &DiagnosticEngine, &SlotRecord),
-) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_with_params(c, EngineParams::default(), observe)
-}
-
-/// Runs a campaign with explicit engine parameters (ablations, tuning).
-pub fn run_campaign_with_params(
-    c: &Campaign,
-    params: EngineParams,
-    observe: impl FnMut(&ClusterSim, &DiagnosticEngine, &SlotRecord),
-) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_observed(c, params, &mut [], observe)
-}
-
-/// Runs a campaign with additional [`SlotObserver`]s riding along.
+/// Runs a campaign with explicit engine parameters and [`RunOptions`].
 ///
 /// The integrated engine and the OBD baseline are always present (they
 /// produce the [`CampaignOutcome`]); `extras` — metrics recorders, probes,
 /// custom accumulators — see every record right after them, in order.
-/// Records are a *reused buffer*: observers must copy anything they keep.
-pub fn run_campaign_observed(
-    c: &Campaign,
-    params: EngineParams,
-    extras: &mut [&mut dyn SlotObserver],
-    observe: impl FnMut(&ClusterSim, &DiagnosticEngine, &SlotRecord),
-) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_opts(c, params, RunOptions::default(), extras, observe)
-}
-
-/// Runs a campaign with explicit [`RunOptions`] (telemetry opt-in) on top
-/// of the full observer stack of
-/// [`run_campaign_observed`](run_campaign_observed).
+/// `observe` then sees the cluster, the engine and the slot record *after*
+/// both diagnoses ingested it (trajectory sampling, custom
+/// instrumentation). Records are a *reused buffer*: observers must copy
+/// anything they keep.
 pub fn run_campaign_opts(
     c: &Campaign,
     params: EngineParams,
@@ -408,7 +380,8 @@ pub fn trust_trajectories(
     every_rounds: u64,
 ) -> Result<TrustSeries, CampaignError> {
     let mut series: TrustSeries = frus.iter().map(|f| (*f, Vec::new())).collect();
-    run_campaign_with(c, |sim, engine, rec| {
+    let params = EngineParams::default();
+    run_campaign_opts(c, params, RunOptions::default(), &mut [], |sim, engine, rec| {
         // Sample on the last slot of every `every_rounds`-th round. The
         // cadence must come from the schedule, not the component count —
         // the two only coincide on clusters with one slot per component.

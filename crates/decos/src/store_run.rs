@@ -32,10 +32,12 @@
 //! simulation or journal mutation.
 
 use crate::fleet::{
-    run_vehicle, FleetAccumulator, FleetConfig, FleetOptions, FleetOutcome, VehicleOutcome,
+    preflight, run_vehicle, FleetAccumulator, FleetConfig, FleetOptions, FleetOutcome,
+    VehicleOutcome,
 };
+use crate::fleet_exec;
 use crate::runner::{run_campaign_opts, Campaign, CampaignError, CampaignOutcome, RunOptions};
-use decos_analyzer::{analyze, AnalysisReport, DiagCode, Diagnostic, ExperimentSpec, Severity};
+use decos_analyzer::{AnalysisReport, DiagCode, Diagnostic, Severity};
 use decos_diagnosis::{DiagnosticEngine, DiagnosticReport, DisseminationStats, EngineParams};
 use decos_platform::ClusterSpec;
 use decos_sim::rng::SeedSource;
@@ -44,7 +46,6 @@ use decos_store::{
     fnv1a, fnv1a_extend, Manifest, RoundDelta, Store, StoreError, StoreIo, ROUND_DELTA_KIND,
     STORE_SCHEMA, VEHICLE_KIND,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -635,8 +636,10 @@ fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
 
 /// Runs (or resumes) a fleet against its store. Committed vehicles are
 /// read back from the journal and skipped; missing vehicles are simulated
-/// in parallel batches of [`StorePolicy::chunk`], each batch committed
-/// with one fsync.
+/// in batches of [`StorePolicy::chunk`] on the [`fleet_exec`] executor
+/// ([`FleetOptions::shards`] shards, one per core by default). Each batch
+/// is journaled in ascending index order and committed with one fsync
+/// before it is folded, so the journal never depends on the shard count.
 pub fn run_fleet_stored<IO: StoreIo>(
     spec: &ClusterSpec,
     cfg: FleetConfig,
@@ -645,19 +648,9 @@ pub fn run_fleet_stored<IO: StoreIo>(
     policy: &StorePolicy,
     fs: &mut FleetStore<IO>,
 ) -> Result<(FleetOutcome, StoreRunStats), StoreRunError> {
-    // Same pre-flight the unstored fleet runs: the base experiment must
-    // analyze clean before any vehicle is simulated or journaled.
-    let mut base = ExperimentSpec::with_campaign(spec, &opts.base_faults, cfg.accel, cfg.rounds);
-    base.ona = params.ona;
-    base.trust = params.trust;
-    base.advisor = params.advisor;
-    let report = analyze(&base);
-    if report.has_errors()
-        || (opts.deny_diagnosability
-            && report.diagnostics.iter().any(|d| d.code.is_diagnosability()))
-    {
-        return Err(CampaignError::Rejected(report).into());
-    }
+    // Same pre-flight as the unstored fleet, before any vehicle is
+    // simulated or journaled.
+    preflight(spec, cfg, params, opts)?;
     let mut stats = StoreRunStats {
         committed_before: fs.committed_vehicles(),
         quarantined_bytes: fs.store.stats().quarantined_bytes,
@@ -666,6 +659,7 @@ pub fn run_fleet_stored<IO: StoreIo>(
     let seeds = SeedSource::new(cfg.seed);
     let missing: Vec<u64> = (0..cfg.vehicles).filter(|v| !fs.committed.contains_key(v)).collect();
     let chunk = policy.chunk.max(1);
+    let shards = opts.shard_count();
     // Streaming fold: journaled and freshly simulated vehicles both drain
     // into the same accumulator the in-memory executor uses, strictly in
     // ascending index order behind the `next` watermark. `pending` only
@@ -697,11 +691,10 @@ pub fn run_fleet_stored<IO: StoreIo>(
         }
     };
     for batch in missing.chunks(chunk) {
-        let results: Vec<(u64, (VehicleOutcome, Option<TelemetrySnapshot>))> = batch
-            .to_vec()
-            .into_par_iter()
-            .map(|v| (v, run_vehicle(spec, cfg, seeds, v, params, opts)))
-            .collect();
+        let results = fleet_exec::map_ordered(batch.len() as u64, shards, |i| {
+            let v = batch[i as usize];
+            (v, run_vehicle(spec, cfg, seeds, v, params, opts))
+        });
         // Journal in index order within the batch; out-of-order *across*
         // batches cannot happen because `missing` is sorted and batches
         // are committed in sequence — but a resumed store whose committed

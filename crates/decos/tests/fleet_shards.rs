@@ -99,3 +99,38 @@ fn store_resume_streams_into_the_same_aggregate() {
     assert_eq!(resumed.vehicles.len(), straight.vehicles.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn stored_fleet_journal_does_not_depend_on_the_shard_count() {
+    use decos::store::{FaultIo, JOURNAL_FILE};
+
+    // The stored fleet runs its batches on `FleetOptions::shards` shards;
+    // the journal is appended in index order after each batch, so one
+    // shard and three must write the same bytes and fold the same
+    // aggregate.
+    let spec = fig10::reference_spec();
+    let cfg = FleetConfig { vehicles: 20, rounds: 150, accel: 10.0, seed: 4242 };
+    let params = EngineParams::default();
+    let policy = StorePolicy::default();
+    let stored_at = |shards: usize| {
+        let opts =
+            FleetOptions { telemetry: true, shards: Some(shards), ..FleetOptions::default() };
+        let io = FaultIo::pristine();
+        let mut fs = FleetStore::open_or_create(io.clone(), &spec, &cfg, &params, &opts, &policy)
+            .expect("created");
+        let (out, stats) =
+            run_fleet_stored(&spec, cfg, params, &opts, &policy, &mut fs).expect("stored fleet");
+        assert_eq!(stats.appended, cfg.vehicles);
+        (out, io.files())
+    };
+    let (one, one_files) = stored_at(1);
+    let (three, three_files) = stored_at(3);
+    assert!(one_files.get(JOURNAL_FILE).is_some_and(|j| !j.is_empty()), "journal written");
+    assert_eq!(one_files, three_files, "store directories must be byte-identical");
+    assert_eq!(fingerprint(&three), fingerprint(&one));
+    assert_eq!(
+        three.mean_delivery_quality.to_bits(),
+        one.mean_delivery_quality.to_bits(),
+        "f64 quality mean must be bit-identical at 1 and 3 shards"
+    );
+}

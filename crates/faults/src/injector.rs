@@ -366,16 +366,15 @@ impl Environment for FaultEnvironment {
     }
 
     fn cluster_disturbed(&self, now: SimTime) -> bool {
-        // Mirrors the guards of `tx_effect` / `rx_disturbance` /
-        // `pre_dispatch` / `filter_outputs`: those hooks act (or draw
-        // randomness) only for always-on kinds past onset or for active
-        // episodes of application-path kinds. Diagnostic-path kinds
-        // manifest on the diagnosis transport, never on the slot hooks.
-        self.faults.iter().any(|f| {
-            now >= f.spec.onset
-                && (f.spec.kind.perturbs_cluster_from_onset()
-                    || (f.is_active(now) && !f.spec.kind.is_diag_path()))
-        })
+        // Mirrors the guards of `tx_effect` / `rx_disturbance`: both act
+        // (or draw randomness) only during an active episode of an
+        // application-path kind. Value-domain kinds — sensor defects,
+        // software design faults, capacitor-aging bias — never reach the
+        // channel: they act through `pre_dispatch` / `filter_outputs`,
+        // which run on both slot bodies (and are no-ops in a quiescent
+        // window, like every hook). Diagnostic-path kinds manifest on the
+        // diagnosis transport, never on the slot hooks.
+        self.faults.iter().any(|f| f.is_active(now) && !f.spec.kind.is_diag_path())
     }
 
     fn window_quiescent(&self, from: SimTime, to: SimTime) -> bool {
@@ -822,6 +821,79 @@ mod tests {
         assert!(saw_crashed, "disturbance must report the outage");
         assert!(crashed_slots < total, "outages must end");
         let _ = sim;
+    }
+
+    #[test]
+    fn sensor_fault_runs_on_fast_body() {
+        // A value-domain fault never reaches the channel, so its slots
+        // keep the fast body while the sensor hook still acts.
+        let faults = vec![FaultSpec {
+            id: 4,
+            kind: FaultKind::SensorStuck { value: 42.0 },
+            target: FruRef::Job(fig10::jobs::A1),
+            onset: SimTime::ZERO,
+        }];
+        let (mut sim, mut env) = env_with(faults, 10.0);
+        sim.run_rounds(400, &mut env, &mut |_, _| {});
+        let (fast, legacy) = sim.slot_body_counts();
+        assert_eq!(fast + legacy, 1600);
+        assert!(fast * 100 >= (fast + legacy) * 95, "fast {fast}, legacy {legacy}");
+        assert_eq!(sim.job(fig10::jobs::A1).sensor().unwrap().fault(), SensorFault::Stuck(42.0));
+    }
+
+    #[test]
+    fn connector_fault_takes_legacy_body_only_inside_episodes() {
+        let faults = vec![FaultSpec {
+            id: 1,
+            kind: FaultKind::ConnectorIntermittent { rate_per_hour: 2000.0, duration_ms: 5.0 },
+            target: FruRef::Component(NodeId(2)),
+            onset: SimTime::ZERO,
+        }];
+        let (mut sim, mut env) = env_with(faults, 10.0);
+        // Per slot: its start instant and whether it took the legacy body.
+        let mut slots = Vec::new();
+        let mut legacy_before = 0u64;
+        sim.run_rounds(3000, &mut env, &mut |sim, rec| {
+            let legacy = sim.slot_body_counts().1;
+            slots.push((rec.start, legacy > legacy_before));
+            legacy_before = legacy;
+        });
+        assert!(env.log().episodes_of(1) > 0);
+        assert!(slots.iter().any(|&(_, legacy)| legacy), "episodes must reach the legacy body");
+        for (t, legacy) in slots {
+            assert_eq!(legacy, env.log().active_at(1, t), "slot at {t:?}");
+        }
+    }
+
+    #[test]
+    fn quartz_drift_admits_in_window_offsets_to_fast_body() {
+        // A drifting quartz spreads the clocks past the admission window
+        // long before the owner's own send offset leaves it: those slots
+        // are admitted to the fast body on the exact offset.
+        let faults = vec![FaultSpec {
+            id: 6,
+            kind: FaultKind::QuartzDegradation { drift_ppm_per_hour: 1e7 },
+            target: FruRef::Component(NodeId(2)),
+            onset: SimTime::ZERO,
+        }];
+        let (mut sim, mut env) = env_with(faults, 10.0);
+        let window = decos_ttnet::ChannelParams::default().rx_window_half_ns;
+        let mut wide_fast = 0u64;
+        let mut fast_before = 0u64;
+        sim.run_rounds(400, &mut env, &mut |sim, rec| {
+            let devs = sim
+                .components()
+                .iter()
+                .filter(|c| c.is_operational(rec.start))
+                .map(|c| c.clock.deviation_ns(rec.start));
+            let spread = devs.clone().max().unwrap() - devs.min().unwrap();
+            let fast = sim.slot_body_counts().0;
+            if fast > fast_before && spread.unsigned_abs() > window {
+                wide_fast += 1;
+            }
+            fast_before = fast;
+        });
+        assert!(wide_fast > 0, "no fast slot beyond the spread bound");
     }
 
     #[test]

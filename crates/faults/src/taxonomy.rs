@@ -440,26 +440,6 @@ impl FaultKind {
                 | FaultKind::DiagComponentCrash { .. }
         )
     }
-
-    /// Whether this kind perturbs the cluster's slot hooks (`tx`/`rx`
-    /// disturbance, `pre_dispatch`, `filter_outputs`) continuously from
-    /// onset, with no activation episode: sensor defects, software design
-    /// faults and capacitor-aging bias are "always on" once the fault
-    /// exists. Episodic kinds perturb those hooks only while an
-    /// activation window is open, and diagnostic-path kinds never do —
-    /// they manifest on the diagnosis transport instead.
-    pub fn perturbs_cluster_from_onset(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::SensorStuck { .. }
-                | FaultKind::SensorDrift { .. }
-                | FaultKind::SensorNoise { .. }
-                | FaultKind::SensorDead
-                | FaultKind::Bohrbug { .. }
-                | FaultKind::Heisenbug { .. }
-                | FaultKind::CapacitorAging { .. }
-        )
-    }
 }
 
 #[cfg(test)]

@@ -403,6 +403,8 @@ pub struct ClusterSim {
     /// Route every slot through the legacy per-slot body even when the
     /// environment reports no disturbance (fast-path equivalence tests).
     force_legacy: bool,
+    /// Slots stepped on the (fast, legacy) body.
+    slot_bodies: (u64, u64),
     lattice: ActionLattice,
     lif: Vec<PortLif>,
     bus: BroadcastBus,
@@ -535,6 +537,7 @@ impl ClusterSim {
             schedule,
             plan,
             force_legacy: false,
+            slot_bodies: (0, 0),
             lattice,
             lif,
             bus: BroadcastBus::new(params),
@@ -560,6 +563,13 @@ impl ClusterSim {
     /// can pin that contract.
     pub fn force_legacy_path(&mut self, on: bool) {
         self.force_legacy = on;
+    }
+
+    /// How many slots this instance stepped on the (fast, legacy) body.
+    /// A plain per-instance count, not a telemetry counter: the body
+    /// choice is unobservable by contract and stays out of fingerprints.
+    pub fn slot_body_counts(&self) -> (u64, u64) {
+        self.slot_bodies
     }
 
     /// The precomputed per-round dispatch table.
@@ -770,8 +780,8 @@ impl ClusterSim {
 
     /// One slot step. `quiescent` marks a slot inside a window the
     /// environment vouched for via [`Environment::window_quiescent`]:
-    /// `begin_slot` and the per-slot disturbance probe are skipped (both
-    /// are no-ops by that promise).
+    /// `begin_slot`, the per-slot disturbance probe and the fast body's job
+    /// hooks are skipped (all are no-ops by that promise).
     fn step_slot_inner<E: Environment + ?Sized>(
         &mut self,
         env: &mut E,
@@ -818,23 +828,25 @@ impl ClusterSim {
             scratch.overflow_sum = overflow_sum_of(&self.comps);
         }
 
-        // Clean-slot fast path: no disturbance may touch this slot, the
+        // Slot-body choice. Both bodies share the sender side (job dispatch
+        // with the environment's job hooks, endpoint drain, loopback) and
+        // the receiver side. The fast body skips the channel machinery —
+        // transmit/receive disturbances, CRC seal/verify, guardian — whose
+        // outcome is already determined: the channel is undisturbed, the
         // owner transmits, and its send offset lies inside both the
-        // guardian and the receive windows — so every operational receiver
-        // is already known to judge `Correct`, and the CRC / guardian /
-        // channel machinery (whose outputs are fully determined) can be
-        // skipped. Any other situation takes the legacy body unchanged.
+        // guardian and the receive windows, so every operational receiver
+        // judges `Correct`. Any other slot takes the legacy body.
         //
         // The send offset is the owner's deviation from the cluster's
         // global time base (the median deviation of operational clocks).
-        // The fast path admits on a cheaper sufficient bound — the total
-        // deviation *spread* of the operational clocks, which dominates
-        // any owner-to-median distance — so clean slots skip the median
-        // sort entirely; borderline slots fall back to the legacy body,
-        // whose behaviour is identical by contract.
+        // The deviation *spread* of the operational clocks dominates any
+        // owner-to-median distance, so clean slots admit on that cheap
+        // bound and skip the median sort; otherwise the median is computed
+        // once and the exact offset decides (the legacy body reuses it).
         let disturbed = !quiescent && (self.force_legacy || env.cluster_disturbed(t));
         let operational = self.comps[oidx].is_operational(t);
-        let in_window = operational && {
+        let mut global_dev_ns = None;
+        let fast = !disturbed && operational && {
             let mut mn = i64::MAX;
             let mut mx = i64::MIN;
             for c in &self.comps {
@@ -844,31 +856,20 @@ impl ClusterSim {
                     mx = mx.max(d);
                 }
             }
-            mx.saturating_sub(mn).unsigned_abs() <= self.fast_window_ns
+            mx.saturating_sub(mn).unsigned_abs() <= self.fast_window_ns || {
+                let g = self.global_dev_ns(t, &mut scratch.devs);
+                global_dev_ns = Some(g);
+                self.comps[oidx].clock.deviation_ns(t).abs_diff(g) <= self.fast_window_ns
+            }
         };
-        if !disturbed && in_window {
-            self.fast_slot_body(addr, t, owner, rec, &mut scratch, &mut phase_mark);
+        if fast {
+            self.slot_bodies.0 += 1;
+            self.send_side(env, !quiescent, rec, &mut scratch);
+            self.spans.lap(Phase::Kernel, &mut phase_mark);
         } else {
-            // The global time base is what slot boundaries mean to cluster
-            // members: a sender's observable send offset is its deviation
-            // from the *synchronized* cluster time, not from omniscient
-            // physical time — common-mode drift is invisible inside the
-            // cluster.
-            let global_dev_ns: i64 = {
-                scratch.devs.clear();
-                scratch.devs.extend(
-                    self.comps
-                        .iter()
-                        .filter(|c| c.is_operational(t))
-                        .map(|c| c.clock.deviation_ns(t)),
-                );
-                median_i64(&mut scratch.devs)
-            };
-            self.legacy_slot_body(
+            self.slot_bodies.1 += 1;
+            self.legacy_channel(
                 env,
-                addr,
-                t,
-                owner,
                 operational,
                 global_dev_ns,
                 rec,
@@ -876,6 +877,7 @@ impl ClusterSim {
                 &mut phase_mark,
             );
         }
+        self.receive_side(rec, &scratch, !fast);
 
         // --- Loss accounting ----------------------------------------------
         // One summing pass; the shadow is only walked (and deltas only
@@ -908,61 +910,69 @@ impl ClusterSim {
         self.spans.lap(Phase::TtNet, &mut phase_mark);
     }
 
-    /// The branch-light clean-slot body: dispatch jobs, assemble the frame
-    /// payload, deliver it to subscribed receivers, and mark every
-    /// operational receiver `Correct` — without sealing/verifying the CRC,
-    /// running the guardian, or touching the environment. Only entered
-    /// when those steps' outcomes are fully determined (see
-    /// `step_slot_inner`).
-    fn fast_slot_body(
+    /// The global time base: the median clock deviation of the
+    /// operational components. Slot boundaries mean this to cluster
+    /// members, so a sender's observable send offset is its deviation from
+    /// the *synchronized* cluster time, not from omniscient physical time —
+    /// common-mode drift is invisible inside the cluster.
+    fn global_dev_ns(&self, t: SimTime, devs: &mut Vec<i64>) -> i64 {
+        devs.clear();
+        devs.extend(
+            self.comps.iter().filter(|c| c.is_operational(t)).map(|c| c.clock.deviation_ns(t)),
+        );
+        median_i64(devs)
+    }
+
+    /// The sender side both slot bodies share: dispatch the owner's hosted
+    /// jobs through the environment's job hooks, drain its endpoints into
+    /// the (unsealed) frame payload with local loopback, and record what
+    /// was sent. `hooks` is false only inside a quiescent window, where
+    /// every hook is a no-op by promise.
+    fn send_side<E: Environment + ?Sized>(
         &mut self,
-        addr: SlotAddress,
-        t: SimTime,
-        owner: NodeId,
+        env: &mut E,
+        hooks: bool,
         rec: &mut SlotRecord,
         scratch: &mut StepScratch,
-        phase_mark: &mut Option<std::time::Instant>,
     ) {
-        let oidx = owner.0 as usize;
-        // --- Sender side -------------------------------------------------
+        let (t, oidx) = (rec.start, rec.owner.0 as usize);
+        // Dispatch hosted jobs (by index — the hosted list must not be
+        // cloned, and jobs never change hosts at runtime).
         for h in 0..self.hosted_idx[oidx].len() {
             let ji = self.hosted_idx[oidx][h];
             let job = &mut self.jobs[ji];
-            scratch.msgs.clear();
-            {
-                let comp = &mut self.comps[oidx];
-                let mut ctx = DispatchCtx {
-                    now: t,
-                    round: self.round_len,
-                    endpoints: &mut comp.endpoints,
-                    rng: &mut self.job_rngs[ji],
-                };
-                job.dispatch_into(&mut ctx, &mut scratch.msgs);
+            if hooks {
+                env.pre_dispatch(t, job);
             }
-            if let Some(vnet) = job.spec().behavior.output_vnet() {
-                let comp = &mut self.comps[oidx];
-                if let Some(ep) = comp.endpoints.get_mut(&vnet) {
-                    for m in scratch.msgs.drain(..) {
-                        ep.send(m);
-                    }
+            scratch.msgs.clear();
+            let comp = &mut self.comps[oidx];
+            let mut ctx = DispatchCtx {
+                now: t,
+                round: self.round_len,
+                endpoints: &mut comp.endpoints,
+                rng: &mut self.job_rngs[ji],
+            };
+            job.dispatch_into(&mut ctx, &mut scratch.msgs);
+            if hooks {
+                env.filter_outputs(t, job.spec(), &mut scratch.msgs);
+            }
+            if let Some(ep) =
+                job.spec().behavior.output_vnet().and_then(|v| comp.endpoints.get_mut(&v))
+            {
+                for m in scratch.msgs.drain(..) {
+                    ep.send(m);
                 }
             }
         }
 
-        // Drain endpoints into the frame payload (unsealed: nothing can
-        // corrupt it, so the CRC is never computed or checked), with local
-        // loopback.
-        scratch.tx_frame.reset_for(owner, addr.round, addr.slot);
-        for s in 0..self.tx_layouts[oidx].len() {
-            let (vnet, bytes) = self.tx_layouts[oidx][s];
-            let comp = &mut self.comps[oidx];
-            let ep = comp.endpoints.get_mut(&vnet).expect("layout vnet has endpoint");
+        // Drain endpoints into the frame payload, with local loopback only
+        // where a local job consumes.
+        scratch.tx_frame.reset_for(rec.owner, rec.addr.round, rec.addr.slot);
+        for &(vnet, bytes) in &self.tx_layouts[oidx] {
+            let ep = self.comps[oidx].endpoints.get_mut(&vnet).expect("layout vnet has endpoint");
             let mut msgs = scratch.sent_pool.pop().unwrap_or_default();
             ep.drain_for_slot_into(&mut msgs);
             if self.rx_vnets[oidx].contains(&vnet) {
-                // Local loopback only where a local job consumes.
-                let ep =
-                    self.comps[oidx].endpoints.get_mut(&vnet).expect("layout vnet has endpoint");
                 for m in &msgs {
                     ep.deliver_message(*m);
                 }
@@ -971,120 +981,34 @@ impl ClusterSim {
             rec.sent.push((vnet, msgs));
         }
         rec.transmitted = true;
-        self.spans.lap(Phase::Kernel, phase_mark);
-
-        // --- Receivers: every operational non-owner judges `Correct` -----
-        let payload = &scratch.tx_frame.payload;
-        for i in 0..self.comps.len() {
-            if i == oidx {
-                rec.observations[i] = ObsKind::Own;
-                continue;
-            }
-            if !self.comps[i].is_operational(t) {
-                rec.observations[i] = ObsKind::Offline;
-                continue;
-            }
-            let node = self.comps[i].node();
-            rec.observations[i] = ObsKind::Correct;
-            if let Some(change) = self.comps[i].membership.observe_slot(owner, true) {
-                rec.membership_changes.push((node, change));
-            }
-            let mut off = 0usize;
-            for s in 0..self.tx_layouts[oidx].len() {
-                let (vnet, bytes) = self.tx_layouts[oidx][s];
-                let seg = &payload[off..(off + bytes).min(payload.len())];
-                off += bytes;
-                if !self.rx_vnets[i].contains(&vnet) {
-                    continue;
-                }
-                let comp = &mut self.comps[i];
-                if let Some(ep) = comp.endpoints.get_mut(&vnet) {
-                    let _ = ep.deliver_segment(seg);
-                }
-            }
-        }
     }
 
-    /// The exact pre-fast-path slot body: environment hooks, frame
-    /// seal/verify, guardian, channel resolution.
-    #[allow(clippy::too_many_arguments)]
-    fn legacy_slot_body<E: Environment + ?Sized>(
+    /// The legacy body's channel work around the shared sender side:
+    /// transmit disturbance, frame seal, send offset, then guardian and
+    /// per-receiver resolution into `scratch.resolve`. `global_dev_ns` is
+    /// the time base if the admission test already computed it.
+    fn legacy_channel<E: Environment + ?Sized>(
         &mut self,
         env: &mut E,
-        addr: SlotAddress,
-        t: SimTime,
-        owner: NodeId,
         operational: bool,
-        global_dev_ns: i64,
+        global_dev_ns: Option<i64>,
         rec: &mut SlotRecord,
         scratch: &mut StepScratch,
         phase_mark: &mut Option<std::time::Instant>,
     ) {
-        let oidx = owner.0 as usize;
-        // --- Sender side -------------------------------------------------
+        let (t, owner) = (rec.start, rec.owner);
         let tx_dist = env.tx_disturbance(t, owner);
         let transmitted = operational && !tx_dist.silence;
         let mut tx_offset_ns = 0i64;
-        let mut tx_corrupt_bits = 0u32;
         if transmitted {
-            // Dispatch hosted jobs (by index — the hosted list must not be
-            // cloned, and jobs never change hosts at runtime).
-            for h in 0..self.hosted_idx[oidx].len() {
-                let ji = self.hosted_idx[oidx][h];
-                let job = &mut self.jobs[ji];
-                env.pre_dispatch(t, job);
-                scratch.msgs.clear();
-                {
-                    let comp = &mut self.comps[oidx];
-                    let mut ctx = DispatchCtx {
-                        now: t,
-                        round: self.round_len,
-                        endpoints: &mut comp.endpoints,
-                        rng: &mut self.job_rngs[ji],
-                    };
-                    job.dispatch_into(&mut ctx, &mut scratch.msgs);
-                }
-                env.filter_outputs(t, job.spec(), &mut scratch.msgs);
-                if let Some(vnet) = job.spec().behavior.output_vnet() {
-                    let comp = &mut self.comps[oidx];
-                    if let Some(ep) = comp.endpoints.get_mut(&vnet) {
-                        for m in scratch.msgs.drain(..) {
-                            ep.send(m);
-                        }
-                    }
-                }
-            }
-
-            // Drain endpoints into the frame, with local loopback.
-            scratch.tx_frame.reset_for(owner, addr.round, addr.slot);
-            for s in 0..self.tx_layouts[oidx].len() {
-                let (vnet, bytes) = self.tx_layouts[oidx][s];
-                let comp = &mut self.comps[oidx];
-                let ep = comp.endpoints.get_mut(&vnet).expect("layout vnet has endpoint");
-                let mut msgs = scratch.sent_pool.pop().unwrap_or_default();
-                ep.drain_for_slot_into(&mut msgs);
-                if self.rx_vnets[oidx].contains(&vnet) {
-                    // Local loopback only where a local job consumes.
-                    let ep = self.comps[oidx]
-                        .endpoints
-                        .get_mut(&vnet)
-                        .expect("layout vnet has endpoint");
-                    for m in &msgs {
-                        ep.deliver_message(*m);
-                    }
-                }
-                encode_segment(&msgs, bytes, &mut scratch.tx_frame.payload);
-                rec.sent.push((vnet, msgs));
-            }
+            self.send_side(env, true, rec, scratch);
             scratch.tx_frame.seal();
+            let g = global_dev_ns.unwrap_or_else(|| self.global_dev_ns(t, &mut scratch.devs));
             tx_offset_ns =
-                self.comps[oidx].clock.deviation_ns(t) - global_dev_ns + tx_dist.extra_offset_ns;
-            tx_corrupt_bits = tx_dist.corrupt_bits;
+                self.comps[owner.0 as usize].clock.deviation_ns(t) - g + tx_dist.extra_offset_ns;
         }
-        rec.transmitted = transmitted;
         self.spans.lap(Phase::Kernel, phase_mark);
 
-        // --- Channel ------------------------------------------------------
         scratch.rx_dist.clear();
         for c in &self.comps {
             scratch.rx_dist.push(if c.node() == owner || !c.is_operational(t) {
@@ -1096,11 +1020,18 @@ impl ClusterSim {
         let tx = TxSignal {
             frame: if transmitted { Some(&scratch.tx_frame) } else { None },
             offset_ns: tx_offset_ns,
-            source_corrupt_bits: tx_corrupt_bits,
+            source_corrupt_bits: tx_dist.corrupt_bits,
         };
         self.bus.resolve_slot_into(tx, &scratch.rx_dist, &mut self.rng_bus, &mut scratch.resolve);
+    }
 
-        // --- Receiver side -------------------------------------------------
+    /// The receiver side both slot bodies share: judge the slot at every
+    /// component, feed membership, and deliver subscribed segments. With
+    /// `resolved` the verdicts and delivered payloads come from the
+    /// channel resolution; without it (the fast body) every operational
+    /// receiver judges `Correct` on the unsealed frame payload.
+    fn receive_side(&mut self, rec: &mut SlotRecord, scratch: &StepScratch, resolved: bool) {
+        let (t, owner, oidx) = (rec.start, rec.owner, rec.owner.0 as usize);
         for i in 0..self.comps.len() {
             if i == oidx {
                 rec.observations[i] = ObsKind::Own;
@@ -1111,7 +1042,12 @@ impl ClusterSim {
                 continue;
             }
             let node = self.comps[i].node();
-            let verdict = scratch.resolve.verdicts[i];
+            let (verdict, payload) = if resolved {
+                let v = scratch.resolve.verdicts[i];
+                (v, scratch.resolve.delivered_payload(v))
+            } else {
+                (SlotVerdict::Correct, Some(&scratch.tx_frame.payload[..]))
+            };
             let kind = match verdict {
                 SlotVerdict::Correct | SlotVerdict::CorrectLocal(_) => ObsKind::Correct,
                 SlotVerdict::Omission => ObsKind::Omission,
@@ -1127,19 +1063,16 @@ impl ClusterSim {
             {
                 rec.membership_changes.push((node, change));
             }
-            if let Some(payload) = scratch.resolve.delivered_payload(verdict) {
-                let mut off = 0usize;
-                for s in 0..self.tx_layouts[oidx].len() {
-                    let (vnet, bytes) = self.tx_layouts[oidx][s];
-                    let seg = &payload[off..(off + bytes).min(payload.len())];
-                    off += bytes;
-                    if !self.rx_vnets[i].contains(&vnet) {
-                        continue;
-                    }
-                    let comp = &mut self.comps[i];
-                    if let Some(ep) = comp.endpoints.get_mut(&vnet) {
-                        let _ = ep.deliver_segment(seg);
-                    }
+            let Some(payload) = payload else { continue };
+            let mut off = 0usize;
+            for &(vnet, bytes) in &self.tx_layouts[oidx] {
+                let seg = &payload[off..(off + bytes).min(payload.len())];
+                off += bytes;
+                if !self.rx_vnets[i].contains(&vnet) {
+                    continue;
+                }
+                if let Some(ep) = self.comps[i].endpoints.get_mut(&vnet) {
+                    let _ = ep.deliver_segment(seg);
                 }
             }
         }

@@ -61,19 +61,23 @@ pub trait Environment {
     /// Called once at the start of every slot, before any other hook.
     fn begin_slot(&mut self, _now: SimTime, _addr: SlotAddress) {}
 
-    /// Whether any cluster-visible disturbance may be in effect at `now`.
+    /// Whether the time-triggered channel may be disturbed at `now`.
     ///
     /// Returning `false` is a *promise* that, for this instant,
-    /// [`tx_disturbance`](Environment::tx_disturbance),
-    /// [`rx_disturbance`](Environment::rx_disturbance),
+    /// [`tx_disturbance`](Environment::tx_disturbance) and
+    /// [`rx_disturbance`](Environment::rx_disturbance) are no-ops that
+    /// also consume no randomness — the cluster may then skip them and the
+    /// channel resolution they feed (the fast slot body). The job hooks
     /// [`pre_dispatch`](Environment::pre_dispatch) and
-    /// [`filter_outputs`](Environment::filter_outputs) are all no-ops that
-    /// also consume no randomness — the cluster may then skip those calls
-    /// entirely (the clean-slot fast path). Lifecycle directives and drift
-    /// are *not* covered: [`component_directive`](Environment::component_directive)
+    /// [`filter_outputs`](Environment::filter_outputs) are *not* covered:
+    /// value-domain job faults never reach the channel, and both slot
+    /// bodies run the job hooks. Lifecycle directives and drift are not
+    /// covered either: [`component_directive`](Environment::component_directive)
     /// and [`extra_drift_ppm`](Environment::extra_drift_ppm) are polled at
-    /// round boundaries on every path. The conservative default keeps
-    /// custom environments on the exact per-slot path.
+    /// round boundaries on every path. Inside a window vouched for by
+    /// [`window_quiescent`](Environment::window_quiescent) every hook is
+    /// a no-op and the cluster skips them all. The conservative default
+    /// keeps custom environments on the exact per-slot path.
     fn cluster_disturbed(&self, _now: SimTime) -> bool {
         true
     }
@@ -81,11 +85,12 @@ pub trait Environment {
     /// Whether the half-open window `[from, to)` is provably quiescent:
     /// no fault can be active or *become* active anywhere inside it.
     ///
-    /// Returning `true` is a *promise* that every
-    /// [`begin_slot`](Environment::begin_slot) call inside the window
-    /// would draw no randomness and change no observable state, so the
-    /// cluster may batch the whole round without per-slot environment
-    /// calls. The conservative default (`false`) keeps per-slot calls.
+    /// Returning `true` is a *promise* that every per-slot hook call inside
+    /// the window — [`begin_slot`](Environment::begin_slot), the channel
+    /// disturbances and the job hooks — would draw no randomness and
+    /// change no observable state, so the cluster may batch the whole
+    /// round without per-slot environment calls. The conservative default
+    /// (`false`) keeps per-slot calls.
     fn window_quiescent(&self, _from: SimTime, _to: SimTime) -> bool {
         false
     }

@@ -1,10 +1,15 @@
 //! Fast-path vs legacy-path equivalence.
 //!
-//! The slot pipeline carries two bodies for the same slot semantics: the
-//! flattened fast path (taken when the environment reports the window
-//! quiescent or the slot undisturbed and every operational clock sits
-//! inside the admission window) and the legacy per-slot body (the exact
-//! original code, kept for disturbed slots). The refactor's contract is
+//! The slot pipeline carries two bodies for the same slot semantics. Both
+//! share the sender side (job dispatch with the environment's job hooks)
+//! and the receiver side. The fast body is taken when the channel is
+//! undisturbed (the window is quiescent, or no channel-disturbing episode
+//! is active) and the owner's send offset lies inside the admission
+//! window; it skips the channel machinery. The legacy body runs the
+//! transmit/receive disturbances, CRC, guardian and channel resolution
+//! for every other slot. Value-domain faults (sensor, software, capacitor
+//! aging) never disturb the channel, so they run on the fast body; quartz
+//! drift exercises the exact send-offset admission. The contract is
 //! that the choice is *unobservable*: counters, gauges, the diagnostic
 //! report, the OBD verdict and the flight-recorder tape must be
 //! bit-identical whichever body ran. [`RunOptions::legacy_paths`] pins
@@ -16,7 +21,17 @@
 
 use decos::faults::campaign;
 use decos::prelude::*;
+use decos::sim::SeedSource;
 use proptest::prelude::*;
+
+fn quartz(node: NodeId) -> Vec<FaultSpec> {
+    vec![FaultSpec {
+        id: 1,
+        kind: FaultKind::QuartzDegradation { drift_ppm_per_hour: 1e7 },
+        target: FruRef::Component(node),
+        onset: SimTime::ZERO,
+    }]
+}
 
 fn run_with(c: &Campaign, legacy: bool) -> decos::runner::CampaignOutcome {
     let opts =
@@ -67,8 +82,59 @@ fn internal_degradation_paths_agree() {
 
 #[test]
 fn software_campaign_paths_agree() {
-    let faults = campaign::software_campaign(fig10::jobs::A1, true);
-    assert_equivalent(&Campaign::reference(faults, 5.0, 400, 17));
+    // Heisenbug, then Bohrbug.
+    for heisen in [true, false] {
+        let faults = campaign::software_campaign(fig10::jobs::A1, heisen);
+        assert_equivalent(&Campaign::reference(faults, 5.0, 400, 17));
+    }
+}
+
+#[test]
+fn sensor_campaigns_paths_agree() {
+    let kinds = [
+        FaultKind::SensorStuck { value: 99.0 },
+        FaultKind::SensorDrift { per_hour: 5_000.0 },
+        FaultKind::SensorNoise { std_dev: 2.0 },
+        FaultKind::SensorDead,
+    ];
+    for (k, kind) in kinds.into_iter().enumerate() {
+        for job in [fig10::jobs::A1, fig10::jobs::S1] {
+            let faults = campaign::sensor_campaign(job, kind.clone());
+            assert_equivalent(&Campaign::reference(faults, 10.0, 300, 40 + k as u64));
+        }
+    }
+}
+
+#[test]
+fn capacitor_aging_paths_agree() {
+    let faults = vec![FaultSpec {
+        id: 1,
+        kind: FaultKind::CapacitorAging { bias_per_hour: 2_000.0 },
+        target: FruRef::Component(NodeId(1)),
+        onset: SimTime::ZERO,
+    }];
+    assert_equivalent(&Campaign::reference(faults, 10.0, 400, 47));
+}
+
+#[test]
+fn quartz_degradation_paths_agree() {
+    // The drifting clock widens the spread past the admission window, so
+    // slots are admitted on the exact send offset until the owner itself
+    // leaves the window.
+    assert_equivalent(&Campaign::reference(quartz(NodeId(2)), 10.0, 400, 53));
+}
+
+#[test]
+fn mixed_fleet_paths_agree() {
+    // The fleet-short sampler: the first 256 mixed-fault vehicles at 40
+    // rounds, seeded the way the fleet runner seeds them.
+    let spec = fig10::reference_spec();
+    let seeds = SeedSource::new(7);
+    for index in 0..256 {
+        let (spec, faults) = campaign::sample_mixed_fault(&spec, seeds, index);
+        let seed = seeds.child(index).master();
+        assert_equivalent(&Campaign { spec, faults, accel: 10.0, rounds: 40, seed });
+    }
 }
 
 #[test]
@@ -103,7 +169,7 @@ proptest! {
     #[test]
     fn random_campaigns_paths_agree(
         seed in 0u64..1_000_000,
-        family in 0usize..5,
+        family in 0usize..7,
         node in 0u16..4,
         rate in 50.0f64..4_000.0,
         accel in 1.0f64..16.0,
@@ -114,7 +180,17 @@ proptest! {
             1 => campaign::wearout_campaign(NodeId(node), rate / 4.0, rate),
             2 => campaign::software_campaign(fig10::jobs::A1, seed % 2 == 0),
             3 => campaign::babbling_observer_campaign(NodeId(node), 1 + (seed % 4) as u32),
-            _ => campaign::diag_crash_campaign(NodeId(0), rate / 10.0, 8.0),
+            4 => campaign::diag_crash_campaign(NodeId(0), rate / 10.0, 8.0),
+            5 => campaign::sensor_campaign(
+                if seed / 4 % 2 == 0 { fig10::jobs::A1 } else { fig10::jobs::S1 },
+                match seed % 4 {
+                    0 => FaultKind::SensorStuck { value: rate / 40.0 },
+                    1 => FaultKind::SensorDrift { per_hour: rate },
+                    2 => FaultKind::SensorNoise { std_dev: rate / 1_000.0 },
+                    _ => FaultKind::SensorDead,
+                },
+            ),
+            _ => quartz(NodeId(node)),
         };
         assert_equivalent(&Campaign::reference(faults, accel, rounds, seed));
     }

@@ -6,21 +6,13 @@
 //! cargo run --release -p decos-bench --bin repro -- e9-actions --effort 0.2
 //! ```
 //!
-//! Telemetry sinks (DESIGN.md §11):
+//! Flight recorder (DESIGN.md §11):
 //!
 //! ```sh
-//! # Emit BENCH_fleet.json + BENCH_slot.json (exits 5 if same-seed
-//! # counter snapshots disagree — the CI determinism gate).
-//! cargo run --release -p decos-bench --bin repro -- --telemetry
-//! # Stream a per-round JSONL trace of a reference campaign.
-//! cargo run --release -p decos-bench --bin repro -- --trace trace.jsonl
-//! # Record a fault-lifecycle flight-recorder dump of the same campaign.
+//! # Record a fault-lifecycle dump of the reference connector campaign.
 //! cargo run --release -p decos-bench --bin repro -- --flightrec flightrec.jsonl
 //! # Render a dump as a fault timeline + latency table.
 //! cargo run --release -p decos-bench --bin repro -- trace-report flightrec.jsonl
-//! # Enforce the perf trajectory against the committed BENCH files
-//! # (exit 6 on a >10% slots/sec regression, 5 on a determinism mismatch).
-//! cargo run --release -p decos-bench --bin repro -- bench-compare --tolerance 0.10
 //! ```
 //!
 //! Fleet scale (DESIGN.md §16):
@@ -30,8 +22,6 @@
 //! cargo run --release -p decos-bench --bin repro -- fleet --vehicles 1_000_000
 //! # Pin the shard count (default: available parallelism).
 //! cargo run --release -p decos-bench --bin repro -- fleet --vehicles 50_000 --shards 2
-//! # Regenerate BENCH_fleet.json from an explicit workload.
-//! cargo run --release -p decos-bench --bin repro -- fleet --vehicles 1_000_000 --telemetry
 //! ```
 //!
 //! Numeric flags parse strictly: `--vehicles 24x` is a usage error
@@ -52,10 +42,20 @@
 //!
 //! Exit codes are one-per-failure-class (`decos_bench::exitcode`,
 //! README §"Exit codes"): 0 ok, 1 failure, 2 usage, 3 spec rejected,
-//! 4 store corrupt, 5 determinism mismatch, 6 perf-gate regression.
+//! 4 store corrupt, 5 determinism mismatch.
+
+use std::time::Instant;
 
 use decos_bench::experiments as exp;
-use decos_bench::{cliflags, compare, exitcode, flightdump, perf, storecli, Effort};
+use decos_bench::{cliflags, exitcode, flightdump, storecli, Effort};
+
+/// Rounds per vehicle of the default `repro fleet` workload. Not scaled
+/// by effort: effort scales the vehicle count only, so vehicles/sec
+/// measures the same per-vehicle workload at every effort.
+const FLEET_ROUNDS: u64 = 40;
+
+/// Vehicles of the default `repro fleet` workload at effort 1.0 (10⁶).
+const FLEET_VEHICLES: u64 = 1_000_000;
 
 const IDS: &[&str] = &[
     "e1-architecture",
@@ -86,8 +86,6 @@ fn run_one(id: &str, effort: Effort, json: bool) {
         }};
     }
     match id {
-        "bench-fleet" => run_bench(perf::bench_fleet(effort), "BENCH_fleet.json"),
-        "bench-slot" => run_bench(perf::bench_slot(effort), "BENCH_slot.json"),
         "e1-architecture" => emit!(exp::e1_architecture()),
         "e2-taxonomy" => emit!(exp::e2_taxonomy(effort)),
         "e3-component" => emit!(exp::e3_component(effort)),
@@ -109,54 +107,9 @@ fn run_one(id: &str, effort: Effort, json: bool) {
     }
 }
 
-/// Runs one BENCH shape: writes the report, prints the headline, and exits
-/// nonzero when the same-seed double run was not counter-deterministic.
-fn run_bench(report: perf::BenchReport, path: &str) {
-    perf::write_report(&report, path).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(exitcode::FAILURE);
-    });
-    println!(
-        "{path}: {:.0} slots/sec{} deterministic={}",
-        report.slots_per_sec,
-        report.vehicles_per_sec.map_or_else(String::new, |v| format!(", {v:.2} vehicles/sec")),
-        report.deterministic
-    );
-    if !report.deterministic {
-        eprintln!("FAIL: same-seed runs produced different counter snapshots");
-        std::process::exit(exitcode::DETERMINISM);
-    }
-}
-
-/// Streams a per-round JSONL trace of the reference connector campaign.
-fn run_trace(path: &str, effort: Effort) {
-    use decos::prelude::*;
-    let rounds = effort.scale(2_000);
-    let c = Campaign::reference(
-        decos::faults::campaign::connector_campaign(NodeId(2), 800.0),
-        10.0,
-        rounds,
-        2026,
-    );
-    match perf::traced_campaign(&c, path) {
-        Ok(out) => {
-            let snap = out.telemetry.expect("telemetry on");
-            println!(
-                "{path}: {rounds} rows, fingerprint {} chars",
-                snap.counter_fingerprint().len()
-            );
-        }
-        Err(e) => {
-            eprintln!("trace failed: {e}");
-            std::process::exit(exitcode::FAILURE);
-        }
-    }
-}
-
-/// Records a flight-recorder dump of the reference connector campaign
-/// (the `--trace` campaign, recorder on) and always writes it — the
-/// on-anomaly policy applies to experiment sweeps, not to an explicit
-/// dump request.
+/// Records a flight-recorder dump of the reference connector campaign and
+/// always writes it — the on-anomaly policy applies to experiment sweeps,
+/// not to an explicit dump request.
 fn run_flightrec(path: &str, effort: Effort) {
     use decos::prelude::*;
     let rounds = effort.scale(2_000);
@@ -199,35 +152,6 @@ fn run_trace_report(path: &str) {
     print!("{}", flightdump::render_trace_report(&events));
 }
 
-/// Renders the phase-share table from a committed `BENCH_*.json`: what
-/// percent of the pipeline's wall time each phase accounts for.
-fn run_phase_shares(path: &str) {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(exitcode::FAILURE);
-    });
-    let phases = (|| -> Result<Vec<(String, u64, f64)>, serde::value::DeError> {
-        let v = serde::value::parse_embedded(&body)?;
-        let entries = v.as_map()?;
-        let mut out = Vec::new();
-        for p in serde::value::field(entries, "phases")?.as_seq()? {
-            let pm = p.as_map()?;
-            out.push((
-                serde::value::field(pm, "name")?.as_str()?.to_string(),
-                serde::value::field(pm, "count")?.as_u64()?,
-                serde::value::field(pm, "mean_ns")?.as_f64()?,
-            ));
-        }
-        Ok(out)
-    })()
-    .unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(exitcode::FAILURE);
-    });
-    println!();
-    print!("{}", flightdump::render_phase_shares(&flightdump::phase_shares(&phases)));
-}
-
 /// Strict numeric flag lookup ([`cliflags::numeric_flag`]): a present
 /// flag with a missing or malformed value is a usage error (exit 2),
 /// never a silent fallback to the default workload.
@@ -238,30 +162,23 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> 
     })
 }
 
-/// `repro fleet` without `--store`: one streaming run of the sharded
-/// fleet executor (DESIGN.md §16). Defaults to the BENCH headline
-/// workload — effort × 10⁶ vehicles, [`perf::FLEET_BENCH_ROUNDS`] rounds
-/// each — and with `--telemetry` regenerates `BENCH_fleet.json` from the
-/// same workload (warm-up + shard ladder).
-fn run_fleet_scale(
-    o: &storecli::StoreCliOpts,
-    shards: Option<usize>,
-    effort: Effort,
-    telemetry: bool,
-) {
+/// `repro fleet` without `--store`: one timed streaming run of the
+/// sharded fleet executor on the fig10 reference spec (DESIGN.md §16).
+/// Defaults to effort × 10⁶ vehicles, [`FLEET_ROUNDS`] rounds each.
+/// Telemetry is on so the summary can print the fingerprint hash.
+fn run_fleet_scale(o: &storecli::StoreCliOpts, shards: Option<usize>, effort: Effort) {
     use decos::prelude::*;
     let cfg = FleetConfig {
-        vehicles: o.vehicles.unwrap_or_else(|| effort.scale(perf::FLEET_BENCH_VEHICLES)),
-        rounds: o.rounds.unwrap_or(perf::FLEET_BENCH_ROUNDS),
+        vehicles: o.vehicles.unwrap_or_else(|| effort.scale(FLEET_VEHICLES)),
+        rounds: o.rounds.unwrap_or(FLEET_ROUNDS),
         accel: o.accel.unwrap_or(10.0),
         seed: o.seed.unwrap_or(2026),
     };
-    if telemetry {
-        run_bench(perf::bench_fleet_workload(cfg, shards, effort.0), "BENCH_fleet.json");
-        return;
-    }
-    match perf::fleet_once(cfg, shards) {
-        Ok((out, wall_secs)) => {
+    let opts = FleetOptions { telemetry: true, shards, ..FleetOptions::default() };
+    let t0 = Instant::now();
+    match run_fleet_configured(&fig10::reference_spec(), cfg, EngineParams::default(), &opts) {
+        Ok(out) => {
+            let wall_secs = t0.elapsed().as_secs_f64();
             let snap = out.telemetry.as_ref().expect("telemetry on");
             let slots = snap.counter("slots_simulated").unwrap_or(0);
             println!(
@@ -292,77 +209,12 @@ fn run_fleet_scale(
     }
 }
 
-/// The perf-trajectory gate: exits 6 on a regression beyond tolerance,
-/// 5 on a determinism mismatch.
-fn run_bench_compare(effort: Effort, tolerance: f64) {
-    let results = compare::bench_compare(effort, tolerance, "BENCH_fleet.json", "BENCH_slot.json")
-        .unwrap_or_else(|e| {
-            eprintln!("bench-compare: {e}");
-            std::process::exit(exitcode::FAILURE);
-        });
-    let mut failed = false;
-    let mut nondeterministic = false;
-    for r in &results {
-        println!(
-            "{}: baseline {:.0} slots/sec, current {:.0} slots/sec ({:+.1}%) — {}",
-            r.name,
-            r.baseline,
-            r.current,
-            (r.current / r.baseline - 1.0) * 100.0,
-            if r.passed() {
-                "ok"
-            } else if !r.deterministic {
-                "FAIL (non-deterministic)"
-            } else if r.regressed {
-                "FAIL (regression)"
-            } else if r.vehicles.is_some_and(|v| v.regressed) {
-                "FAIL (vehicles/sec regression)"
-            } else {
-                "FAIL (phase regression)"
-            }
-        );
-        if let Some(v) = r.vehicles {
-            println!(
-                "  vehicles/sec: baseline {:.0}, current {:.0} ({:+.1}%) — {}",
-                v.baseline,
-                v.current,
-                (v.current / v.baseline - 1.0) * 100.0,
-                if v.regressed { "FAIL" } else { "ok" }
-            );
-        }
-        for p in &r.phases {
-            println!(
-                "  {} p50: baseline {} ns, current {} ns — {}",
-                p.name,
-                p.baseline_p50_ns,
-                p.current_p50_ns,
-                if p.regressed { "FAIL" } else { "ok" }
-            );
-        }
-        failed |= !r.passed();
-        nondeterministic |= !r.deterministic;
-    }
-    if failed {
-        eprintln!("FAIL: perf trajectory gate (tolerance {:.0}%)", tolerance * 100.0);
-        // Determinism breakage outranks a perf regression as a verdict:
-        // a nondeterministic run's timing numbers aren't trustworthy.
-        std::process::exit(if nondeterministic {
-            exitcode::DETERMINISM
-        } else {
-            exitcode::PERF_GATE
-        });
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     let flag_value = |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1));
     let effort = numeric_flag(&args, "--effort").map_or(Effort(1.0), Effort);
-    let telemetry = args.iter().any(|a| a == "--telemetry");
-    let trace = flag_value("--trace").cloned();
     let flightrec = flag_value("--flightrec").cloned();
-    let tolerance = numeric_flag(&args, "--tolerance").unwrap_or(compare::DEFAULT_TOLERANCE);
     let store_dir = flag_value("--store").cloned();
     let resume_dir = flag_value("--resume").cloned();
     let shards: Option<usize> = numeric_flag(&args, "--shards");
@@ -377,9 +229,7 @@ fn main() {
     };
     const VALUE_FLAGS: &[&str] = &[
         "--effort",
-        "--trace",
         "--flightrec",
-        "--tolerance",
         "--store",
         "--resume",
         "--rounds",
@@ -395,7 +245,7 @@ fn main() {
         .iter()
         .enumerate()
         .filter(|(i, a)| {
-            // Skip flags and flag values (--effort 0.2, --trace out.jsonl).
+            // Skip flags and flag values (--effort 0.2, --flightrec out.jsonl).
             !a.starts_with("--")
                 && args.get(i.wrapping_sub(1)).is_none_or(|p| !VALUE_FLAGS.contains(&p.as_str()))
         })
@@ -414,7 +264,7 @@ fn main() {
         }
         Some(&"fleet") => {
             // Storeless fleet = the streaming scale workload (§16).
-            run_fleet_scale(&store_opts, shards, effort, telemetry);
+            run_fleet_scale(&store_opts, shards, effort);
             return;
         }
         Some(&"campaign") => {
@@ -443,44 +293,25 @@ fn main() {
     }
     if ids.first() == Some(&"trace-report") {
         let Some(path) = ids.get(1) else {
-            eprintln!("usage: repro trace-report <flightrec.jsonl> [BENCH_*.json]");
+            eprintln!("usage: repro trace-report <flightrec.jsonl>");
             std::process::exit(exitcode::USAGE);
         };
         run_trace_report(path);
-        if let Some(bench) = ids.get(2) {
-            run_phase_shares(bench);
-        }
         return;
-    }
-    if ids.first() == Some(&"bench-compare") {
-        run_bench_compare(effort, tolerance);
-        return;
-    }
-    if telemetry {
-        // Shorthand for both BENCH emitters.
-        run_bench(perf::bench_fleet(effort), "BENCH_fleet.json");
-        run_bench(perf::bench_slot(effort), "BENCH_slot.json");
-    }
-    if let Some(path) = &trace {
-        run_trace(path, effort);
     }
     if let Some(path) = &flightrec {
         run_flightrec(path, effort);
     }
     if ids.is_empty() {
-        if telemetry || trace.is_some() || flightrec.is_some() {
+        if flightrec.is_some() {
             return;
         }
-        eprintln!(
-            "usage: repro <experiment|all> [--json] [--effort <f>] [--telemetry] \
-             [--trace <path>] [--flightrec <path>]"
-        );
-        eprintln!("       repro trace-report <flightrec.jsonl> [BENCH_*.json]");
-        eprintln!("       repro bench-compare [--effort <f>] [--tolerance <f>]");
-        eprintln!("       repro fleet [--vehicles N] [--rounds N] [--shards N] [--telemetry]");
+        eprintln!("usage: repro <experiment|all> [--json] [--effort <f>] [--flightrec <path>]");
+        eprintln!("       repro trace-report <flightrec.jsonl>");
+        eprintln!("       repro fleet [--vehicles N] [--rounds N] [--shards N]");
         eprintln!("       repro campaign|fleet --store <dir> [--rounds N] [--vehicles N] ...");
         eprintln!("       repro resume <dir> | repro store-stat <dir>");
-        eprintln!("experiments: {IDS:?} plus bench-fleet, bench-slot");
+        eprintln!("experiments: {IDS:?}");
         std::process::exit(exitcode::USAGE);
     }
     for id in ids {

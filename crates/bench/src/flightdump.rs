@@ -2,9 +2,7 @@
 //! and the human-readable `repro trace-report` renderer.
 //!
 //! A dump is one JSON object per line, every line self-describing via its
-//! `schema` field — the same discipline as the per-round trace
-//! (`decos-trace-round/1`), so downstream tooling can sort mixed JSONL
-//! streams by schema. [`read_flightrec`] parses a dump back into
+//! `schema` field. [`read_flightrec`] parses a dump back into
 //! [`TraceEvent`]s and [`render_trace_report`] replays them through the
 //! exact [`FaultLifecycle`] fold the live run used, so the rendered
 //! latency table is the one the run measured.
@@ -47,7 +45,10 @@ pub fn write_flightrec(rec: &FlightRecording, path: &str) -> std::io::Result<()>
     decos::store::write_atomic(std::path::Path::new(path), body.as_bytes())
 }
 
-/// Parses a `decos-flightrec/1` JSONL body back into events.
+/// Parses a `decos-flightrec/1` JSONL body back into events. A numeric
+/// field that does not fit its event field is an error, and so is a
+/// numeric `component` equal to the reserved [`NO_COMPONENT`], which the
+/// writer only ever emits as `null`.
 pub fn read_flightrec(body: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     for (i, line) in body.lines().enumerate() {
@@ -58,6 +59,7 @@ pub fn read_flightrec(body: &str) -> Result<Vec<TraceEvent>, String> {
         let v = serde::value::parse_embedded(line).map_err(|e| fail(&e))?;
         let entries = v.as_map().map_err(|e| fail(&e))?;
         let field = |name: &str| serde::value::field(entries, name).map_err(|e| fail(&e));
+        let uint = |name: &str| field(name)?.as_u64().map_err(|e| fail(&e));
         let schema = field("schema")?.as_str().map_err(|e| fail(&e))?;
         if schema != FLIGHTREC_SCHEMA {
             return Err(format!(
@@ -70,19 +72,29 @@ pub fn read_flightrec(body: &str) -> Result<Vec<TraceEvent>, String> {
             .ok_or_else(|| format!("line {}: unknown event kind {kind_name:?}", i + 1))?;
         let component = match field("component")? {
             serde::value::Value::Null => NO_COMPONENT,
-            other => other.as_u64().map_err(|e| fail(&e))? as u16,
+            _ => match narrow(i + 1, "component", uint("component")?)? {
+                NO_COMPONENT => {
+                    return Err(format!("line {}: component {NO_COMPONENT} is reserved", i + 1))
+                }
+                c => c,
+            },
         };
         events.push(TraceEvent {
-            seq: field("seq")?.as_u64().map_err(|e| fail(&e))?,
-            round: field("round")?.as_u64().map_err(|e| fail(&e))?,
-            slot: field("slot")?.as_u64().map_err(|e| fail(&e))? as u16,
+            seq: uint("seq")?,
+            round: uint("round")?,
+            slot: narrow(i + 1, "slot", uint("slot")?)?,
             component,
-            fault_id: field("fault_id")?.as_u64().map_err(|e| fail(&e))? as u32,
+            fault_id: narrow(i + 1, "fault_id", uint("fault_id")?)?,
             kind,
-            detail: field("detail")?.as_u64().map_err(|e| fail(&e))? as u32,
+            detail: narrow(i + 1, "detail", uint("detail")?)?,
         });
     }
     Ok(events)
+}
+
+/// Narrows a parsed dump field to the width of its event field.
+fn narrow<T: TryFrom<u64>>(line: usize, name: &str, v: u64) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("line {line}: {name} {v} out of range"))
 }
 
 /// Whether an outcome warrants a flight-recorder dump: a failover, a
@@ -205,75 +217,9 @@ pub fn render_trace_report(events: &[TraceEvent]) -> String {
     s
 }
 
-/// One phase's contribution to pipeline wall time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseShare {
-    /// Phase registry name.
-    pub name: String,
-    /// Estimated wall time spent in the phase: `count × mean_ns`.
-    pub total_ns: f64,
-    /// Fraction of the summed pipeline wall time, in `[0, 1]`.
-    pub share: f64,
-}
-
-/// Computes wall-time shares from `(name, count, mean_ns)` triples, as
-/// carried by a `BENCH_*.json` `phases` array. Span sampling cancels out:
-/// every phase is sampled at the same stride, so `count × mean` keeps the
-/// ratios of the true per-phase totals.
-pub fn phase_shares(phases: &[(String, u64, f64)]) -> Vec<PhaseShare> {
-    let totals: Vec<f64> = phases.iter().map(|(_, count, mean)| *count as f64 * mean).collect();
-    let sum: f64 = totals.iter().sum();
-    phases
-        .iter()
-        .zip(&totals)
-        .map(|((name, _, _), t)| PhaseShare {
-            name: name.clone(),
-            total_ns: *t,
-            share: if sum > 0.0 { t / sum } else { 0.0 },
-        })
-        .collect()
-}
-
-/// Renders the phase-share table: percent of pipeline wall time per
-/// phase, pipeline order, with a proportional bar for reading at a
-/// glance.
-pub fn render_phase_shares(shares: &[PhaseShare]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "phase share of pipeline wall time");
-    for p in shares {
-        let pct = p.share * 100.0;
-        let bar = "#".repeat((p.share * 40.0).round() as usize);
-        let _ = writeln!(s, "  {:<14} {:>6.1}%  {:>12.0} ns  {}", p.name, pct, p.total_ns, bar);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phase_shares_sum_to_one_and_rank_by_total() {
-        let phases = vec![
-            ("kernel".to_string(), 1000u64, 500.0),
-            ("ttnet".to_string(), 1000, 250.0),
-            ("detect".to_string(), 1000, 125.0),
-            ("state".to_string(), 250, 0.0),
-        ];
-        let shares = phase_shares(&phases);
-        let sum: f64 = shares.iter().map(|p| p.share).sum();
-        assert!((sum - 1.0).abs() < 1e-9, "shares must sum to 1, got {sum}");
-        assert_eq!(shares[0].name, "kernel");
-        assert!(shares[0].share > shares[1].share && shares[1].share > shares[2].share);
-        assert_eq!(shares[3].share, 0.0, "an unexercised phase contributes nothing");
-        let table = render_phase_shares(&shares);
-        assert!(table.contains("kernel"), "{table}");
-        assert!(table.contains('%'), "{table}");
-        // Degenerate input: no recorded time at all must not divide by 0.
-        let empty = phase_shares(&[("kernel".to_string(), 0, 0.0)]);
-        assert_eq!(empty[0].share, 0.0);
-    }
 
     #[test]
     fn event_lines_roundtrip() {
@@ -315,6 +261,29 @@ mod tests {
         })
         .replace("ona-match", "no-such-kind");
         assert!(read_flightrec(&bad_kind).is_err());
+        // Numbers too wide for their event field, and the reserved
+        // component id the writer only ever emits as `null`, fail with
+        // the line number instead of wrapping.
+        let line = event_line(&TraceEvent {
+            seq: 0,
+            round: 0,
+            slot: 1,
+            component: 2,
+            fault_id: 3,
+            kind: TraceEventKind::OnaMatch,
+            detail: 4,
+        });
+        for (from, to, what) in [
+            ("\"component\":2", "\"component\":65536", "component 65536 out of range"),
+            ("\"component\":2", "\"component\":65535", "component 65535 is reserved"),
+            ("\"slot\":1", "\"slot\":65536", "slot 65536 out of range"),
+            ("\"fault_id\":3", "\"fault_id\":4294967296", "fault_id 4294967296 out of range"),
+            ("\"detail\":4", "\"detail\":4294967296", "detail 4294967296 out of range"),
+        ] {
+            let bad = format!("{line}\n{}", line.replace(from, to));
+            let err = read_flightrec(&bad).expect_err(what);
+            assert_eq!(err, format!("line 2: {what}"));
+        }
     }
 
     #[test]

@@ -1,17 +1,14 @@
-//! # decos-bench — experiment harness and benchmarks
+//! # decos-bench — experiment harness
 //!
-//! [`experiments`] regenerates every figure of the paper as data (E1–E11,
+//! [`experiments`] regenerates every figure of the paper as data (E1–E14,
 //! see DESIGN.md §5); the `repro` binary dispatches on experiment id.
-//! [`perf`] emits the committed `BENCH_*.json` trajectory, [`compare`]
-//! enforces it (`repro bench-compare`), and [`flightdump`] handles
-//! flight-recorder JSONL dumps and `repro trace-report`. Criterion
-//! benches live under `benches/`.
+//! [`flightdump`] handles flight-recorder JSONL dumps and
+//! `repro trace-report`. Timing lives outside the library, in the
+//! `perfbench/` crate.
 
 pub mod cliflags;
-pub mod compare;
 pub mod experiments;
 pub mod flightdump;
-pub mod perf;
 pub mod storecli;
 
 /// Process exit codes of the `repro` binary, one per failure class, so CI
@@ -29,20 +26,13 @@ pub mod exitcode {
     pub const SPEC_REJECTED: i32 = 3;
     /// The campaign store is structurally corrupt or its I/O failed.
     pub const STORE_CORRUPT: i32 = 4;
-    /// A determinism contract was violated: same-seed counter snapshots
-    /// disagree, or a resume's replay diverged from the journal.
+    /// A determinism contract was violated: a resume's replay diverged
+    /// from the journal.
     pub const DETERMINISM: i32 = 5;
-    /// The perf trajectory gate tripped (`bench-compare` regression).
-    pub const PERF_GATE: i32 = 6;
 }
 
-pub use compare::{
-    bench_compare, phase_regressed, read_baseline, regressed, GateResult, PhaseGate,
-    DEFAULT_TOLERANCE, GATED_PHASES, PHASE_TOLERANCE_FLOOR,
-};
 pub use experiments::Effort;
 pub use flightdump::{
     dump_on_anomaly, is_anomalous, read_flightrec, render_trace_report, write_flightrec,
     FLIGHTREC_SCHEMA,
 };
-pub use perf::{bench_fleet, bench_slot, traced_campaign, write_report, BenchReport, TraceWriter};

@@ -2,7 +2,7 @@
 //! --store`, `fleet --store`, `resume`, and `store-stat`.
 //!
 //! The CLI journals the repo's canonical workloads — the reference
-//! connector campaign (the `--trace`/`--flightrec` campaign) and the
+//! connector campaign (the `--flightrec` campaign) and the
 //! fig10 fleet — so a `resume` can reconstruct the experiment from the
 //! manifest alone and let the spec-hash check (DA090) prove it is the
 //! same one. Arbitrary specs go through the library API
@@ -48,7 +48,7 @@ impl StoreCliOpts {
 }
 
 /// The canonical stored-campaign workload: the reference connector
-/// campaign, same shape as `--trace`/`--flightrec`.
+/// campaign, same shape as `--flightrec`.
 fn reference_campaign(rounds: u64, accel: f64, seed: u64) -> Campaign {
     Campaign::reference(
         decos::faults::campaign::connector_campaign(NodeId(2), 800.0),

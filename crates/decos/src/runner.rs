@@ -101,8 +101,7 @@ pub struct CampaignOutcome {
     /// Simulated horizon in seconds.
     pub sim_seconds: f64,
     /// Pipeline telemetry ([`RunOptions::telemetry`]); `None` when off.
-    /// Counters and gauges are deterministic per seed; phase timings are
-    /// wall-clock and excluded from the determinism contract.
+    /// Counters and gauges are deterministic per seed.
     pub telemetry: Option<TelemetrySnapshot>,
     /// Per-fault lifecycle records — onset→first-symptom, onset→first-ONA,
     /// onset→conviction latencies in rounds plus FRU attribution. Present
@@ -118,10 +117,9 @@ pub struct CampaignOutcome {
 /// Optional behaviours of a campaign run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Collect registry-keyed counters and per-phase wall-time spans over
-    /// the whole slot pipeline and attach a [`TelemetrySnapshot`] to the
-    /// outcome. Off by default: uninstrumented runs never read the wall
-    /// clock and the steady-state loop stays allocation-free.
+    /// Collect registry-keyed counters and gauges over the whole slot
+    /// pipeline (including the lifecycle latency fold) and attach a
+    /// [`TelemetrySnapshot`] to the outcome. Off by default.
     pub telemetry: bool,
     /// Record the fault-lifecycle event trace into a bounded ring and
     /// attach a [`FlightRecording`] to the outcome. Off by default; when
@@ -189,10 +187,6 @@ pub fn run_campaign_opts(
     let mut diag_seed = c.seed ^ 0xD1A6_0000_0000_0000;
     engine.reseed_diag(decos_sim::rng::splitmix64(&mut diag_seed));
     let mut obd = ObdDiagnosis::new(&sim, ObdParams::default());
-    if opts.telemetry {
-        sim.enable_telemetry();
-        engine.enable_telemetry();
-    }
     // The lifecycle fold runs whenever latency metrics are wanted
     // (telemetry) or events are kept (flightrec); the ring itself is only
     // paid for under `flightrec`.
@@ -310,7 +304,7 @@ pub fn run_campaign_opts(
     let trace = opts.flightrec.then(|| engine.flightrec().recording());
     let telemetry = opts
         .telemetry
-        .then(|| assemble_telemetry(&sim, &engine, &report, c.rounds, slots, lifecycle.as_ref()));
+        .then(|| assemble_telemetry(&engine, &report, c.rounds, slots, lifecycle.as_ref()));
     Ok(CampaignOutcome {
         obd: obd.report(end),
         dissemination: engine.dissemination_stats(),
@@ -325,10 +319,9 @@ pub fn run_campaign_opts(
 }
 
 /// Builds the campaign-level [`TelemetrySnapshot`]: the full counter
-/// registry filled from the engine's authoritative statistics, quality as
-/// a gauge, and the merged simulation + diagnosis phase spans.
+/// registry filled from the engine's authoritative statistics, quality and
+/// the lifecycle latencies as gauges.
 fn assemble_telemetry(
-    sim: &ClusterSim,
     engine: &DiagnosticEngine,
     report: &DiagnosticReport,
     rounds: u64,
@@ -364,9 +357,7 @@ fn assemble_telemetry(
         gauges.set(Gauge::DetectLatency, lc.mean_detect_latency());
         gauges.set(Gauge::ConvictLatency, lc.mean_convict_latency());
     }
-    let mut spans = *sim.telemetry_spans();
-    spans.merge(engine.telemetry_spans());
-    TelemetrySnapshot::assemble(&counters, &gauges, &spans)
+    TelemetrySnapshot::assemble(&counters, &gauges)
 }
 
 /// Per-FRU trust trajectory: `(seconds, trust)` samples per sampled FRU.

@@ -41,7 +41,7 @@ use decos_analyzer::{AnalysisReport, DiagCode, Diagnostic, Severity};
 use decos_diagnosis::{DiagnosticEngine, DiagnosticReport, DisseminationStats, EngineParams};
 use decos_platform::ClusterSpec;
 use decos_sim::rng::SeedSource;
-use decos_sim::telemetry::{Counter, CounterSet, CounterValue, GaugeSet, Spans, TelemetrySnapshot};
+use decos_sim::telemetry::{Counter, CounterSet, CounterValue, GaugeSet, TelemetrySnapshot};
 use decos_store::{
     fnv1a, fnv1a_extend, Manifest, RoundDelta, Store, StoreError, StoreIo, ROUND_DELTA_KIND,
     STORE_SCHEMA, VEHICLE_KIND,
@@ -623,7 +623,7 @@ impl<IO: StoreIo> FleetStore<IO> {
 
 /// Rebuilds a vehicle's telemetry snapshot from journaled counter values:
 /// counters verbatim, gauges zeroed (the fleet aggregator re-derives every
-/// gauge), phases empty (wall-time is not part of the contract).
+/// gauge).
 fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
     let mut set = CounterSet::new();
     for c in Counter::ALL {
@@ -631,7 +631,7 @@ fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
             set.set(c, v.value);
         }
     }
-    TelemetrySnapshot::assemble(&set, &GaugeSet::new(), &Spans::default())
+    TelemetrySnapshot::assemble(&set, &GaugeSet::new())
 }
 
 /// Runs (or resumes) a fleet against its store. Committed vehicles are

@@ -16,7 +16,6 @@ use crate::trust::{FruAssessor, TrustParams};
 use decos_faults::{DiagDisturbance, FaultClass, FruRef};
 use decos_platform::{ClusterSim, JobId, NodeId, SlotRecord, SpecError};
 use decos_sim::flightrec::{FlightRecorder, TraceEventKind, NO_COMPONENT};
-use decos_sim::telemetry::{Phase, Spans};
 use decos_sim::time::SimDuration;
 use std::collections::BTreeMap;
 
@@ -99,9 +98,6 @@ pub struct DiagnosticEngine {
     degraded_quality_threshold: f64,
     /// Total ONA pattern matches produced over the campaign (telemetry).
     ona_matches: u64,
-    /// Wall-time spans of the diagnostic half of the pipeline (detect →
-    /// dissemination → state → ONA → trust). Disabled by default.
-    spans: Spans,
     /// Fault-lifecycle flight recorder (inert by default; see
     /// DESIGN.md §11).
     recorder: FlightRecorder,
@@ -170,7 +166,6 @@ impl DiagnosticEngine {
             last_quality: 1.0,
             degraded_quality_threshold: params.degraded_quality_threshold,
             ona_matches: 0,
-            spans: Spans::disabled(),
             recorder: FlightRecorder::disabled(),
             current_round: 0,
             current_slot: 0,
@@ -243,7 +238,6 @@ impl DiagnosticEngine {
     pub fn observe_slot(&mut self, sim: &ClusterSim, rec: &SlotRecord) {
         self.current_round = rec.addr.round;
         self.current_slot = rec.addr.slot.0;
-        let mut mark = self.spans.begin();
         self.scratch.clear();
         self.detectors.detect(sim, rec, &mut self.scratch);
         if self.recorder.enabled() {
@@ -266,9 +260,7 @@ impl DiagnosticEngine {
         if self.disturbance.babbler.is_some() {
             self.forge_babble(sim, rec);
         }
-        self.spans.lap(Phase::Detect, &mut mark);
         self.network.offer_disturbed(&self.scratch, &self.disturbance, Some(rec.start));
-        self.spans.lap(Phase::Dissemination, &mut mark);
         self.slot_in_round += 1;
         if self.slot_in_round >= self.slots_per_round {
             self.slot_in_round = 0;
@@ -313,7 +305,6 @@ impl DiagnosticEngine {
                 self.failovers,
             );
         }
-        let mut mark = self.spans.begin();
         self.network.deliver_round_into(&mut self.delivered);
         let mut q = self.network.last_round_quality();
         let resyncing = self.resync_remaining > 0;
@@ -328,9 +319,7 @@ impl DiagnosticEngine {
         } else {
             self.last_quality = q;
         }
-        self.spans.lap(Phase::Dissemination, &mut mark);
         self.state.ingest_round_buf(now, &self.delivered);
-        self.spans.lap(Phase::State, &mut mark);
         self.bank.evaluate_round_into(now, &self.state, &mut self.matches_last_round);
         self.ona_matches += self.matches_last_round.len() as u64;
         if q < 1.0 {
@@ -339,10 +328,8 @@ impl DiagnosticEngine {
                 m.confidence *= q;
             }
         }
-        self.spans.lap(Phase::Ona, &mut mark);
         self.trust.update_round_weighted(&self.matches_last_round, q);
         self.advisor.ingest(&self.matches_last_round);
-        self.spans.lap(Phase::Trust, &mut mark);
         if self.recorder.enabled() {
             self.record_round_events();
         }
@@ -482,20 +469,6 @@ impl DiagnosticEngine {
     /// Total ONA pattern matches produced so far (telemetry).
     pub fn ona_matches(&self) -> u64 {
         self.ona_matches
-    }
-
-    /// Turns on per-phase wall-time telemetry for the diagnostic half of
-    /// the pipeline (detect → dissemination → state → ONA → trust). Off by
-    /// default so uninstrumented runs never read the wall clock.
-    pub fn enable_telemetry(&mut self) {
-        self.spans.enable_sampled(decos_sim::telemetry::SPAN_SAMPLE_STRIDE);
-    }
-
-    /// The recorded diagnostic-side spans (empty unless
-    /// [`enable_telemetry`](DiagnosticEngine::enable_telemetry) was
-    /// called).
-    pub fn telemetry_spans(&self) -> &Spans {
-        &self.spans
     }
 
     /// Turns on the fault-lifecycle flight recorder with the given event

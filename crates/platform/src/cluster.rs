@@ -18,7 +18,6 @@ use crate::ids::{Criticality, DasId, JobId, NodeId};
 use crate::job::{DispatchCtx, JobRuntime, JobSpec};
 use crate::lif::{derive_lif, PortLif};
 use decos_sim::rng::SeedSource;
-use decos_sim::telemetry::{Phase, Spans};
 use decos_sim::time::{SimDuration, SimTime};
 use decos_timebase::{fta_round_in_place, ActionLattice, SyncStatus};
 use decos_ttnet::{
@@ -427,11 +426,6 @@ pub struct ClusterSim {
     job_rngs: Vec<SmallRng>,
     round_len: SimDuration,
     scratch: StepScratch,
-    /// Wall-time spans of the simulation half of the pipeline (kernel and
-    /// time-triggered network). Disabled by default: the clock is never
-    /// read and the slot step stays bit-for-bit identical; see
-    /// [`enable_telemetry`](ClusterSim::enable_telemetry).
-    spans: Spans,
 }
 
 impl ClusterSim {
@@ -553,7 +547,6 @@ impl ClusterSim {
             job_rngs,
             round_len,
             scratch,
-            spans: Spans::disabled(),
         })
     }
 
@@ -575,19 +568,6 @@ impl ClusterSim {
     /// The precomputed per-round dispatch table.
     pub fn round_plan(&self) -> &RoundPlan {
         &self.plan
-    }
-
-    /// Turns on per-phase wall-time telemetry for the simulation half of
-    /// the slot pipeline ([`Phase::Kernel`] and [`Phase::TtNet`]). Off by
-    /// default so uninstrumented runs never read the wall clock.
-    pub fn enable_telemetry(&mut self) {
-        self.spans.enable_sampled(decos_sim::telemetry::SPAN_SAMPLE_STRIDE);
-    }
-
-    /// The recorded simulation-side spans (empty unless
-    /// [`enable_telemetry`](ClusterSim::enable_telemetry) was called).
-    pub fn telemetry_spans(&self) -> &Spans {
-        &self.spans
     }
 
     /// The cluster specification.
@@ -788,7 +768,6 @@ impl ClusterSim {
         rec: &mut SlotRecord,
         quiescent: bool,
     ) {
-        let mut phase_mark = self.spans.begin();
         let addr = self.next;
         let k = addr.slot.0 as usize;
         let t = self.plan.start_of(addr.round, k);
@@ -865,17 +844,9 @@ impl ClusterSim {
         if fast {
             self.slot_bodies.0 += 1;
             self.send_side(env, !quiescent, rec, &mut scratch);
-            self.spans.lap(Phase::Kernel, &mut phase_mark);
         } else {
             self.slot_bodies.1 += 1;
-            self.legacy_channel(
-                env,
-                operational,
-                global_dev_ns,
-                rec,
-                &mut scratch,
-                &mut phase_mark,
-            );
+            self.legacy_channel(env, operational, global_dev_ns, rec, &mut scratch);
         }
         self.receive_side(rec, &scratch, !fast);
 
@@ -907,7 +878,6 @@ impl ClusterSim {
         }
 
         self.scratch = scratch;
-        self.spans.lap(Phase::TtNet, &mut phase_mark);
     }
 
     /// The global time base: the median clock deviation of the
@@ -994,7 +964,6 @@ impl ClusterSim {
         global_dev_ns: Option<i64>,
         rec: &mut SlotRecord,
         scratch: &mut StepScratch,
-        phase_mark: &mut Option<std::time::Instant>,
     ) {
         let (t, owner) = (rec.start, rec.owner);
         let tx_dist = env.tx_disturbance(t, owner);
@@ -1007,7 +976,6 @@ impl ClusterSim {
             tx_offset_ns =
                 self.comps[owner.0 as usize].clock.deviation_ns(t) - g + tx_dist.extra_offset_ns;
         }
-        self.spans.lap(Phase::Kernel, phase_mark);
 
         scratch.rx_dist.clear();
         for c in &self.comps {

@@ -11,9 +11,8 @@
 //!   experiment is reproducible from one `u64` seed;
 //! * [`stats`] — allocation-free streaming statistics used by both the
 //!   workload generators and the diagnostic trend detectors;
-//! * [`telemetry`] — preallocated, registry-keyed counters/gauges and
-//!   per-phase wall-time spans for the slot pipeline (off by default;
-//!   see DESIGN.md §11);
+//! * [`telemetry`] — preallocated, registry-keyed counters and gauges
+//!   for the slot pipeline (off by default; see DESIGN.md §11);
 //! * [`flightrec`] — a bounded, zero-alloc-in-steady-state flight
 //!   recorder of causal fault-lifecycle events, plus the per-fault
 //!   latency fold behind the `detect_latency`/`convict_latency` metrics
@@ -35,5 +34,5 @@ pub use flightrec::{
 };
 pub use kernel::{Context, Engine, Model, Priority, RunOutcome, DEFAULT_PRIORITY};
 pub use rng::{SampleExt, SeedSource};
-pub use telemetry::{Counter, CounterSet, Gauge, GaugeSet, Phase, Spans, TelemetrySnapshot};
+pub use telemetry::{Counter, CounterSet, Gauge, GaugeSet, TelemetrySnapshot};
 pub use time::{SimDuration, SimTime};

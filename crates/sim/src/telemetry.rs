@@ -3,78 +3,14 @@
 //! The paper's assessment process is a pipeline of observable evidence —
 //! symptoms, ONAs, fault patterns, trust. This module makes the pipeline
 //! itself observable: preallocated counters keyed by a static registry
-//! ([`Counter`]), gauges ([`Gauge`]), and per-phase wall-time spans with
-//! fixed log₂ histograms ([`Spans`]), all sized at compile time so the
-//! steady-state slot loop records into them without a single heap
-//! allocation.
+//! ([`Counter`]) and gauges ([`Gauge`]), sized at compile time.
 //!
-//! Telemetry is **off by default**: a disabled [`Spans`] never calls
-//! `Instant::now` and costs one branch per record site, so the
-//! counting-allocator regression and bit-for-bit determinism of
-//! uninstrumented runs are unaffected. When enabled, all *counter* and
-//! *gauge* values remain a pure function of the simulation seed — two
-//! same-seed runs produce byte-identical [`TelemetrySnapshot::counter_fingerprint`]s —
-//! while wall-time fields vary run to run and are excluded from the
-//! determinism contract.
+//! Every value is a pure function of the simulation seed: two same-seed
+//! runs produce byte-identical [`TelemetrySnapshot::counter_fingerprint`]s.
+//! Wall time is not recorded here; the `perfbench/` crate times runs from
+//! outside the library.
 
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
-
-/// Pipeline phases of the slot loop, in execution order.
-///
-/// `Kernel` and `TtNet` are timed by the cluster simulation (job dispatch
-/// vs. bus resolution + reception); the remaining phases are timed inside
-/// the diagnostic engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Simulation kernel: restarts, clock sync, job dispatch, sender side.
-    Kernel,
-    /// Time-triggered network: channel resolution and receiver side.
-    TtNet,
-    /// Symptom detection over the slot record.
-    Detect,
-    /// Diagnostic-network offer + round delivery.
-    Dissemination,
-    /// Distributed-state ingestion.
-    State,
-    /// ONA bank evaluation.
-    Ona,
-    /// Trust update and advisor ingestion.
-    Trust,
-}
-
-impl Phase {
-    /// All phases, pipeline order (the static registry).
-    pub const ALL: [Phase; 7] = [
-        Phase::Kernel,
-        Phase::TtNet,
-        Phase::Detect,
-        Phase::Dissemination,
-        Phase::State,
-        Phase::Ona,
-        Phase::Trust,
-    ];
-
-    /// Number of registered phases.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Stable registry name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Kernel => "kernel",
-            Phase::TtNet => "ttnet",
-            Phase::Detect => "detect",
-            Phase::Dissemination => "dissemination",
-            Phase::State => "state",
-            Phase::Ona => "ona",
-            Phase::Trust => "trust",
-        }
-    }
-
-    fn index(self) -> usize {
-        self as usize
-    }
-}
 
 /// The static counter registry. Every snapshot carries every counter, in
 /// this order, so snapshots merge positionally and fingerprints are
@@ -317,202 +253,6 @@ impl GaugeSet {
     }
 }
 
-/// Number of log₂ latency buckets per phase. Bucket `k` holds spans whose
-/// duration in nanoseconds satisfies `2^k ≤ ns < 2^(k+1)` (bucket 0 also
-/// absorbs 0 ns); 40 buckets reach ≈18 minutes, far beyond any slot phase.
-pub const SPAN_BUCKETS: usize = 40;
-
-/// Fixed-bucket wall-time statistics of one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Spans recorded.
-    pub count: u64,
-    /// Summed duration, nanoseconds.
-    pub total_ns: u64,
-    /// Longest span, nanoseconds.
-    pub max_ns: u64,
-    buckets: [u64; SPAN_BUCKETS],
-}
-
-impl SpanStats {
-    /// Empty statistics.
-    pub const ZERO: SpanStats =
-        SpanStats { count: 0, total_ns: 0, max_ns: 0, buckets: [0; SPAN_BUCKETS] };
-
-    fn bucket_of(ns: u64) -> usize {
-        if ns == 0 {
-            0
-        } else {
-            ((u64::BITS - 1 - ns.leading_zeros()) as usize).min(SPAN_BUCKETS - 1)
-        }
-    }
-
-    /// Records one span.
-    pub fn record_ns(&mut self, ns: u64) {
-        self.count += 1;
-        self.total_ns += ns;
-        self.max_ns = self.max_ns.max(ns);
-        self.buckets[Self::bucket_of(ns)] += 1;
-    }
-
-    /// The raw log₂ histogram.
-    pub fn buckets(&self) -> &[u64; SPAN_BUCKETS] {
-        &self.buckets
-    }
-
-    /// Merges another phase's statistics (fleet aggregation).
-    pub fn merge(&mut self, other: &SpanStats) {
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
-    /// Mean span duration, nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Quantile estimate from the log₂ histogram (upper bucket bound —
-    /// pessimistic within a factor of two, which is what a trend gate
-    /// needs, not a profiler).
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.buckets, self.count, q)
-    }
-}
-
-fn quantile_from_buckets(buckets: &[u64], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (k, n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return if k + 1 >= 64 { u64::MAX } else { (1u64 << (k + 1)) - 1 };
-        }
-    }
-    u64::MAX
-}
-
-/// Per-phase wall-time spans for the whole pipeline, preallocated.
-///
-/// Disabled (the default) it records nothing and never reads the clock.
-/// The `begin`/`lap` pair is shaped for straight-line instrumentation of
-/// a multi-phase body without closures:
-///
-/// ```
-/// use decos_sim::telemetry::{Phase, Spans};
-/// let mut spans = Spans::disabled();
-/// spans.enable();
-/// let mut mark = spans.begin();
-/// // ... phase work ...
-/// spans.lap(Phase::Kernel, &mut mark);
-/// // ... next phase ...
-/// spans.lap(Phase::TtNet, &mut mark);
-/// assert_eq!(spans.stat(Phase::Kernel).count, 1);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Spans {
-    enabled: bool,
-    /// Clock-read stride: every `stride`-th `begin` sequence is timed.
-    stride: u32,
-    /// Position within the current stride window.
-    tick: u32,
-    stats: [SpanStats; Phase::COUNT],
-}
-
-impl Default for Spans {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-/// Default sampling stride for the hot slot loop: one timed slot per
-/// `SPAN_SAMPLE_STRIDE` `begin` sequences. A clock read costs tens of
-/// nanoseconds — comparable to the phases being measured — so timing
-/// every slot would perturb exactly what the spans exist to observe.
-/// Sampling is deterministic (a pure function of the call sequence, no
-/// randomness), so span *counts* stay a pure function of the simulated
-/// horizon and identical across same-seed runs.
-pub const SPAN_SAMPLE_STRIDE: u32 = 16;
-
-impl Spans {
-    /// Inert spans: recording is a no-op, the clock is never read.
-    pub const fn disabled() -> Self {
-        Spans { enabled: false, stride: 1, tick: 0, stats: [SpanStats::ZERO; Phase::COUNT] }
-    }
-
-    /// Turns recording on, timing every `begin` sequence.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-        self.stride = 1;
-        self.tick = 0;
-    }
-
-    /// Turns recording on with 1-in-`stride` sampling: only every
-    /// `stride`-th `begin` sequence reads the clock (the first one
-    /// samples immediately, so even short runs record at least one span
-    /// per exercised phase). Laps between sampled begins are no-ops.
-    pub fn enable_sampled(&mut self, stride: u32) {
-        self.enabled = true;
-        self.stride = stride.max(1);
-        self.tick = self.stride - 1;
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Starts a phase sequence: `Some(now)` on a sampled sequence, `None`
-    /// when disabled or between samples.
-    pub fn begin(&mut self) -> Option<Instant> {
-        if !self.enabled {
-            return None;
-        }
-        self.tick += 1;
-        if self.tick >= self.stride {
-            self.tick = 0;
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Closes the current phase: records the time since `mark` under
-    /// `phase` and restarts `mark` for the next phase. No-op when `mark`
-    /// is `None` (disabled at `begin` time).
-    pub fn lap(&mut self, phase: Phase, mark: &mut Option<Instant>) {
-        if let Some(prev) = mark {
-            let now = Instant::now();
-            let ns = now.duration_since(*prev).as_nanos().min(u64::MAX as u128) as u64;
-            self.stats[phase.index()].record_ns(ns);
-            *mark = Some(now);
-        }
-    }
-
-    /// Statistics of one phase.
-    pub fn stat(&self, phase: Phase) -> &SpanStats {
-        &self.stats[phase.index()]
-    }
-
-    /// Merges another span set (pipeline halves, fleet aggregation).
-    pub fn merge(&mut self, other: &Spans) {
-        self.enabled |= other.enabled;
-        for (a, b) in self.stats.iter_mut().zip(&other.stats) {
-            a.merge(b);
-        }
-    }
-}
-
 /// One counter in a snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CounterValue {
@@ -531,45 +271,19 @@ pub struct GaugeValue {
     pub value: f64,
 }
 
-/// One phase's timing in a snapshot. All fields here are wall-clock
-/// derived and **excluded** from the determinism contract except `count`,
-/// which is a pure function of the simulated horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSnapshot {
-    /// Registry name.
-    pub name: String,
-    /// Spans recorded (deterministic).
-    pub count: u64,
-    /// Summed duration, nanoseconds.
-    pub total_ns: u64,
-    /// Mean duration, nanoseconds.
-    pub mean_ns: f64,
-    /// p50 estimate (log₂ bucket upper bound), nanoseconds.
-    pub p50_ns: u64,
-    /// p99 estimate (log₂ bucket upper bound), nanoseconds.
-    pub p99_ns: u64,
-    /// Longest span, nanoseconds.
-    pub max_ns: u64,
-    /// The raw log₂ histogram (bucket `k` ≈ `[2^k, 2^(k+1))` ns), kept so
-    /// snapshots merge exactly.
-    pub buckets: Vec<u64>,
-}
-
-/// A serializable point-in-time view of the whole telemetry layer:
-/// the full counter and gauge registries plus per-phase timing.
+/// A serializable point-in-time view of the whole telemetry layer: the
+/// full counter and gauge registries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Every registered counter, registry order.
     pub counters: Vec<CounterValue>,
     /// Every registered gauge, registry order.
     pub gauges: Vec<GaugeValue>,
-    /// Every registered phase, pipeline order.
-    pub phases: Vec<PhaseSnapshot>,
 }
 
 impl TelemetrySnapshot {
     /// Assembles a snapshot from live storage.
-    pub fn assemble(counters: &CounterSet, gauges: &GaugeSet, spans: &Spans) -> Self {
+    pub fn assemble(counters: &CounterSet, gauges: &GaugeSet) -> Self {
         TelemetrySnapshot {
             counters: Counter::ALL
                 .iter()
@@ -578,22 +292,6 @@ impl TelemetrySnapshot {
             gauges: Gauge::ALL
                 .iter()
                 .map(|g| GaugeValue { name: g.name().to_string(), value: gauges.get(*g) })
-                .collect(),
-            phases: Phase::ALL
-                .iter()
-                .map(|p| {
-                    let s = spans.stat(*p);
-                    PhaseSnapshot {
-                        name: p.name().to_string(),
-                        count: s.count,
-                        total_ns: s.total_ns,
-                        mean_ns: s.mean_ns(),
-                        p50_ns: s.quantile_ns(0.50),
-                        p99_ns: s.quantile_ns(0.99),
-                        max_ns: s.max_ns,
-                        buckets: s.buckets().to_vec(),
-                    }
-                })
                 .collect(),
         }
     }
@@ -623,9 +321,9 @@ impl TelemetrySnapshot {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
-    /// The deterministic part of the snapshot as one canonical string:
-    /// counters and gauges, registry order. Two same-seed runs must
-    /// produce byte-identical fingerprints; wall-time fields are excluded.
+    /// The snapshot as one canonical string: counters and gauges,
+    /// registry order. Two same-seed runs must produce byte-identical
+    /// fingerprints.
     pub fn counter_fingerprint(&self) -> String {
         let mut s = String::new();
         for c in &self.counters {
@@ -643,28 +341,14 @@ impl TelemetrySnapshot {
         s
     }
 
-    /// Merges another snapshot (fleet aggregation): counters sum,
-    /// phase histograms add and quantiles are recomputed. Gauges are
-    /// **not** merged — ratios don't sum; the aggregating caller must
+    /// Merges another snapshot (fleet aggregation): counters sum. Gauges
+    /// are **not** merged — ratios don't sum; the aggregating caller must
     /// re-set them from the aggregate outcome.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         debug_assert_eq!(self.counters.len(), other.counters.len());
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             debug_assert_eq!(a.name, b.name, "registry order must match");
             a.value += b.value;
-        }
-        debug_assert_eq!(self.phases.len(), other.phases.len());
-        for (a, b) in self.phases.iter_mut().zip(&other.phases) {
-            debug_assert_eq!(a.name, b.name, "phase order must match");
-            a.count += b.count;
-            a.total_ns += b.total_ns;
-            a.max_ns = a.max_ns.max(b.max_ns);
-            for (x, y) in a.buckets.iter_mut().zip(&b.buckets) {
-                *x += y;
-            }
-            a.mean_ns = if a.count == 0 { 0.0 } else { a.total_ns as f64 / a.count as f64 };
-            a.p50_ns = quantile_from_buckets(&a.buckets, a.count, 0.50);
-            a.p99_ns = quantile_from_buckets(&a.buckets, a.count, 0.99);
         }
     }
 }
@@ -675,9 +359,6 @@ mod tests {
 
     #[test]
     fn registries_are_consistent() {
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i);
-        }
         for (i, c) in Counter::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
@@ -690,93 +371,48 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        let mut spans = Spans::disabled();
-        let mut mark = spans.begin();
-        assert!(mark.is_none());
-        spans.lap(Phase::Kernel, &mut mark);
-        assert_eq!(spans.stat(Phase::Kernel).count, 0);
-    }
-
-    #[test]
-    fn enabled_spans_record_laps() {
-        let mut spans = Spans::disabled();
-        spans.enable();
-        let mut mark = spans.begin();
-        spans.lap(Phase::Kernel, &mut mark);
-        spans.lap(Phase::TtNet, &mut mark);
-        assert_eq!(spans.stat(Phase::Kernel).count, 1);
-        assert_eq!(spans.stat(Phase::TtNet).count, 1);
-        assert_eq!(spans.stat(Phase::Detect).count, 0);
-    }
-
-    #[test]
-    fn span_buckets_and_quantiles() {
-        let mut s = SpanStats::ZERO;
-        for ns in [1u64, 2, 3, 1000, 1_000_000] {
-            s.record_ns(ns);
-        }
-        assert_eq!(s.count, 5);
-        assert_eq!(s.max_ns, 1_000_000);
-        assert_eq!(s.buckets().iter().sum::<u64>(), 5);
-        // p50 of {1,2,3,1000,1e6} lands in the bucket containing 3.
-        assert!(s.quantile_ns(0.5) < 1000, "p50 {}", s.quantile_ns(0.5));
-        assert!(s.quantile_ns(0.99) >= 1_000_000);
-        assert_eq!(SpanStats::ZERO.quantile_ns(0.5), 0);
-    }
-
-    #[test]
     fn snapshot_fingerprint_covers_counters_and_gauges_only() {
         let mut counters = CounterSet::new();
         counters.add(Counter::SymptomsOffered, 41);
         counters.add(Counter::SymptomsOffered, 1);
         let mut gauges = GaugeSet::new();
         gauges.set(Gauge::DeliveryQuality, 0.75);
-        let mut spans = Spans::disabled();
-        spans.enable();
-        let mut mark = spans.begin();
-        spans.lap(Phase::Kernel, &mut mark);
 
-        let a = TelemetrySnapshot::assemble(&counters, &gauges, &spans);
+        let a = TelemetrySnapshot::assemble(&counters, &gauges);
         assert_eq!(a.counter("symptoms_offered"), Some(42));
         assert_eq!(a.gauge("delivery_quality"), Some(0.75));
-        // A second snapshot with different timing but equal counters must
-        // fingerprint identically.
-        let mut spans2 = Spans::disabled();
-        spans2.enable();
-        let mut mark2 = spans2.begin();
-        std::thread::yield_now();
-        spans2.lap(Phase::Kernel, &mut mark2);
-        let b = TelemetrySnapshot::assemble(&counters, &gauges, &spans2);
-        assert_eq!(a.counter_fingerprint(), b.counter_fingerprint());
-        assert!(a.counter_fingerprint().contains("symptoms_offered=42;"));
+        let fp = a.counter_fingerprint();
+        assert!(fp.contains("symptoms_offered=42;"));
+        assert!(fp.contains("delivery_quality=0.75;"));
+        assert_eq!(fp.matches(';').count(), Counter::COUNT + Gauge::COUNT);
+        gauges.set(Gauge::DeliveryQuality, 0.5);
+        let b = TelemetrySnapshot::assemble(&counters, &gauges);
+        assert_ne!(fp, b.counter_fingerprint(), "a gauge is part of the fingerprint");
     }
 
     #[test]
-    fn snapshot_merge_sums_counters_and_recomputes_quantiles() {
+    fn snapshot_merge_sums_counters_and_keeps_gauges() {
         let mut counters = CounterSet::new();
         counters.set(Counter::Vehicles, 1);
         counters.set(Counter::SlotsSimulated, 100);
-        let gauges = GaugeSet::new();
-        let mut s1 = SpanStats::ZERO;
-        s1.record_ns(10);
-        let mut spans = Spans::disabled();
-        spans.enable();
-        spans.stats[Phase::Kernel.index()] = s1;
+        let mut gauges = GaugeSet::new();
+        gauges.set(Gauge::NffRatio, 0.25);
 
-        let mut a = TelemetrySnapshot::assemble(&counters, &gauges, &spans);
+        let mut a = TelemetrySnapshot::assemble(&counters, &gauges);
         let b = a.clone();
         a.merge(&b);
         assert_eq!(a.counter("vehicles"), Some(2));
         assert_eq!(a.counter("slots_simulated"), Some(200));
-        assert_eq!(a.phases[0].count, 2);
-        assert_eq!(a.phases[0].buckets.iter().sum::<u64>(), 2);
+        assert_eq!(a.gauge("nff_ratio"), Some(0.25), "gauges are not summed");
     }
 
     #[test]
     fn snapshot_roundtrips_through_json() {
-        let snap =
-            TelemetrySnapshot::assemble(&CounterSet::new(), &GaugeSet::new(), &Spans::disabled());
+        let mut counters = CounterSet::new();
+        counters.set(Counter::OnaMatches, 7);
+        let mut gauges = GaugeSet::new();
+        gauges.set(Gauge::ConvictLatency, 12.5);
+        let snap = TelemetrySnapshot::assemble(&counters, &gauges);
         let json = serde_json::to_string(&snap).expect("serializable");
         let back: TelemetrySnapshot = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(snap, back);

@@ -1,11 +1,10 @@
 //! Atomic file replacement: write-to-temp, fsync, rename.
 //!
-//! Every artifact emitter in the workspace (BENCH files, flight-recorder
-//! dumps, trace reports, store manifests and snapshots) routes through
-//! [`write_atomic`] so a crash mid-dump can never leave a truncated or
-//! half-written file where a reader expects a complete one. The rename is
-//! the commit point: readers either see the old content or the new, never
-//! a prefix.
+//! Every artifact emitter in the workspace (flight-recorder dumps, store
+//! manifests and snapshots) routes through [`write_atomic`] so a crash
+//! mid-dump can never leave a truncated or half-written file where a
+//! reader expects a complete one. The rename is the commit point: readers
+//! either see the old content or the new, never a prefix.
 
 use std::fs::{self, File};
 use std::io::{self, Write};

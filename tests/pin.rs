@@ -10,6 +10,7 @@
 use decos::platform::avionics;
 use decos::prelude::*;
 use decos::store::FaultIo;
+use std::collections::BTreeMap;
 
 /// The reference connector campaign: a borderline connector on fig10
 /// component 2, accel 10, 4000 rounds, seed 2026. The fast and the legacy
@@ -120,6 +121,118 @@ const FLEET_512: &str = concat!(
     "convict_latency=12.666666666666666;",
 );
 
+// The long-horizon job-inherent classifier campaigns: fig10, accel 10,
+// 4000 rounds, seed 2026. Each entry is the counter fingerprint followed
+// by the ONA matches per pattern over all closed rounds, because the
+// fingerprint alone does not tell a drift verdict from a stuck one.
+
+/// S1's sensor drifting at 5000 units per hour: the drift branch.
+const DRIFT_S1: &str = concat!(
+    "slots_simulated=16000;",
+    "rounds_simulated=4000;",
+    "symptoms_offered=7815;",
+    "symptoms_delivered=7815;",
+    "symptoms_dropped=0;",
+    "frames_corrupted=0;",
+    "frames_rejected=0;",
+    "frames_delayed=0;",
+    "frames_forged_suspected=0;",
+    "ona_matches=3953;",
+    "trust_frozen_rounds=0;",
+    "failovers=0;",
+    "crashed_rounds=0;",
+    "vehicles=1;",
+    "degraded_vehicles=0;",
+    "faults_injected=1;",
+    "faults_detected=1;",
+    "faults_convicted=1;",
+    "wrong_fru_convictions=0;",
+    "detect_latency_rounds=44;",
+    "convict_latency_rounds=52;",
+    "journal_records=0;",
+    "journal_bytes=0;",
+    "journal_fsyncs=0;",
+    "snapshots_written=0;",
+    "store_recovered_records=0;",
+    "store_quarantined_bytes=0;",
+    "delivery_quality=1.0;",
+    "nff_ratio=0.0;",
+    "detect_latency=44.0;",
+    "convict_latency=52.0;",
+    "match.software-design=164;",
+    "match.transducer-drift=3789;",
+);
+/// A1's sensor stuck at 99.0: the stuck branch.
+const STUCK_A1: &str = concat!(
+    "slots_simulated=16000;",
+    "rounds_simulated=4000;",
+    "symptoms_offered=4000;",
+    "symptoms_delivered=4000;",
+    "symptoms_dropped=0;",
+    "frames_corrupted=0;",
+    "frames_rejected=0;",
+    "frames_delayed=0;",
+    "frames_forged_suspected=0;",
+    "ona_matches=3998;",
+    "trust_frozen_rounds=0;",
+    "failovers=0;",
+    "crashed_rounds=0;",
+    "vehicles=1;",
+    "degraded_vehicles=0;",
+    "faults_injected=1;",
+    "faults_detected=1;",
+    "faults_convicted=1;",
+    "wrong_fru_convictions=0;",
+    "detect_latency_rounds=0;",
+    "convict_latency_rounds=5;",
+    "journal_records=0;",
+    "journal_bytes=0;",
+    "journal_fsyncs=0;",
+    "snapshots_written=0;",
+    "store_recovered_records=0;",
+    "store_quarantined_bytes=0;",
+    "delivery_quality=1.0;",
+    "nff_ratio=0.0;",
+    "detect_latency=0.0;",
+    "convict_latency=5.0;",
+    "match.transducer-stuck=3998;",
+);
+/// A Bohrbug in A1: the software branch on series of about 2000 points.
+const SOFTWARE_A1: &str = concat!(
+    "slots_simulated=16000;",
+    "rounds_simulated=4000;",
+    "symptoms_offered=3972;",
+    "symptoms_delivered=3972;",
+    "symptoms_dropped=0;",
+    "frames_corrupted=0;",
+    "frames_rejected=0;",
+    "frames_delayed=0;",
+    "frames_forged_suspected=0;",
+    "ona_matches=3998;",
+    "trust_frozen_rounds=0;",
+    "failovers=0;",
+    "crashed_rounds=0;",
+    "vehicles=1;",
+    "degraded_vehicles=0;",
+    "faults_injected=1;",
+    "faults_detected=1;",
+    "faults_convicted=1;",
+    "wrong_fru_convictions=0;",
+    "detect_latency_rounds=0;",
+    "convict_latency_rounds=6;",
+    "journal_records=0;",
+    "journal_bytes=0;",
+    "journal_fsyncs=0;",
+    "snapshots_written=0;",
+    "store_recovered_records=0;",
+    "store_quarantined_bytes=0;",
+    "delivery_quality=1.0;",
+    "nff_ratio=0.0;",
+    "detect_latency=0.0;",
+    "convict_latency=6.0;",
+    "match.software-design=3998;",
+);
+
 /// Panics unless `actual` equals `pinned`, listing each moved
 /// `name=value` pair and printing the whole actual string.
 fn check(entry: &str, actual: &str, pinned: &str) {
@@ -144,6 +257,30 @@ fn campaign_fingerprint(c: &Campaign, legacy_paths: bool) -> String {
     let out = run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, _| {})
         .expect("campaign runs");
     telemetry_fingerprint(out.telemetry.as_ref())
+}
+
+/// Runs `c` with telemetry on and appends one `match.<pattern>=N;` pair
+/// per ONA pattern (in name order) to its counter fingerprint.
+fn classifier_fingerprint(c: &Campaign) -> String {
+    let opts = RunOptions { telemetry: true, ..Default::default() };
+    let mut per_pattern: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let out = run_campaign_opts(c, EngineParams::default(), opts, &mut [], |sim, engine, rec| {
+        if rec.addr.slot.0 + 1 == sim.schedule().slots_per_round() {
+            for m in engine.last_matches() {
+                *per_pattern.entry(m.pattern).or_insert(0) += 1;
+            }
+        }
+    })
+    .expect("campaign runs");
+    let mut s = telemetry_fingerprint(out.telemetry.as_ref());
+    for (pattern, n) in per_pattern {
+        s.push_str(&format!("match.{pattern}={n};"));
+    }
+    s
+}
+
+fn classifier_campaign(faults: Vec<FaultSpec>) -> Campaign {
+    Campaign::reference(faults, 10.0, 4_000, 2026)
 }
 
 fn reference_connector() -> Campaign {
@@ -222,4 +359,28 @@ fn stored_fleet_interrupted_after_one_batch_and_resumed() {
         run_fleet_stored(&spec, FLEET, params, &opts, &policy, &mut fs).expect("resumed");
     assert_eq!(stats.verified, first.vehicles, "the first batch replays from the journal");
     check("stored fleet", &telemetry_fingerprint(out.telemetry.as_ref()), FLEET_512);
+}
+
+#[test]
+fn drifting_sensor_campaign() {
+    let faults = decos::faults::campaign::sensor_campaign(
+        fig10::jobs::S1,
+        FaultKind::SensorDrift { per_hour: 5000.0 },
+    );
+    check("drifting sensor", &classifier_fingerprint(&classifier_campaign(faults)), DRIFT_S1);
+}
+
+#[test]
+fn stuck_sensor_campaign() {
+    let faults = decos::faults::campaign::sensor_campaign(
+        fig10::jobs::A1,
+        FaultKind::SensorStuck { value: 99.0 },
+    );
+    check("stuck sensor", &classifier_fingerprint(&classifier_campaign(faults)), STUCK_A1);
+}
+
+#[test]
+fn software_bohrbug_campaign() {
+    let faults = decos::faults::campaign::software_campaign(fig10::jobs::A1, false);
+    check("software bohrbug", &classifier_fingerprint(&classifier_campaign(faults)), SOFTWARE_A1);
 }

@@ -19,14 +19,13 @@
 //! | value symptoms confined to a single job | — | **job inherent**, sub-divided by value shape (persistent/drift ⇒ transducer, intermittent ⇒ software) |
 
 use crate::state::DistributedState;
-use crate::symptom::SymptomKind;
+use crate::symptom::{Subject, SymptomKind};
 use decos_faults::{FaultClass, FruRef};
 use decos_platform::{ClusterSim, DasId, JobId, NodeId, Position};
 use decos_reliability::{AlphaCount, AlphaParams};
-use decos_sim::stats::ols_slope;
 use decos_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A triggered fault pattern.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,6 +102,18 @@ struct CommScratch {
     zone: Vec<usize>,
 }
 
+/// Reused per-round buffers of the job-level patterns (capacity persists
+/// across rounds; contents are rebuilt each round).
+#[derive(Debug, Default)]
+struct JobScratch {
+    /// Jobs with recent job-level symptoms, ascending, each once.
+    recent: Vec<JobId>,
+    /// `(host, job, DAS)` of the recent jobs the bank knows, sorted.
+    by_host: Vec<(NodeId, JobId, DasId)>,
+    /// Hosts the co-host pattern blamed this round.
+    cohost_hosts: Vec<NodeId>,
+}
+
 /// Per-job static facts the bank needs.
 #[derive(Debug, Clone)]
 struct JobFacts {
@@ -144,6 +155,8 @@ pub struct OnaBank {
     rounds: u64,
     /// Reused comm-pattern buffers.
     scratch: CommScratch,
+    /// Reused job-pattern buffers.
+    job_scratch: JobScratch,
 }
 
 impl OnaBank {
@@ -191,6 +204,7 @@ impl OnaBank {
             round_secs: sim.round_len().as_secs_f64(),
             rounds: 0,
             scratch: CommScratch::default(),
+            job_scratch: JobScratch::default(),
         }
     }
 
@@ -229,7 +243,9 @@ impl OnaBank {
         self.scratch = scratch;
         self.sync_pattern(now, ds, out);
         self.overflow_pattern(now, ds, out);
-        self.job_patterns(now, ds, out);
+        let mut job_scratch = std::mem::take(&mut self.job_scratch);
+        self.job_patterns(now, ds, out, &mut job_scratch);
+        self.job_scratch = job_scratch;
         out.len()
     }
 
@@ -439,8 +455,7 @@ impl OnaBank {
         ds: &DistributedState,
         out: &mut Vec<PatternMatch>,
     ) {
-        let jobs: Vec<JobId> = ds.symptomatic_jobs().collect();
-        for j in jobs {
+        for j in ds.symptomatic_jobs() {
             let total = ds.job_count(j, "queue-overflow");
             let prev = self.prev_overflow.entry(j).or_insert(0);
             if total > *prev {
@@ -468,66 +483,68 @@ impl OnaBank {
     // ---------------------------------------------------------------------
     // Job-level patterns: co-host correlation and job-inherent analysis.
     // ---------------------------------------------------------------------
-    fn job_patterns(&mut self, now: SimTime, ds: &DistributedState, out: &mut Vec<PatternMatch>) {
-        // Gather jobs with *recent* job-level symptoms.
+    fn job_patterns(
+        &self,
+        now: SimTime,
+        ds: &DistributedState,
+        out: &mut Vec<PatternMatch>,
+        scratch: &mut JobScratch,
+    ) {
+        // Gather jobs with *recent* job-level symptoms, in ascending order.
+        let JobScratch { recent, by_host, cohost_hosts } = scratch;
         let window = self.params.corr_window_rounds.max(8);
-        let mut recent_jobs: BTreeMap<JobId, u64> = BTreeMap::new();
-        for s in ds.recent_symptoms(window) {
-            if let crate::symptom::Subject::Job(j) = s.subject {
-                match s.kind {
-                    SymptomKind::ValueViolation { .. }
-                    | SymptomKind::MissedMessage { .. }
-                    | SymptomKind::ReplicaDivergence { .. } => {
-                        *recent_jobs.entry(j).or_insert(0) += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if recent_jobs.is_empty() {
+        recent.clear();
+        recent.extend(ds.recent_symptoms(window).filter_map(|s| match (s.subject, &s.kind) {
+            (
+                Subject::Job(j),
+                SymptomKind::ValueViolation { .. }
+                | SymptomKind::MissedMessage { .. }
+                | SymptomKind::ReplicaDivergence { .. },
+            ) => Some(j),
+            _ => None,
+        }));
+        if recent.is_empty() {
             return;
         }
+        recent.sort_unstable();
+        recent.dedup();
 
         // Co-host correlation: ≥ 2 symptomatic jobs of *different DASs* on
-        // one component ⇒ the shared hardware is the cause (§V-C).
-        let mut by_host: BTreeMap<NodeId, Vec<JobId>> = BTreeMap::new();
-        for j in recent_jobs.keys() {
-            if let Some(f) = self.jobs.get(j) {
-                by_host.entry(f.host).or_default().push(*j);
-            }
-        }
-        let mut cohost_hosts: Vec<NodeId> = Vec::new();
-        for (host, jobs) in &by_host {
-            if !self.params.enable_cohost {
-                break;
-            }
-            let dases: std::collections::BTreeSet<DasId> =
-                jobs.iter().filter_map(|j| self.jobs.get(j).map(|f| f.das)).collect();
-            if jobs.len() >= 2 && dases.len() >= 2 {
-                cohost_hosts.push(*host);
-                out.push(PatternMatch {
-                    at: now,
-                    fru: FruRef::Component(*host),
-                    class: FaultClass::ComponentInternal,
-                    pattern: "cohost-correlation",
-                    confidence: 0.85,
-                });
+        // one component ⇒ the shared hardware is the cause (§V-C). Hosts
+        // are visited in ascending order.
+        cohost_hosts.clear();
+        if self.params.enable_cohost {
+            by_host.clear();
+            by_host.extend(
+                recent.iter().filter_map(|j| self.jobs.get(j).map(|f| (f.host, *j, f.das))),
+            );
+            by_host.sort_unstable();
+            for group in by_host.chunk_by(|a, b| a.0 == b.0) {
+                let host = group[0].0;
+                if group.len() >= 2 && group.iter().any(|e| e.2 != group[0].2) {
+                    cohost_hosts.push(host);
+                    out.push(PatternMatch {
+                        at: now,
+                        fru: FruRef::Component(host),
+                        class: FaultClass::ComponentInternal,
+                        pattern: "cohost-correlation",
+                        confidence: 0.85,
+                    });
+                }
             }
         }
 
         // Job-inherent analysis for jobs not explained by their host or by
         // a failing upstream producer (root-cause suppression: within a
         // DAS, fault effects propagate downstream).
-        let symptomatic: Vec<JobId> = recent_jobs.keys().copied().collect();
-        for (j, _) in recent_jobs.clone() {
-            let facts = match self.jobs.get(&j) {
-                Some(f) => f.clone(),
-                None => continue,
+        for &j in recent.iter() {
+            let Some(facts) = self.jobs.get(&j) else {
+                continue;
             };
             if cohost_hosts.contains(&facts.host) {
                 continue;
             }
-            if facts.upstream.iter().any(|u| symptomatic.contains(u)) {
+            if facts.upstream.iter().any(|u| recent.binary_search(u).is_ok()) {
                 continue;
             }
             // A comm-level problem at (or recently at) the hosting
@@ -561,8 +578,13 @@ impl OnaBank {
     /// the interface alone with certainty (§III-D); this heuristic encodes
     /// the shapes that are distinguishable: persistent/stuck and monotone
     /// drift point at the transducer, intermittent wrongness at software.
+    ///
+    /// Cost: the duty cycle and the spread read only the last
+    /// `job_window_rounds` entries of the value series; the whole-series
+    /// slope runs only once the duty and endpoint tests of the drift
+    /// verdict have passed.
     fn classify_job_inherent(
-        &mut self,
+        &self,
         j: JobId,
         ds: &DistributedState,
     ) -> (FaultClass, &'static str, f64) {
@@ -576,49 +598,18 @@ impl OnaBank {
 
         if let Some(series) = ds.job_value_series(j) {
             let take = series.len().min(self.params.job_window_rounds);
-            let recent: Vec<&(SimTime, f64, bool)> = series.iter().rev().take(take).rev().collect();
-            if recent.len() >= 3 {
+            if take >= 3 {
+                let recent = series.range(series.len() - take..);
                 // Duty cycle: violations per round over the recent span.
-                let span =
-                    recent.last().expect("non-empty").0 - recent.first().expect("non-empty").0;
+                let span = series[series.len() - 1].0 - series[series.len() - take].0;
                 let span_rounds = (span.as_secs_f64() / self.round_secs).max(1.0);
-                let viols = recent.iter().filter(|e| e.2).count() as f64;
-                let duty = (viols / span_rounds).min(1.0);
+                let viols = recent.clone().filter(|e| e.2).count();
+                let duty = (viols as f64 / span_rounds).min(1.0);
 
-                // Magnitude trend over the *long-horizon* series: drift is
-                // a slow process; judging it on a short window would miss
-                // growth that is obvious over the campaign. Prefer the
-                // violation magnitudes (one consistent unit); fall back to
-                // the drift-proximity series before the first violations.
-                let viol_pts: Vec<(f64, f64)> =
-                    series.iter().filter(|e| e.2).map(|e| (e.0.as_secs_f64(), e.1)).collect();
-                let pts: Vec<(f64, f64)> = if viol_pts.len() >= 3 {
-                    viol_pts
-                } else {
-                    series.iter().map(|e| (e.0.as_secs_f64(), e.1)).collect()
-                };
-                let slope = ols_slope(&pts).unwrap_or(0.0);
-                let first_mag = pts.first().expect("non-empty").1;
-                let last_mag = pts.last().expect("non-empty").1;
-                let rising = slope > 0.0 && last_mag > first_mag * 1.2 + 0.1;
-
-                // Variability of the violation magnitudes: a stuck
-                // transducer repeats the *identical* reading (zero spread),
-                // a systematic software transform tracks the varying
-                // computed value.
-                let mags: Vec<f64> = recent.iter().filter(|e| e.2).map(|e| e.1).collect();
-                let spread = if mags.len() >= 2 {
-                    let mean = mags.iter().sum::<f64>() / mags.len() as f64;
-                    (mags.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / mags.len() as f64)
-                        .sqrt()
-                } else {
-                    0.0
-                };
-
-                if rising && duty > 0.3 {
+                if duty > 0.3 && rising(series, viols) {
                     return (FaultClass::JobInherentTransducer, "transducer-drift", 0.8);
                 }
-                if duty >= self.params.stuck_duty && spread < 1e-6 {
+                if duty >= self.params.stuck_duty && violation_spread(recent) < 1e-6 {
                     // Persistent violation repeating the identical value.
                     return (FaultClass::JobInherentTransducer, "transducer-stuck", 0.8);
                 }
@@ -632,13 +623,92 @@ impl OnaBank {
     }
 }
 
+/// One job's value-symptom series: `(instant, magnitude, violation)`.
+type ValueSeries = VecDeque<(SimTime, f64, bool)>;
+
+/// The magnitude trend test of the drift verdict, over the
+/// *long-horizon* series: drift is a slow process, and judging it on a
+/// short window would miss growth that is obvious over the campaign.
+/// `recent_viols` is the number of violations in the recent window (a
+/// lower bound on the series' count).
+///
+/// The series is rising when its last magnitude clears the first by 20%
+/// plus 0.1 and its least-squares slope is positive. The endpoint test
+/// runs first, because it costs two short scans where the slope costs
+/// two passes over the series.
+fn rising(series: &ValueSeries, recent_viols: usize) -> bool {
+    // Prefer the violation magnitudes (one consistent unit); fall back to
+    // the drift-proximity series before the first violations.
+    let viol_only = recent_viols >= 3 || series.iter().filter(|e| e.2).nth(2).is_some();
+    let pts = slope_points(series, viol_only);
+    let (Some((_, first_mag)), Some((_, last_mag))) = (pts.clone().next(), pts.clone().next_back())
+    else {
+        return false;
+    };
+    last_mag > first_mag * 1.2 + 0.1 && ols_slope_of(pts).is_some_and(|slope| slope > 0.0)
+}
+
+/// The `(seconds, magnitude)` points of a value series, violations only
+/// or all of them.
+fn slope_points(
+    series: &ValueSeries,
+    viol_only: bool,
+) -> impl DoubleEndedIterator<Item = (f64, f64)> + Clone + '_ {
+    series.iter().filter(move |e| e.2 || !viol_only).map(|e| (e.0.as_secs_f64(), e.1))
+}
+
+/// [`decos_sim::stats::ols_slope`] over a re-iterable sequence, in two passes and without a
+/// buffer: the first sums n, Σx and Σy, the second Σ(x - x̄)² and
+/// Σ(x - x̄)(y - ȳ). Each sum adds the same terms in the same order, from
+/// the same -0.0 start as std's `f64` `Sum`, so the result is
+/// bit-identical to `ols_slope` over the collected points.
+fn ols_slope_of<I>(points: I) -> Option<f64>
+where
+    I: Iterator<Item = (f64, f64)> + Clone,
+{
+    let (mut n, mut sum_x, mut sum_y) = (0usize, -0.0_f64, -0.0_f64);
+    for (x, y) in points.clone() {
+        n += 1;
+        sum_x += x;
+        sum_y += y;
+    }
+    if n < 2 {
+        return None;
+    }
+    let (mx, my) = (sum_x / n as f64, sum_y / n as f64);
+    let (mut sxx, mut sxy) = (-0.0_f64, -0.0_f64);
+    for (x, y) in points {
+        sxx += (x - mx) * (x - mx);
+        sxy += (x - mx) * (y - my);
+    }
+    if sxx <= f64::EPSILON {
+        return None;
+    }
+    Some(sxy / sxx)
+}
+
+/// Variability of the violation magnitudes in the recent window: a stuck
+/// transducer repeats the *identical* reading (zero spread), a systematic
+/// software transform tracks the varying computed value.
+fn violation_spread<'a>(recent: impl Iterator<Item = &'a (SimTime, f64, bool)> + Clone) -> f64 {
+    let mags = recent.filter(|e| e.2).map(|e| e.1);
+    let n = mags.clone().count();
+    if n < 2 {
+        return 0.0;
+    }
+    let mean = mags.clone().sum::<f64>() / n as f64;
+    (mags.map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64).sqrt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detectors::SymptomDetectors;
     use decos_faults::{FaultEnvironment, FaultSpec};
     use decos_platform::fig10;
+    use decos_sim::stats::ols_slope;
     use decos_sim::{SeedSource, SimDuration};
+    use proptest::prelude::*;
 
     /// Runs a campaign and returns the pattern matches plus the bank.
     fn run(faults: Vec<FaultSpec>, accel: f64, rounds: u64) -> Vec<PatternMatch> {
@@ -795,5 +865,92 @@ mod tests {
     fn fault_free_cluster_triggers_nothing() {
         let matches = run(vec![], 1.0, 1000);
         assert!(matches.is_empty(), "got {:?}", &matches[..matches.len().min(5)]);
+    }
+
+    /// A coordinate drawn from a small palette, so that repeated values,
+    /// ±0.0 and spreads below `f64::EPSILON` come up often.
+    fn palette(code: u8, free: f64) -> f64 {
+        match code % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => 1.0 + 1e-10,
+            4 => free * 1e-9,
+            5 => -free,
+            _ => free,
+        }
+    }
+
+    /// The two-pass slope and `ols_slope` agree bit for bit (or on `None`).
+    fn assert_same_slope(points: &[(f64, f64)]) {
+        assert_eq!(
+            ols_slope_of(points.iter().copied()).map(f64::to_bits),
+            ols_slope(points).map(f64::to_bits),
+            "{points:?}"
+        );
+    }
+
+    #[test]
+    fn two_pass_slope_edge_cases() {
+        assert_same_slope(&[]);
+        assert_same_slope(&[(1.0, 2.0)]);
+        assert_same_slope(&[(1.0, 2.0), (1.0, 3.0)]);
+        assert_same_slope(&[(0.0, -0.0), (-0.0, 0.0)]);
+        assert_same_slope(&[(-0.0, -0.0), (-0.0, -0.0), (-0.0, -0.0)]);
+        // Every product (x - x̄)(y - ȳ) is -0.0: only a -0.0 start keeps
+        // the sign of the zero slope.
+        assert_same_slope(&[(0.0, 0.0), (1.0, -0.0)]);
+        assert_same_slope(&[(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)]);
+        assert_same_slope(&[(0.0, 0.0), (1e-9, 1.0), (2e-9, 2.0)]);
+        assert_same_slope(&[(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]);
+        assert_same_slope(&[(0.1, 0.7), (0.2, 0.3), (0.3, 0.9), (0.4, -0.2)]);
+    }
+
+    proptest! {
+        #[test]
+        fn two_pass_slope_matches_ols_slope(
+            raw in proptest::collection::vec((0u8..8, -1e3f64..1e3, 0u8..8, -1e3f64..1e3), 0..12)
+        ) {
+            let points: Vec<(f64, f64)> =
+                raw.iter().map(|&(cx, x, cy, y)| (palette(cx, x), palette(cy, y))).collect();
+            prop_assert_eq!(
+                ols_slope_of(points.iter().copied()).map(f64::to_bits),
+                ols_slope(&points).map(f64::to_bits),
+                "{:?}",
+                points
+            );
+        }
+
+        #[test]
+        fn two_pass_slope_over_a_wrapped_series_matches_ols_slope(
+            cap in 2usize..24,
+            extra in 0usize..64,
+            raw in proptest::collection::vec((0u64..3, 0u8..8, -1e3f64..1e3, 0u8..3), 1..40),
+        ) {
+            // A series bounded like the state's per-job series (push, then
+            // drop the oldest past `cap`), filled past its cap until its
+            // contents wrap the ring buffer.
+            let mut series = ValueSeries::new();
+            let mut t = 0u64;
+            for (pushes, &(dt, code, v, viol)) in raw.iter().cycle().enumerate() {
+                t += dt * 1_000_000;
+                series.push_back((SimTime::from_nanos(t), palette(code, v), viol > 0));
+                if series.len() > cap {
+                    series.pop_front();
+                }
+                if pushes >= cap + extra && !series.as_slices().1.is_empty() {
+                    break;
+                }
+            }
+            for viol_only in [false, true] {
+                let collected: Vec<(f64, f64)> = slope_points(&series, viol_only).collect();
+                prop_assert_eq!(
+                    ols_slope_of(slope_points(&series, viol_only)).map(f64::to_bits),
+                    ols_slope(&collected).map(f64::to_bits),
+                    "{:?}",
+                    collected
+                );
+            }
+        }
     }
 }

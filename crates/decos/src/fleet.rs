@@ -32,6 +32,7 @@ use decos_sim::rng::SeedSource;
 use decos_sim::telemetry::{Counter, Gauge, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Vehicles per work-stealing block — and per float-summation block.
 /// One block is one indivisible work unit: a single shard sums its
@@ -452,21 +453,50 @@ pub fn run_fleet_configured(
 ) -> Result<FleetOutcome, CampaignError> {
     preflight(spec, cfg, params, opts)?;
     let seeds = SeedSource::new(cfg.seed);
+    // The lowest vehicle index any shard has seen rejected. Vehicles above
+    // it are skipped: they cannot change which rejection is reported.
+    let first_rejected = AtomicU64::new(u64::MAX);
     let parts = fleet_exec::run_sharded(
         cfg.vehicles,
         FLEET_BLOCK,
         opts.shard_count(),
-        || FleetAccumulator::new(cfg.vehicles, opts.retain),
-        |acc, range| {
+        || (FleetAccumulator::new(cfg.vehicles, opts.retain), None),
+        |(acc, rejected): &mut (FleetAccumulator, Option<(u64, CampaignError)>), range| {
             for v in range {
-                let (outcome, telemetry) = run_vehicle(spec, cfg, seeds, v, params, opts);
-                acc.record(v, outcome, telemetry);
+                if v > first_rejected.load(Ordering::Relaxed) {
+                    return;
+                }
+                match run_vehicle(spec, cfg, seeds, v, params, opts) {
+                    Ok((outcome, telemetry)) => acc.record(v, outcome, telemetry),
+                    Err(e) => {
+                        first_rejected.fetch_min(v, Ordering::Relaxed);
+                        // A shard's blocks ascend, so its first rejection
+                        // is its lowest.
+                        rejected.get_or_insert((v, e));
+                        return;
+                    }
+                }
             }
         },
     );
-    let mut parts = parts.into_iter();
-    let mut acc = parts.next().expect("run_sharded returns at least one shard");
-    for part in parts {
+    // The lowest rejected index is the same at any shard count: its block
+    // is never skipped, and every vehicle before it in that block runs.
+    let mut accs = Vec::with_capacity(parts.len());
+    let mut first: Option<(u64, CampaignError)> = None;
+    for (acc, rejected) in parts {
+        accs.push(acc);
+        if let Some((v, e)) = rejected {
+            if first.as_ref().is_none_or(|(f, _)| v < *f) {
+                first = Some((v, e));
+            }
+        }
+    }
+    if let Some((_, e)) = first {
+        return Err(e);
+    }
+    let mut accs = accs.into_iter();
+    let mut acc = accs.next().expect("run_sharded returns at least one shard");
+    for part in accs {
         acc.merge(part);
     }
     Ok(acc.finish())
@@ -502,7 +532,7 @@ pub(crate) fn run_vehicle(
     index: u64,
     params: EngineParams,
     opts: &FleetOptions,
-) -> (VehicleOutcome, Option<TelemetrySnapshot>) {
+) -> Result<(VehicleOutcome, Option<TelemetrySnapshot>), CampaignError> {
     let (vspec, mut faults) = decos_faults::campaign::sample_mixed_fault(spec, seeds, index);
     // Primary-fault convention (asserted on `sample_mixed_fault`): every
     // sampled spec in the vec manifests the *same* ground-truth defect —
@@ -528,8 +558,10 @@ pub(crate) fn run_vehicle(
         seed: seeds.child(index).master(),
     };
     let run_opts = RunOptions { telemetry: opts.telemetry, flightrec: false, ..Default::default() };
-    let out = run_campaign_opts(&campaign, params, run_opts, &mut [], |_, _, _| {})
-        .expect("sampled campaign passes the pre-flight analysis");
+    // The pre-flight analyzed the base vehicle only; a sampled fault can
+    // still name something this cluster lacks (the sampler draws fig10
+    // jobs), and the per-vehicle analysis rejects it here.
+    let out = run_campaign_opts(&campaign, params, run_opts, &mut [], |_, _, _| {})?;
 
     let decos_actions = out.report.actions();
     let decos_class = out.report.verdict_of(truth_fru).and_then(|v| v.class);
@@ -540,7 +572,7 @@ pub(crate) fn run_vehicle(
         .map(|n| (FruRef::Component(*n), MaintenanceAction::ReplaceComponent))
         .collect();
 
-    (
+    Ok((
         VehicleOutcome {
             truth_class,
             truth_fru,
@@ -553,7 +585,7 @@ pub(crate) fn run_vehicle(
             crashed_rounds: out.report.crashed_rounds,
         },
         out.telemetry,
-    )
+    ))
 }
 
 #[cfg(test)]

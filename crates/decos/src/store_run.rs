@@ -693,8 +693,12 @@ pub fn run_fleet_stored<IO: StoreIo>(
     for batch in missing.chunks(chunk) {
         let results = fleet_exec::map_ordered(batch.len() as u64, shards, |i| {
             let v = batch[i as usize];
-            (v, run_vehicle(spec, cfg, seeds, v, params, opts))
+            run_vehicle(spec, cfg, seeds, v, params, opts).map(|r| (v, r))
         });
+        // A rejected vehicle fails the run before its batch is journaled.
+        // Results come in index order, so the first rejection is the
+        // lowest.
+        let results: Vec<_> = results.into_iter().collect::<Result<_, _>>()?;
         // Journal in index order within the batch; out-of-order *across*
         // batches cannot happen because `missing` is sorted and batches
         // are committed in sequence — but a resumed store whose committed

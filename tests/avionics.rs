@@ -80,3 +80,58 @@ fn internal_fault_at_gateway_host_consolidates() {
     let v = out.report.verdict_of(FruRef::Component(NodeId(7))).expect("assessed");
     assert_eq!(v.action, Some(MaintenanceAction::ReplaceComponent), "verdict {v:?}");
 }
+
+/// The fleet sampler draws its job faults from fig10's jobs, and a
+/// vehicle whose sampled fault names a job the avionics cluster lacks
+/// fails the per-vehicle analysis. Both fleet runners return that
+/// rejection instead of panicking: the lowest rejected vehicle's, at any
+/// shard count, and the stored run journals nothing of the failing batch.
+#[test]
+fn fleet_sampling_a_job_the_cluster_lacks_is_rejected() {
+    let spec = avionics::avionics_spec();
+    let params = EngineParams::default();
+    // At seed 4 vehicle 31 is the first to sample such a fault, so three
+    // whole batches run before it; later blocks hold more rejections.
+    let cfg = FleetConfig { vehicles: 96, rounds: 20, accel: 10.0, seed: 4 };
+    let opts = |shards| FleetOptions { shards: Some(shards), ..FleetOptions::default() };
+    let rejection = |r: Result<FleetOutcome, CampaignError>| match r {
+        Err(CampaignError::Rejected(report)) => report.to_string(),
+        Err(e) => panic!("expected an analyzer rejection, got: {e}"),
+        Ok(_) => panic!("expected an analyzer rejection, the fleet ran"),
+    };
+    let unstored = [1, 3].map(|s| rejection(run_fleet_configured(&spec, cfg, params, &opts(s))));
+    assert_eq!(unstored[0], unstored[1], "the rejection depends on the shard count");
+
+    let policy = StorePolicy::default();
+    let mut journaled = Vec::new();
+    for shards in [1, 3] {
+        let mut fs = FleetStore::open_or_create(
+            decos::store::FaultIo::pristine(),
+            &spec,
+            &cfg,
+            &params,
+            &opts(shards),
+            &policy,
+        )
+        .expect("store created");
+        match run_fleet_stored(&spec, cfg, params, &opts(shards), &policy, &mut fs) {
+            Err(StoreRunError::Campaign(CampaignError::Rejected(report))) => {
+                assert_eq!(report.to_string(), unstored[0], "stored at {shards} shards");
+            }
+            Err(e) => panic!("expected an analyzer rejection, got: {e}"),
+            Ok(_) => panic!("expected an analyzer rejection, the stored fleet ran"),
+        }
+        journaled.push(fs.store().records().len() as u64);
+    }
+    assert_eq!(journaled[0], journaled[1], "the journal depends on the shard count");
+
+    // The first fleet size that fails ends on the lowest rejected vehicle;
+    // the stored run journaled exactly the whole batches before it.
+    let runs =
+        |vehicles| run_fleet_configured(&spec, FleetConfig { vehicles, ..cfg }, params, &opts(1));
+    let lowest =
+        (0..cfg.vehicles).find(|&v| runs(v + 1).is_err()).expect("some vehicle is rejected");
+    assert_eq!(lowest, 31);
+    assert_eq!(rejection(runs(lowest + 1)), unstored[0]);
+    assert_eq!(journaled[0], lowest / policy.chunk as u64 * policy.chunk as u64);
+}

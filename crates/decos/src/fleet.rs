@@ -445,6 +445,10 @@ pub fn run_fleet(spec: &ClusterSpec, cfg: FleetConfig) -> Result<FleetOutcome, C
 
 /// Runs a fleet with explicit engine parameters and [`FleetOptions`]
 /// (telemetry, fleet-wide base faults, shard count, retention).
+///
+/// Fails with the pre-flight's rejection, or else with the error of the
+/// lowest-index vehicle whose sampled campaign is rejected; that vehicle
+/// is the same at any shard count.
 pub fn run_fleet_configured(
     spec: &ClusterSpec,
     cfg: FleetConfig,
@@ -454,7 +458,9 @@ pub fn run_fleet_configured(
     preflight(spec, cfg, params, opts)?;
     let seeds = SeedSource::new(cfg.seed);
     // The lowest vehicle index any shard has seen rejected. Vehicles above
-    // it are skipped: they cannot change which rejection is reported.
+    // it are skipped: they cannot change which rejection is reported. It
+    // publishes nothing else (each rejection returns with its shard), so
+    // relaxed ordering suffices.
     let first_rejected = AtomicU64::new(u64::MAX);
     let parts = fleet_exec::run_sharded(
         cfg.vehicles,
@@ -481,25 +487,16 @@ pub fn run_fleet_configured(
     );
     // The lowest rejected index is the same at any shard count: its block
     // is never skipped, and every vehicle before it in that block runs.
-    let mut accs = Vec::with_capacity(parts.len());
-    let mut first: Option<(u64, CampaignError)> = None;
-    for (acc, rejected) in parts {
-        accs.push(acc);
-        if let Some((v, e)) = rejected {
-            if first.as_ref().is_none_or(|(f, _)| v < *f) {
-                first = Some((v, e));
-            }
-        }
-    }
-    if let Some((_, e)) = first {
-        return Err(e);
-    }
-    let mut accs = accs.into_iter();
-    let mut acc = accs.next().expect("run_sharded returns at least one shard");
-    for part in accs {
+    let mut parts = parts.into_iter();
+    let (mut acc, mut first) = parts.next().expect("run_sharded returns at least one shard");
+    for (part, rejected) in parts {
         acc.merge(part);
+        first = first.into_iter().chain(rejected).min_by_key(|(v, _)| *v);
     }
-    Ok(acc.finish())
+    match first {
+        Some((_, e)) => Err(e),
+        None => Ok(acc.finish()),
+    }
 }
 
 /// The fleet pre-flight, stored or not: the base vehicle (before

@@ -640,6 +640,9 @@ fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
 /// ([`FleetOptions::shards`] shards, one per core by default). Each batch
 /// is journaled in ascending index order and committed with one fsync
 /// before it is folded, so the journal never depends on the shard count.
+/// A rejected vehicle fails the run with the same error
+/// [`crate::fleet::run_fleet_configured`] returns, and its batch is not
+/// journaled.
 pub fn run_fleet_stored<IO: StoreIo>(
     spec: &ClusterSpec,
     cfg: FleetConfig,

@@ -657,11 +657,11 @@ fn slope_points(
     series.iter().filter(move |e| e.2 || !viol_only).map(|e| (e.0.as_secs_f64(), e.1))
 }
 
-/// [`decos_sim::stats::ols_slope`] over a re-iterable sequence, in two passes and without a
-/// buffer: the first sums n, Σx and Σy, the second Σ(x - x̄)² and
-/// Σ(x - x̄)(y - ȳ). Each sum adds the same terms in the same order, from
-/// the same -0.0 start as std's `f64` `Sum`, so the result is
-/// bit-identical to `ols_slope` over the collected points.
+/// [`decos_sim::stats::ols_slope`] over a re-iterable sequence, in two
+/// passes and without a buffer: the first sums n, Σx and Σy, the second
+/// Σ(x - x̄)² and Σ(x - x̄)(y - ȳ). Each sum adds the same terms in the
+/// same order, from the same -0.0 start as std's `f64` `Sum`, so the
+/// result is bit-identical to `ols_slope` over the collected points.
 fn ols_slope_of<I>(points: I) -> Option<f64>
 where
     I: Iterator<Item = (f64, f64)> + Clone,

@@ -118,17 +118,34 @@ pub fn internal_degradation_campaign(node: NodeId) -> Vec<FaultSpec> {
 /// A virtual-network misconfiguration (job borderline): shrinks the event
 /// network's receive queues. Returns the mutated spec plus the ground-truth
 /// record.
-pub fn misconfiguration_campaign(
+pub fn misconfiguration_campaign(spec: ClusterSpec, factor: u32) -> (ClusterSpec, Vec<FaultSpec>) {
+    config_defect_campaign(spec, ConfigDefect::UnderDimensionedRxQueue { factor })
+}
+
+/// A virtual-network misconfiguration of any kind (job borderline):
+/// deploys the event network with `defect` applied. Returns the mutated
+/// spec plus one ground-truth record per job whose configuration is wrong:
+/// the consumer `C3` for an under-dimensioned receive queue, the producers
+/// `C1` and `C2` for a transmit queue or a segment that is too small.
+pub fn config_defect_campaign(
     mut spec: ClusterSpec,
-    factor: u32,
+    defect: ConfigDefect,
 ) -> (ClusterSpec, Vec<FaultSpec>) {
-    spec.config_defects.push((fig10::vnets::C, ConfigDefect::UnderDimensionedRxQueue { factor }));
-    let truth = vec![FaultSpec {
-        id: 1,
-        kind: FaultKind::VnetMisconfiguration,
-        target: FruRef::Job(fig10::jobs::C3),
-        onset: SimTime::ZERO,
-    }];
+    spec.config_defects.push((fig10::vnets::C, defect));
+    let jobs: &[JobId] = match defect {
+        ConfigDefect::UnderDimensionedRxQueue { .. } => &[fig10::jobs::C3],
+        _ => &[fig10::jobs::C1, fig10::jobs::C2],
+    };
+    let truth = jobs
+        .iter()
+        .zip(1..)
+        .map(|(&job, id)| FaultSpec {
+            id,
+            kind: FaultKind::VnetMisconfiguration,
+            target: FruRef::Job(job),
+            onset: SimTime::ZERO,
+        })
+        .collect();
     (spec, truth)
 }
 
@@ -365,6 +382,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn config_defect_truth_names_the_misconfigured_side() {
+        let targets = |defect| {
+            let (_, truth) = config_defect_campaign(fig10::reference_spec(), defect);
+            truth.iter().map(|f| (f.id, f.target)).collect::<Vec<_>>()
+        };
+        let producers = vec![(1, FruRef::Job(fig10::jobs::C1)), (2, FruRef::Job(fig10::jobs::C2))];
+        assert_eq!(targets(ConfigDefect::UnderDimensionedTxQueue { factor: 2 }), producers);
+        assert_eq!(targets(ConfigDefect::InsufficientBandwidth { factor: 2 }), producers);
+        assert_eq!(
+            targets(ConfigDefect::UnderDimensionedRxQueue { factor: 2 }),
+            vec![(1, FruRef::Job(fig10::jobs::C3))]
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@
 use decos::faults::campaign;
 use decos::prelude::*;
 use decos::sim::SeedSource;
+use decos::vnet::ConfigDefect;
 use proptest::prelude::*;
 
 fn quartz(node: NodeId) -> Vec<FaultSpec> {
@@ -33,15 +34,34 @@ fn quartz(node: NodeId) -> Vec<FaultSpec> {
     }]
 }
 
-fn run_with(c: &Campaign, legacy: bool) -> decos::runner::CampaignOutcome {
-    let opts =
-        RunOptions { telemetry: true, flightrec: true, legacy_paths: legacy, ..Default::default() };
-    run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, _| {}).unwrap()
+/// What one run's slot records showed: the fast-body slots its sim
+/// stepped and the overflow deltas its records carried, summed per side.
+#[derive(Default)]
+struct Seen {
+    fast_slots: u64,
+    tx_overflows: u64,
+    rx_overflows: u64,
 }
 
-fn assert_equivalent(c: &Campaign) {
-    let fast = run_with(c, false);
-    let legacy = run_with(c, true);
+fn run_with(c: &Campaign, legacy: bool, seen: &mut Seen) -> decos::runner::CampaignOutcome {
+    let opts =
+        RunOptions { telemetry: true, flightrec: true, legacy_paths: legacy, ..Default::default() };
+    run_campaign_opts(c, EngineParams::default(), opts, &mut [], |sim, _, rec| {
+        seen.fast_slots = sim.slot_body_counts().0;
+        for d in &rec.overflow_deltas {
+            seen.tx_overflows += d.tx;
+            seen.rx_overflows += d.rx;
+        }
+    })
+    .unwrap()
+}
+
+/// Runs `c` free and forced legacy, asserts the observable surfaces agree,
+/// and returns what the free run saw.
+fn assert_equivalent(c: &Campaign) -> Seen {
+    let mut seen = Seen::default();
+    let fast = run_with(c, false, &mut seen);
+    let legacy = run_with(c, true, &mut Seen::default());
     assert_eq!(
         fast.telemetry.as_ref().unwrap().counter_fingerprint(),
         legacy.telemetry.as_ref().unwrap().counter_fingerprint(),
@@ -52,6 +72,7 @@ fn assert_equivalent(c: &Campaign) {
     assert_eq!(fast.report, legacy.report, "diagnostic reports must agree");
     assert_eq!(fast.obd, legacy.obd, "OBD verdicts must agree");
     assert_eq!(fast.episodes, legacy.episodes, "environment episode logs must agree");
+    seen
 }
 
 #[test]
@@ -160,6 +181,36 @@ fn diag_degradation_paths_agree() {
 fn misconfigured_cluster_paths_agree() {
     let (spec, faults) = campaign::misconfiguration_campaign(fig10::reference_spec(), 4);
     assert_equivalent(&Campaign { spec, faults, accel: 1.0, rounds: 300, seed: 31 });
+}
+
+#[test]
+fn under_dimensioned_tx_queue_paths_agree() {
+    // Depth-2 transmit queues overflow at the senders' `send`.
+    let defect = ConfigDefect::UnderDimensionedTxQueue { factor: 8 };
+    let (spec, faults) = campaign::config_defect_campaign(fig10::reference_spec(), defect);
+    let seen = assert_equivalent(&Campaign { spec, faults, accel: 1.0, rounds: 400, seed: 37 });
+    assert!(seen.fast_slots > 0, "no fast-body slot was stepped");
+    assert!(seen.tx_overflows > 0, "no transmit-side overflow was recorded");
+}
+
+#[test]
+fn under_dimensioned_rx_queue_paths_agree() {
+    // Depth-1 receive queues overflow at the consumer's delivery.
+    let (spec, faults) = campaign::misconfiguration_campaign(fig10::reference_spec(), 16);
+    let seen = assert_equivalent(&Campaign { spec, faults, accel: 1.0, rounds: 400, seed: 43 });
+    assert!(seen.fast_slots > 0, "no fast-body slot was stepped");
+    assert!(seen.rx_overflows > 0, "no receive-side overflow was recorded");
+}
+
+#[test]
+fn insufficient_bandwidth_paths_agree() {
+    // One message per slot against a mean of one per round from each of
+    // two senders: the transmit backlog grows until the queues overflow.
+    let defect = ConfigDefect::InsufficientBandwidth { factor: 4 };
+    let (spec, faults) = campaign::config_defect_campaign(fig10::reference_spec(), defect);
+    let seen = assert_equivalent(&Campaign { spec, faults, accel: 1.0, rounds: 400, seed: 41 });
+    assert!(seen.fast_slots > 0, "no fast-body slot was stepped");
+    assert!(seen.tx_overflows > 0, "no transmit-side overflow was recorded");
 }
 
 proptest! {

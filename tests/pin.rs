@@ -10,6 +10,7 @@
 use decos::platform::avionics;
 use decos::prelude::*;
 use decos::store::FaultIo;
+use decos::vnet::ConfigDefect;
 use std::collections::BTreeMap;
 
 /// The reference connector campaign: a borderline connector on fig10
@@ -233,6 +234,124 @@ const SOFTWARE_A1: &str = concat!(
     "match.software-design=3998;",
 );
 
+// Misconfigured event networks: fig10 with one `ConfigDefect` on
+// `vnets::C`, accel 1, 2000 rounds, seed 2026. Each entry is the counter
+// fingerprint followed by the overflow deltas the slot records carried,
+// summed per side, and the number of records that carried any.
+
+/// Transmit queues shrunk eightfold (depth 2).
+const TX_QUEUE_DEFECT: &str = concat!(
+    "slots_simulated=8000;",
+    "rounds_simulated=2000;",
+    "symptoms_offered=343;",
+    "symptoms_delivered=343;",
+    "symptoms_dropped=0;",
+    "frames_corrupted=0;",
+    "frames_rejected=0;",
+    "frames_delayed=0;",
+    "frames_forged_suspected=0;",
+    "ona_matches=335;",
+    "trust_frozen_rounds=0;",
+    "failovers=0;",
+    "crashed_rounds=0;",
+    "vehicles=1;",
+    "degraded_vehicles=0;",
+    "faults_injected=2;",
+    "faults_detected=2;",
+    "faults_convicted=2;",
+    "wrong_fru_convictions=0;",
+    "detect_latency_rounds=32;",
+    "convict_latency_rounds=192;",
+    "journal_records=0;",
+    "journal_bytes=0;",
+    "journal_fsyncs=0;",
+    "snapshots_written=0;",
+    "store_recovered_records=0;",
+    "store_quarantined_bytes=0;",
+    "delivery_quality=1.0;",
+    "nff_ratio=0.0;",
+    "detect_latency=16.0;",
+    "convict_latency=96.0;",
+    "overflow.tx=439;",
+    "overflow.rx=0;",
+    "overflow.records=343;",
+);
+/// Segments shrunk fourfold (one message per slot).
+const BANDWIDTH_DEFECT: &str = concat!(
+    "slots_simulated=8000;",
+    "rounds_simulated=2000;",
+    "symptoms_offered=87;",
+    "symptoms_delivered=87;",
+    "symptoms_dropped=0;",
+    "frames_corrupted=0;",
+    "frames_rejected=0;",
+    "frames_delayed=0;",
+    "frames_forged_suspected=0;",
+    "ona_matches=79;",
+    "trust_frozen_rounds=0;",
+    "failovers=0;",
+    "crashed_rounds=0;",
+    "vehicles=1;",
+    "degraded_vehicles=0;",
+    "faults_injected=2;",
+    "faults_detected=2;",
+    "faults_convicted=2;",
+    "wrong_fru_convictions=0;",
+    "detect_latency_rounds=264;",
+    "convict_latency_rounds=1389;",
+    "journal_records=0;",
+    "journal_bytes=0;",
+    "journal_fsyncs=0;",
+    "snapshots_written=0;",
+    "store_recovered_records=0;",
+    "store_quarantined_bytes=0;",
+    "delivery_quality=1.0;",
+    "nff_ratio=0.0;",
+    "detect_latency=132.0;",
+    "convict_latency=694.5;",
+    "overflow.tx=119;",
+    "overflow.rx=0;",
+    "overflow.records=87;",
+);
+
+/// Receive queues shrunk sixteenfold (depth 1).
+const RX_QUEUE_DEFECT: &str = concat!(
+    "slots_simulated=8000;",
+    "rounds_simulated=2000;",
+    "symptoms_offered=1067;",
+    "symptoms_delivered=1067;",
+    "symptoms_dropped=0;",
+    "frames_corrupted=0;",
+    "frames_rejected=0;",
+    "frames_delayed=0;",
+    "frames_forged_suspected=0;",
+    "ona_matches=916;",
+    "trust_frozen_rounds=0;",
+    "failovers=0;",
+    "crashed_rounds=0;",
+    "vehicles=1;",
+    "degraded_vehicles=0;",
+    "faults_injected=1;",
+    "faults_detected=1;",
+    "faults_convicted=1;",
+    "wrong_fru_convictions=0;",
+    "detect_latency_rounds=0;",
+    "convict_latency_rounds=18;",
+    "journal_records=0;",
+    "journal_bytes=0;",
+    "journal_fsyncs=0;",
+    "snapshots_written=0;",
+    "store_recovered_records=0;",
+    "store_quarantined_bytes=0;",
+    "delivery_quality=1.0;",
+    "nff_ratio=0.0;",
+    "detect_latency=0.0;",
+    "convict_latency=18.0;",
+    "overflow.tx=0;",
+    "overflow.rx=1496;",
+    "overflow.records=1067;",
+);
+
 /// Panics unless `actual` equals `pinned`, listing each moved
 /// `name=value` pair and printing the whole actual string.
 fn check(entry: &str, actual: &str, pinned: &str) {
@@ -277,6 +396,30 @@ fn classifier_fingerprint(c: &Campaign) -> String {
         s.push_str(&format!("match.{pattern}={n};"));
     }
     s
+}
+
+/// Runs `c` with telemetry on and appends the summed transmit- and
+/// receive-side overflow deltas and the count of records carrying any.
+fn overflow_fingerprint(c: &Campaign) -> String {
+    let opts = RunOptions { telemetry: true, ..Default::default() };
+    let (mut tx, mut rx, mut records) = (0u64, 0u64, 0u64);
+    let out = run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, rec| {
+        records += u64::from(!rec.overflow_deltas.is_empty());
+        for d in &rec.overflow_deltas {
+            tx += d.tx;
+            rx += d.rx;
+        }
+    })
+    .expect("campaign runs");
+    let mut s = telemetry_fingerprint(out.telemetry.as_ref());
+    s.push_str(&format!("overflow.tx={tx};overflow.rx={rx};overflow.records={records};"));
+    s
+}
+
+fn defect_campaign(defect: ConfigDefect) -> Campaign {
+    let (spec, faults) =
+        decos::faults::campaign::config_defect_campaign(fig10::reference_spec(), defect);
+    Campaign { spec, faults, accel: 1.0, rounds: 2_000, seed: 2026 }
 }
 
 fn classifier_campaign(faults: Vec<FaultSpec>) -> Campaign {
@@ -383,4 +526,22 @@ fn stuck_sensor_campaign() {
 fn software_bohrbug_campaign() {
     let faults = decos::faults::campaign::software_campaign(fig10::jobs::A1, false);
     check("software bohrbug", &classifier_fingerprint(&classifier_campaign(faults)), SOFTWARE_A1);
+}
+
+#[test]
+fn under_dimensioned_tx_queue_campaign() {
+    let c = defect_campaign(ConfigDefect::UnderDimensionedTxQueue { factor: 8 });
+    check("tx queue defect", &overflow_fingerprint(&c), TX_QUEUE_DEFECT);
+}
+
+#[test]
+fn insufficient_bandwidth_campaign() {
+    let c = defect_campaign(ConfigDefect::InsufficientBandwidth { factor: 4 });
+    check("bandwidth defect", &overflow_fingerprint(&c), BANDWIDTH_DEFECT);
+}
+
+#[test]
+fn under_dimensioned_rx_queue_campaign() {
+    let c = defect_campaign(ConfigDefect::UnderDimensionedRxQueue { factor: 16 });
+    check("rx queue defect", &overflow_fingerprint(&c), RX_QUEUE_DEFECT);
 }

@@ -47,7 +47,7 @@
 use std::time::Instant;
 
 use decos_bench::experiments as exp;
-use decos_bench::{cliflags, exitcode, flightdump, storecli, Effort};
+use decos_bench::{cliflags, exitcode, flightdump, fmt_nff, storecli, Effort};
 
 /// Rounds per vehicle of the default `repro fleet` workload. Not scaled
 /// by effort: effort scales the vehicle count only, so vehicles/sec
@@ -193,8 +193,8 @@ fn run_fleet_scale(o: &storecli::StoreCliOpts, shards: Option<usize>, effort: Ef
                 slots as f64 / wall_secs,
             );
             println!(
-                "  nff={:.3} degraded={} retained={}/{} (stride {}) fingerprint_hash={:016x}",
-                out.decos.nff_ratio(),
+                "  nff={} degraded={} retained={}/{} (stride {}) fingerprint_hash={:016x}",
+                fmt_nff(&out.decos),
                 out.degraded_vehicles,
                 out.vehicles.len(),
                 out.vehicles.total(),

@@ -31,8 +31,36 @@ pub mod exitcode {
     pub const DETERMINISM: i32 = 5;
 }
 
+/// An NFF ratio for a summary line: three decimals, or `n/a` when no
+/// removal was advised, because 0 of 0 is no result rather than a perfect
+/// one. [`ActionScore::nff_ratio`] itself still maps 0/0 to 0.0.
+///
+/// [`ActionScore::nff_ratio`]: decos::diagnosis::metrics::ActionScore::nff_ratio
+pub fn fmt_nff(score: &decos::diagnosis::metrics::ActionScore) -> String {
+    if score.removals == 0 {
+        "n/a".to_string()
+    } else {
+        format!("{:.3}", score.nff_ratio())
+    }
+}
+
 pub use experiments::Effort;
 pub use flightdump::{
     dump_on_anomaly, is_anomalous, read_flightrec, render_trace_report, write_flightrec,
     FLIGHTREC_SCHEMA,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::fmt_nff;
+    use decos::diagnosis::metrics::ActionScore;
+
+    #[test]
+    fn nff_without_removals_prints_not_applicable() {
+        assert_eq!(fmt_nff(&ActionScore::default()), "n/a");
+        let one_of_four = ActionScore { removals: 4, nff_removals: 1, ..ActionScore::default() };
+        assert_eq!(fmt_nff(&one_of_four), "0.250");
+        let none_wasted = ActionScore { removals: 3, ..ActionScore::default() };
+        assert_eq!(fmt_nff(&none_wasted), "0.000");
+    }
+}

@@ -165,12 +165,12 @@ fn run_stored_fleet(dir: &str, cfg: FleetConfig, o: &StoreCliOpts) -> i32 {
         Ok((out, stats)) => {
             let snap = out.telemetry.as_ref().expect("telemetry on");
             println!(
-                "{dir}: fleet vehicles={} rounds={} seed={} nff={:.3} degraded={} \
+                "{dir}: fleet vehicles={} rounds={} seed={} nff={} degraded={} \
                  fingerprint_hash={:016x}",
                 cfg.vehicles,
                 cfg.rounds,
                 cfg.seed,
-                out.decos.nff_ratio(),
+                crate::fmt_nff(&out.decos),
                 out.degraded_vehicles,
                 decos::store::fnv1a(snap.counter_fingerprint().as_bytes())
             );

@@ -24,7 +24,7 @@ use decos_ttnet::{
     BroadcastBus, ChannelParams, Frame, GuardianMode, MembershipChange, MembershipParams,
     ResolveScratch, RoundPlan, RxDisturbance, SlotAddress, SlotVerdict, TdmaSchedule, TxSignal,
 };
-use decos_vnet::{encode_segment, ConfigDefect, Message, VnetConfig, VnetId};
+use decos_vnet::{encode_segment, ConfigDefect, Message, PushOutcome, VnetConfig, VnetId};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -338,7 +338,10 @@ fn median_i64(xs: &mut [i64]) -> i64 {
 
 /// Reusable buffers for [`ClusterSim::step_slot_into`]: pure capacity the
 /// steady-state slot pipeline recycles. Contents are transient within one
-/// step; after warm-up a fault-free step performs no heap allocation.
+/// step (except the overflow shadow and its flag); after warm-up a
+/// fault-free step performs no heap allocation. The sim holds it boxed and
+/// detaches the box for the length of a step, so a step moves one pointer
+/// instead of the whole struct.
 #[derive(Default)]
 struct StepScratch {
     /// Operational component indices (round boundary).
@@ -353,17 +356,16 @@ struct StepScratch {
     /// Post-correction deviations.
     post: Vec<i64>,
     /// Persistent per-(component, vnet) overflow shadow: the counter
-    /// values as of the end of the previous slot (refreshed when a restart
-    /// resets a component's endpoints). Counters are monotonic between
-    /// refresh points, so comparing one running sum against
-    /// `overflow_sum` detects "any change this slot" in a single pass; the
-    /// shadow is only walked when the sum moved.
+    /// values as of the last walk (refreshed when a restart resets a
+    /// component's endpoints).
     overflow_shadow: Vec<(NodeId, VnetId, u64, u64)>,
-    /// Sum of every shadowed counter.
-    overflow_sum: u64,
+    /// Some overflow counter may differ from the shadow: a push overflowed
+    /// a queue this slot, or [`ClusterSim::component_mut`] handed out the
+    /// endpoints. The shadow is walked, and deltas emitted, only then.
+    overflowed: bool,
     /// Job dispatch output buffer.
     msgs: Vec<Message>,
-    /// The frame under construction for this slot's transmission.
+    /// The frame the legacy body encodes, seals and puts on the channel.
     tx_frame: Frame,
     /// Per-receiver channel disturbances.
     rx_dist: Vec<RxDisturbance>,
@@ -381,15 +383,6 @@ fn overflow_snapshot_into(comps: &[ComponentState], out: &mut Vec<(NodeId, VnetI
             out.push((c.node(), *id, ep.tx_overflows(), ep.rx_overflows()));
         }
     }
-}
-
-/// Sum of every endpoint's overflow counters, in shadow order.
-fn overflow_sum_of(comps: &[ComponentState]) -> u64 {
-    comps
-        .iter()
-        .flat_map(|c| c.endpoints.values())
-        .map(|ep| ep.tx_overflows().wrapping_add(ep.rx_overflows()))
-        .fold(0u64, u64::wrapping_add)
 }
 
 /// The running cluster.
@@ -419,13 +412,15 @@ pub struct ClusterSim {
     /// fast path's admission bound (channel parameters are fixed at
     /// construction).
     fast_window_ns: u64,
-    /// Per-component set of networks any hosted job consumes from.
-    rx_vnets: Vec<std::collections::BTreeSet<VnetId>>,
+    /// Per-component networks any hosted job consumes from (sorted,
+    /// deduplicated).
+    rx_vnets: Vec<Vec<VnetId>>,
     next: SlotAddress,
     rng_bus: SmallRng,
     job_rngs: Vec<SmallRng>,
     round_len: SimDuration,
-    scratch: StepScratch,
+    /// Detached (`None`) only while a step runs.
+    scratch: Option<Box<StepScratch>>,
 }
 
 impl ClusterSim {
@@ -494,15 +489,19 @@ impl ClusterSim {
 
         // Per component: networks with local consumers (delivery follows
         // subscription; unsubscribed traffic must not fill local queues).
-        let rx_vnets: Vec<std::collections::BTreeSet<VnetId>> = spec
+        let rx_vnets: Vec<Vec<VnetId>> = spec
             .components
             .iter()
             .map(|cs| {
-                spec.jobs
+                let mut vnets: Vec<VnetId> = spec
+                    .jobs
                     .iter()
                     .filter(|j| j.host == cs.node)
                     .flat_map(|j| j.behavior.input_vnets())
-                    .collect()
+                    .collect();
+                vnets.sort_unstable();
+                vnets.dedup();
+                vnets
             })
             .collect();
 
@@ -517,7 +516,7 @@ impl ClusterSim {
         let plan = schedule.round_plan();
         // The overflow shadow starts in sync with the fresh (all-zero)
         // endpoint counters.
-        let mut scratch = StepScratch::default();
+        let mut scratch = Box::<StepScratch>::default();
         overflow_snapshot_into(&comps, &mut scratch.overflow_shadow);
         let params = ChannelParams::default();
         let fast_window_ns = match params.guardian {
@@ -546,7 +545,7 @@ impl ClusterSim {
             rng_bus: seeds.stream("bus", 0),
             job_rngs,
             round_len,
-            scratch,
+            scratch: Some(scratch),
         })
     }
 
@@ -605,8 +604,11 @@ impl ClusterSim {
         &self.comps[node.0 as usize]
     }
 
-    /// Mutable component state (used by fault injectors in tests).
+    /// Mutable component state (used by fault injectors in tests). The
+    /// next step compares every overflow counter with its shadow, so a
+    /// counter moved through this reference still shows as a delta.
     pub fn component_mut(&mut self, node: NodeId) -> &mut ComponentState {
+        self.scratch.as_mut().expect("scratch attached between steps").overflowed = true;
         &mut self.comps[node.0 as usize]
     }
 
@@ -781,7 +783,7 @@ impl ClusterSim {
 
         // Detach the scratch so its buffers can be used freely alongside
         // `&mut self` field borrows; reattached at the end of the step.
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = self.scratch.take().expect("scratch attached between steps");
 
         rec.reset(addr, t, owner, self.comps.len(), &mut scratch.sent_pool);
 
@@ -804,7 +806,6 @@ impl ClusterSim {
         }
         if restarted {
             overflow_snapshot_into(&self.comps, &mut scratch.overflow_shadow);
-            scratch.overflow_sum = overflow_sum_of(&self.comps);
         }
 
         // Slot-body choice. Both bodies share the sender side (job dispatch
@@ -848,13 +849,13 @@ impl ClusterSim {
             self.slot_bodies.1 += 1;
             self.legacy_channel(env, operational, global_dev_ns, rec, &mut scratch);
         }
-        self.receive_side(rec, &scratch, !fast);
+        self.receive_side(rec, &mut scratch, !fast);
 
         // --- Loss accounting ----------------------------------------------
-        // One summing pass; the shadow is only walked (and deltas only
-        // emitted) when some counter moved this slot.
-        let sum_now = overflow_sum_of(&self.comps);
-        if sum_now != scratch.overflow_sum {
+        // Counters only move at a push that overflows (or a restart, which
+        // re-snapshots above), so the shadow is only walked, and deltas
+        // only emitted, in a slot where a push reported an overflow.
+        if scratch.overflowed {
             let mut idx = 0usize;
             for c in &self.comps {
                 for (id, ep) in &c.endpoints {
@@ -874,10 +875,10 @@ impl ClusterSim {
                     idx += 1;
                 }
             }
-            scratch.overflow_sum = sum_now;
+            scratch.overflowed = false;
         }
 
-        self.scratch = scratch;
+        self.scratch = Some(scratch);
     }
 
     /// The global time base: the median clock deviation of the
@@ -894,10 +895,10 @@ impl ClusterSim {
     }
 
     /// The sender side both slot bodies share: dispatch the owner's hosted
-    /// jobs through the environment's job hooks, drain its endpoints into
-    /// the (unsealed) frame payload with local loopback, and record what
-    /// was sent. `hooks` is false only inside a quiescent window, where
-    /// every hook is a no-op by promise.
+    /// jobs through the environment's job hooks, drain its endpoints with
+    /// local loopback, and record what was sent in `rec.sent`. `hooks` is
+    /// false only inside a quiescent window, where every hook is a no-op by
+    /// promise.
     fn send_side<E: Environment + ?Sized>(
         &mut self,
         env: &mut E,
@@ -930,33 +931,35 @@ impl ClusterSim {
                 job.spec().behavior.output_vnet().and_then(|v| comp.endpoints.get_mut(&v))
             {
                 for m in scratch.msgs.drain(..) {
-                    ep.send(m);
+                    scratch.overflowed |= ep.send(m) == PushOutcome::Overflow;
                 }
             }
         }
 
-        // Drain endpoints into the frame payload, with local loopback only
-        // where a local job consumes.
-        scratch.tx_frame.reset_for(rec.owner, rec.addr.round, rec.addr.slot);
-        for &(vnet, bytes) in &self.tx_layouts[oidx] {
+        // Drain endpoints in layout order, with local loopback only where a
+        // local job consumes. The drain is capped at the segment's message
+        // capacity, so `rec.sent` is exactly what the segments carry.
+        for &(vnet, _) in &self.tx_layouts[oidx] {
             let ep = self.comps[oidx].endpoints.get_mut(&vnet).expect("layout vnet has endpoint");
             let mut msgs = scratch.sent_pool.pop().unwrap_or_default();
             ep.drain_for_slot_into(&mut msgs);
             if self.rx_vnets[oidx].contains(&vnet) {
+                let before = ep.rx_overflows();
                 for m in &msgs {
                     ep.deliver_message(*m);
                 }
+                scratch.overflowed |= ep.rx_overflows() != before;
             }
-            encode_segment(&msgs, bytes, &mut scratch.tx_frame.payload);
             rec.sent.push((vnet, msgs));
         }
         rec.transmitted = true;
     }
 
     /// The legacy body's channel work around the shared sender side:
-    /// transmit disturbance, frame seal, send offset, then guardian and
-    /// per-receiver resolution into `scratch.resolve`. `global_dev_ns` is
-    /// the time base if the admission test already computed it.
+    /// transmit disturbance, frame encode and seal, send offset, then
+    /// guardian and per-receiver resolution into `scratch.resolve`.
+    /// `global_dev_ns` is the time base if the admission test already
+    /// computed it.
     fn legacy_channel<E: Environment + ?Sized>(
         &mut self,
         env: &mut E,
@@ -971,7 +974,15 @@ impl ClusterSim {
         let mut tx_offset_ns = 0i64;
         if transmitted {
             self.send_side(env, true, rec, scratch);
-            scratch.tx_frame.seal();
+            // The channel may corrupt the bytes into a CRC-passing local
+            // copy, so this body builds them; the fast body never does.
+            let frame = &mut scratch.tx_frame;
+            frame.reset_for(owner, rec.addr.round, rec.addr.slot);
+            for ((_, msgs), &(_, bytes)) in rec.sent.iter().zip(&self.tx_layouts[owner.0 as usize])
+            {
+                encode_segment(msgs, bytes, &mut frame.payload);
+            }
+            frame.seal();
             let g = global_dev_ns.unwrap_or_else(|| self.global_dev_ns(t, &mut scratch.devs));
             tx_offset_ns =
                 self.comps[owner.0 as usize].clock.deviation_ns(t) - g + tx_dist.extra_offset_ns;
@@ -995,26 +1006,29 @@ impl ClusterSim {
 
     /// The receiver side both slot bodies share: judge the slot at every
     /// component, feed membership, and deliver subscribed segments. With
-    /// `resolved` the verdicts and delivered payloads come from the
-    /// channel resolution; without it (the fast body) every operational
-    /// receiver judges `Correct` on the unsealed frame payload.
-    fn receive_side(&mut self, rec: &mut SlotRecord, scratch: &StepScratch, resolved: bool) {
+    /// `resolved` the verdicts come from the channel resolution and the
+    /// delivered bytes are decoded; without it (the fast body) every
+    /// operational receiver judges `Correct` and gets the drained messages
+    /// in `rec.sent` directly, which is what decoding the lossless segments
+    /// would deliver.
+    fn receive_side(&mut self, rec: &mut SlotRecord, scratch: &mut StepScratch, resolved: bool) {
         let (t, owner, oidx) = (rec.start, rec.owner, rec.owner.0 as usize);
+        let layout = &self.tx_layouts[oidx];
         for i in 0..self.comps.len() {
             if i == oidx {
                 rec.observations[i] = ObsKind::Own;
                 continue;
             }
-            if !self.comps[i].is_operational(t) {
+            let comp = &mut self.comps[i];
+            if !comp.is_operational(t) {
                 rec.observations[i] = ObsKind::Offline;
                 continue;
             }
-            let node = self.comps[i].node();
             let (verdict, payload) = if resolved {
                 let v = scratch.resolve.verdicts[i];
                 (v, scratch.resolve.delivered_payload(v))
             } else {
-                (SlotVerdict::Correct, Some(&scratch.tx_frame.payload[..]))
+                (SlotVerdict::Correct, None)
             };
             let kind = match verdict {
                 SlotVerdict::Correct | SlotVerdict::CorrectLocal(_) => ObsKind::Correct,
@@ -1027,20 +1041,36 @@ impl ClusterSim {
             };
             rec.observations[i] = kind;
             if let Some(change) =
-                self.comps[i].membership.observe_slot(owner, matches!(kind, ObsKind::Correct))
+                comp.membership.observe_slot(owner, matches!(kind, ObsKind::Correct))
             {
-                rec.membership_changes.push((node, change));
+                rec.membership_changes.push((comp.node(), change));
             }
-            let Some(payload) = payload else { continue };
-            let mut off = 0usize;
-            for &(vnet, bytes) in &self.tx_layouts[oidx] {
-                let seg = &payload[off..(off + bytes).min(payload.len())];
-                off += bytes;
-                if !self.rx_vnets[i].contains(&vnet) {
-                    continue;
+            let rx_vnets = &self.rx_vnets[i];
+            if resolved {
+                let Some(payload) = payload else { continue };
+                let mut off = 0usize;
+                for &(vnet, bytes) in layout {
+                    let seg = &payload[off..(off + bytes).min(payload.len())];
+                    off += bytes;
+                    if !rx_vnets.contains(&vnet) {
+                        continue;
+                    }
+                    if let Some(ep) = comp.endpoints.get_mut(&vnet) {
+                        let before = ep.rx_overflows();
+                        let _ = ep.deliver_segment(seg);
+                        scratch.overflowed |= ep.rx_overflows() != before;
+                    }
                 }
-                if let Some(ep) = self.comps[i].endpoints.get_mut(&vnet) {
-                    let _ = ep.deliver_segment(seg);
+            } else {
+                for ((vnet, msgs), &(_, bytes)) in rec.sent.iter().zip(layout) {
+                    if !rx_vnets.contains(vnet) {
+                        continue;
+                    }
+                    if let Some(ep) = comp.endpoints.get_mut(vnet) {
+                        let before = ep.rx_overflows();
+                        let _ = ep.deliver_messages(msgs, bytes);
+                        scratch.overflowed |= ep.rx_overflows() != before;
+                    }
                 }
             }
         }
@@ -1121,6 +1151,40 @@ mod tests {
             trace
         };
         assert_eq!(run(7), run(7));
+    }
+
+    #[test]
+    fn degenerate_segments_agree_on_both_bodies() {
+        // A segment under two bytes cannot hold its count header: each
+        // subscribed receiver counts a decode error and delivers nothing.
+        // The fast body never builds the bytes, so it must count the same.
+        let run = |legacy| {
+            let mut spec = fig10::reference_spec();
+            spec.vnets[0].bytes_per_slot = 0;
+            spec.vnets[1].bytes_per_slot = 1;
+            let mut sim = ClusterSim::new(spec, 5).unwrap();
+            sim.force_legacy_path(legacy);
+            let mut trace = Vec::new();
+            sim.run_rounds(50, &mut NullEnvironment, &mut |_, rec| trace.push(rec.clone()));
+            let errors: Vec<(NodeId, VnetId, u64)> = sim
+                .components()
+                .iter()
+                .flat_map(|c| c.endpoints.iter().map(|(v, ep)| (c.node(), *v, ep.decode_errors())))
+                .collect();
+            (trace, errors, sim.slot_body_counts())
+        };
+        let (fast, fast_errors, fast_bodies) = run(false);
+        let (legacy, legacy_errors, legacy_bodies) = run(true);
+        assert_eq!(fast_bodies, (200, 0));
+        assert_eq!(legacy_bodies, (0, 200));
+        assert_eq!(fast, legacy, "slot records must not depend on the body");
+        assert_eq!(fast_errors, legacy_errors, "decode errors must not depend on the body");
+        for vnet in [fig10::vnets::S, fig10::vnets::A] {
+            assert!(
+                fast_errors.iter().any(|&(_, v, n)| v == vnet && n > 0),
+                "no decode error counted on {vnet:?}"
+            );
+        }
     }
 
     #[test]

@@ -123,6 +123,7 @@ impl ComponentState {
 
     /// Whether the component participates in the current slot (transmits,
     /// receives, dispatches jobs).
+    #[inline]
     pub fn is_operational(&self, now: SimTime) -> bool {
         match self.power {
             Power::On => true,
@@ -134,6 +135,7 @@ impl ComponentState {
     /// Progresses a pending restart: if the restart window elapsed, performs
     /// state synchronization (clears endpoints, resyncs the clock monitor)
     /// and returns `true` once, on completion.
+    #[inline]
     pub fn poll_restart(&mut self, now: SimTime) -> bool {
         if let Power::Restarting { until } = self.power {
             if now >= until {

@@ -62,7 +62,12 @@ pub fn fta_round_in_place(deviations: &mut [LocalNanos], k: usize) -> Result<Syn
     deviations.sort_unstable();
     let used = &deviations[k..deviations.len() - k];
     let sum: i128 = used.iter().map(|&d| d as i128).sum();
-    let avg = (sum / used.len() as i128) as i64;
+    // Both divisions truncate toward zero; the i64 one avoids the i128
+    // division libcall whenever the sum fits, which is every real round.
+    let avg = match i64::try_from(sum) {
+        Ok(sum) => sum / used.len() as i64,
+        Err(_) => (sum / used.len() as i128) as i64,
+    };
     let observed_precision_ns =
         used.iter().map(|&d| d.unsigned_abs()).max().expect("non-empty by construction");
     Ok(SyncRound { correction_ns: avg / 2, used: used.len(), observed_precision_ns })

@@ -66,6 +66,25 @@ proptest! {
     }
 
     #[test]
+    fn fta_average_matches_the_i128_division(
+        devs in proptest::collection::vec(proptest::num::i64::ANY, 1..10),
+        small in any::<bool>(),
+        k in 0usize..3,
+    ) {
+        // Small deviations keep the sum inside i64; arbitrary ones often
+        // overflow it. Either way the correction is the i128 average,
+        // truncated toward zero, halved.
+        let devs: Vec<i64> = if small { devs.iter().map(|d| d % 1_000_000).collect() } else { devs };
+        prop_assume!(devs.len() > 2 * k);
+        let mut sorted = devs.clone();
+        sorted.sort_unstable();
+        let used = &sorted[k..sorted.len() - k];
+        let sum: i128 = used.iter().map(|&d| d as i128).sum();
+        let avg = (sum / used.len() as i128) as i64;
+        prop_assert_eq!(fta_round(&devs, k).unwrap().correction_ns, avg / 2);
+    }
+
+    #[test]
     fn fta_ignores_up_to_k_outliers(
         good in proptest::collection::vec(-1_000i64..1_000, 5..9),
         outlier in proptest::num::i64::ANY,

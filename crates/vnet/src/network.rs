@@ -12,25 +12,28 @@
 //! bandwidth-bound backlog — because those counters are exactly the
 //! interface state the diagnostic configuration-fault detector monitors.
 
-use crate::codec::{decode_segment_with, encode_segment, DecodeError};
+use crate::codec::{decode_segment_with, encode_segment, segment_message_capacity, DecodeError};
 use crate::config::VnetConfig;
 use crate::port::{EventPort, Message, PortId, PortKind, PushOutcome, StatePort};
 use decos_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-(component, virtual network) runtime state.
+///
+/// The per-port tables are small vectors sorted by `PortId` and searched
+/// linearly: an endpoint sees a handful of ports, where a tree search
+/// costs more than the scan.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VnetEndpoint {
     cfg: VnetConfig,
     /// Outbound: latest value per local output port (state semantics).
-    tx_state: BTreeMap<PortId, Message>,
+    tx_state: Vec<(PortId, Message)>,
     /// Outbound: bounded queue (event semantics).
     tx_queue: EventPort,
     /// Inbound state values, keyed by source port.
-    rx_state: BTreeMap<PortId, StatePort>,
+    rx_state: Vec<(PortId, StatePort)>,
     /// Inbound event queues, keyed by source port.
-    rx_queues: BTreeMap<PortId, EventPort>,
+    rx_queues: Vec<(PortId, EventPort)>,
     /// Segments that failed to decode (corruption past the CRC or a
     /// sender/receiver configuration mismatch).
     decode_errors: u64,
@@ -41,15 +44,47 @@ pub struct VnetEndpoint {
     rx_accepted_total: u64,
 }
 
+/// Where `key` sits in a table sorted by `PortId`: `Ok(index)` if present,
+/// otherwise `Err(index)` of the insertion point that keeps it sorted.
+fn find<T>(table: &[(PortId, T)], key: PortId) -> Result<usize, usize> {
+    match table.iter().position(|(p, _)| *p >= key) {
+        Some(i) if table[i].0 == key => Ok(i),
+        Some(i) => Err(i),
+        None => Err(table.len()),
+    }
+}
+
+/// The entry for `key`, if present.
+fn get<T>(table: &[(PortId, T)], key: PortId) -> Option<&T> {
+    find(table, key).ok().map(|i| &table[i].1)
+}
+
+/// The mutable entry for `key`, if present.
+fn get_mut<T>(table: &mut [(PortId, T)], key: PortId) -> Option<&mut T> {
+    find(table, key).ok().map(|i| &mut table[i].1)
+}
+
+/// The entry for `key`, inserted by `new` at its sorted place if absent.
+fn entry<T>(table: &mut Vec<(PortId, T)>, key: PortId, new: impl FnOnce() -> T) -> &mut T {
+    let i = match find(table, key) {
+        Ok(i) => i,
+        Err(i) => {
+            table.insert(i, (key, new()));
+            i
+        }
+    };
+    &mut table[i].1
+}
+
 impl VnetEndpoint {
     /// Creates an endpoint operating under `cfg`.
     pub fn new(cfg: VnetConfig) -> Self {
         VnetEndpoint {
             cfg,
-            tx_state: BTreeMap::new(),
+            tx_state: Vec::new(),
             tx_queue: EventPort::new(cfg.tx_queue_depth.max(1)),
-            rx_state: BTreeMap::new(),
-            rx_queues: BTreeMap::new(),
+            rx_state: Vec::new(),
+            rx_queues: Vec::new(),
             decode_errors: 0,
             rx_overflow_total: 0,
             rx_accepted_total: 0,
@@ -68,7 +103,7 @@ impl VnetEndpoint {
     pub fn send(&mut self, msg: Message) -> PushOutcome {
         match self.cfg.kind {
             PortKind::State => {
-                self.tx_state.insert(msg.src, msg);
+                *entry(&mut self.tx_state, msg.src, || msg) = msg;
                 PushOutcome::Accepted
             }
             PortKind::Event => self.tx_queue.push(msg),
@@ -92,12 +127,12 @@ impl VnetEndpoint {
     /// buffer, appending. Returns the number of messages drained; allocates
     /// only if `out` must grow.
     pub fn drain_for_slot_into(&mut self, out: &mut Vec<Message>) -> usize {
-        let fit = crate::codec::segment_message_capacity(self.cfg.bytes_per_slot);
+        let fit = segment_message_capacity(self.cfg.bytes_per_slot);
         match self.cfg.kind {
             PortKind::State => {
-                let start = out.len();
-                out.extend(self.tx_state.values().copied().take(fit));
-                out.len() - start
+                let n = fit.min(self.tx_state.len());
+                out.extend(self.tx_state[..n].iter().map(|(_, m)| *m));
+                n
             }
             PortKind::Event => self.tx_queue.pop_up_to_into(fit, out),
         }
@@ -138,15 +173,38 @@ impl VnetEndpoint {
         }
     }
 
+    /// Delivers what [`deliver_segment`](VnetEndpoint::deliver_segment)
+    /// would on the segment `encode_segment(msgs, seg_bytes, ..)` encodes,
+    /// without the bytes: a segment too short for its count header is
+    /// counted as a decode error and delivers nothing; any other delivers
+    /// `msgs`. The codec is lossless, so this is exact as long as `msgs`
+    /// fits the segment (at most `segment_message_capacity(seg_bytes)`
+    /// messages, which a drain guarantees).
+    pub fn deliver_messages(
+        &mut self,
+        msgs: &[Message],
+        seg_bytes: usize,
+    ) -> Result<usize, DecodeError> {
+        debug_assert!(msgs.len() <= segment_message_capacity(seg_bytes));
+        if seg_bytes < 2 {
+            self.decode_errors += 1;
+            return Err(DecodeError::Truncated);
+        }
+        for m in msgs {
+            self.deliver_message(*m);
+        }
+        Ok(msgs.len())
+    }
+
     /// Delivers a single inbound message.
     pub fn deliver_message(&mut self, m: Message) {
         match self.cfg.kind {
             PortKind::State => {
-                self.rx_state.entry(m.src).or_default().update(m);
+                entry(&mut self.rx_state, m.src, StatePort::default).update(m);
             }
             PortKind::Event => {
                 let depth = self.cfg.rx_queue_depth.max(1);
-                match self.rx_queues.entry(m.src).or_insert_with(|| EventPort::new(depth)).push(m) {
+                match entry(&mut self.rx_queues, m.src, || EventPort::new(depth)).push(m) {
                     PushOutcome::Accepted => self.rx_accepted_total += 1,
                     PushOutcome::Overflow => self.rx_overflow_total += 1,
                 }
@@ -157,7 +215,7 @@ impl VnetEndpoint {
     /// Reads the current state value from source port `src` (state
     /// networks).
     pub fn read_state(&self, src: PortId) -> Option<&Message> {
-        self.rx_state.get(&src).and_then(|p| p.read())
+        get(&self.rx_state, src).and_then(|p| p.read())
     }
 
     /// Staleness of the state value from `src` at `now`.
@@ -166,12 +224,12 @@ impl VnetEndpoint {
         src: PortId,
         now: SimTime,
     ) -> Option<decos_sim::time::SimDuration> {
-        self.rx_state.get(&src).and_then(|p| p.staleness(now))
+        get(&self.rx_state, src).and_then(|p| p.staleness(now))
     }
 
     /// Pops up to `n` queued event messages from source port `src`.
     pub fn receive_events(&mut self, src: PortId, n: usize) -> Vec<Message> {
-        self.rx_queues.get_mut(&src).map(|q| q.pop_up_to(n)).unwrap_or_default()
+        get_mut(&mut self.rx_queues, src).map(|q| q.pop_up_to(n)).unwrap_or_default()
     }
 
     /// Pops and discards up to `n` queued event messages from source port
@@ -179,7 +237,7 @@ impl VnetEndpoint {
     /// of [`receive_events`](VnetEndpoint::receive_events) for consumers
     /// that only need the count.
     pub fn consume_events(&mut self, src: PortId, n: usize) -> usize {
-        self.rx_queues.get_mut(&src).map(|q| q.discard_up_to(n)).unwrap_or(0)
+        get_mut(&mut self.rx_queues, src).map(|q| q.discard_up_to(n)).unwrap_or(0)
     }
 
     /// Receive-side overflow count, summed over all source ports — the
@@ -187,7 +245,7 @@ impl VnetEndpoint {
     pub fn rx_overflows(&self) -> u64 {
         debug_assert_eq!(
             self.rx_overflow_total,
-            self.rx_queues.values().map(EventPort::overflows).sum::<u64>()
+            self.rx_queues.iter().map(|(_, q)| q.overflows()).sum::<u64>()
         );
         self.rx_overflow_total
     }
@@ -196,7 +254,7 @@ impl VnetEndpoint {
     pub fn rx_accepted(&self) -> u64 {
         debug_assert_eq!(
             self.rx_accepted_total,
-            self.rx_queues.values().map(EventPort::accepted).sum::<u64>()
+            self.rx_queues.iter().map(|(_, q)| q.accepted()).sum::<u64>()
         );
         self.rx_accepted_total
     }

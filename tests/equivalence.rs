@@ -34,13 +34,14 @@ fn quartz(node: NodeId) -> Vec<FaultSpec> {
     }]
 }
 
-/// What one run's slot records showed: the fast-body slots its sim
-/// stepped and the overflow deltas its records carried, summed per side.
+/// What one run showed: the fast-body slots its sim stepped, the overflow
+/// deltas its records carried, summed per side, and the faults injected.
 #[derive(Default)]
 struct Seen {
     fast_slots: u64,
     tx_overflows: u64,
     rx_overflows: u64,
+    faults_injected: u64,
 }
 
 fn run_with(c: &Campaign, legacy: bool, seen: &mut Seen) -> decos::runner::CampaignOutcome {
@@ -72,6 +73,7 @@ fn assert_equivalent(c: &Campaign) -> Seen {
     assert_eq!(fast.report, legacy.report, "diagnostic reports must agree");
     assert_eq!(fast.obd, legacy.obd, "OBD verdicts must agree");
     assert_eq!(fast.episodes, legacy.episodes, "environment episode logs must agree");
+    seen.faults_injected = fast.telemetry.as_ref().unwrap().counter("faults_injected").unwrap();
     seen
 }
 
@@ -79,6 +81,19 @@ fn assert_equivalent(c: &Campaign) -> Seen {
 fn clean_vehicle_paths_agree() {
     // Every slot is quiescent: the fast path runs essentially everywhere.
     assert_equivalent(&Campaign::reference(vec![], 1.0, 400, 7));
+}
+
+#[test]
+fn late_onset_connector_paths_agree() {
+    // The reference connector campaign with its onset at round 1000 of
+    // 4000: no fault can act for the first quarter, then episodes begin.
+    let mut c =
+        Campaign::reference(campaign::connector_campaign(NodeId(2), 800.0), 10.0, 4_000, 2026);
+    let round_len = ClusterSim::new(c.spec.clone(), c.seed).unwrap().round_len();
+    c.faults[0].onset = SimTime::ZERO + round_len * 1_000;
+    let seen = assert_equivalent(&c);
+    assert!(seen.fast_slots > 0, "no fast-body slot was stepped");
+    assert!(seen.faults_injected >= 1, "no fault was injected after the onset");
 }
 
 #[test]

@@ -352,6 +352,37 @@ const RX_QUEUE_DEFECT: &str = concat!(
     "overflow.records=1067;",
 );
 
+// Quiescent windows: runs with no fault able to act for a stretch of
+// rounds. Each entry is the counter fingerprint followed by what the slot
+// records carried: messages sent, error observations and a digest of every
+// sent message. Several pairs share a line; `check` still names each one.
+
+/// The fault-free reference cluster, 4000 rounds, seed 2026.
+const CLEAN_4000: &str = concat!(
+    "slots_simulated=16000;rounds_simulated=4000;symptoms_offered=0;symptoms_delivered=0;",
+    "symptoms_dropped=0;frames_corrupted=0;frames_rejected=0;frames_delayed=0;",
+    "frames_forged_suspected=0;ona_matches=0;trust_frozen_rounds=0;failovers=0;crashed_rounds=0;",
+    "vehicles=1;degraded_vehicles=0;faults_injected=0;faults_detected=0;faults_convicted=0;",
+    "wrong_fru_convictions=0;detect_latency_rounds=0;convict_latency_rounds=0;journal_records=0;",
+    "journal_bytes=0;journal_fsyncs=0;snapshots_written=0;store_recovered_records=0;",
+    "store_quarantined_bytes=0;delivery_quality=1.0;nff_ratio=0.0;detect_latency=0.0;",
+    "convict_latency=0.0;records.messages=36110;records.errors=0;records.digest=ba2234450cbab62e;",
+);
+
+/// The reference connector campaign with the fault's onset moved to the
+/// start of round 1000: fault-free for a quarter of the run, then faulty.
+const LATE_ONSET_CONNECTOR: &str = concat!(
+    "slots_simulated=16000;rounds_simulated=4000;symptoms_offered=448;symptoms_delivered=448;",
+    "symptoms_dropped=0;frames_corrupted=0;frames_rejected=0;frames_delayed=0;",
+    "frames_forged_suspected=0;ona_matches=110;trust_frozen_rounds=0;failovers=0;",
+    "crashed_rounds=0;vehicles=1;degraded_vehicles=0;faults_injected=1;faults_detected=1;",
+    "faults_convicted=1;wrong_fru_convictions=0;detect_latency_rounds=64;",
+    "convict_latency_rounds=360;journal_records=0;journal_bytes=0;journal_fsyncs=0;",
+    "snapshots_written=0;store_recovered_records=0;store_quarantined_bytes=0;",
+    "delivery_quality=1.0;nff_ratio=0.0;detect_latency=64.0;convict_latency=360.0;",
+    "records.messages=36013;records.errors=304;records.digest=395729c4681a2d6f;",
+);
+
 /// Panics unless `actual` equals `pinned`, listing each moved
 /// `name=value` pair and printing the whole actual string.
 fn check(entry: &str, actual: &str, pinned: &str) {
@@ -413,6 +444,31 @@ fn overflow_fingerprint(c: &Campaign) -> String {
     .expect("campaign runs");
     let mut s = telemetry_fingerprint(out.telemetry.as_ref());
     s.push_str(&format!("overflow.tx={tx};overflow.rx={rx};overflow.records={records};"));
+    s
+}
+
+/// Runs `c` with telemetry on and appends the messages its slot records
+/// carried, their error observations, and an FNV-1a digest of every sent
+/// message (network, source port, sequence, send instant, value bits).
+fn record_fingerprint(c: &Campaign) -> String {
+    let opts = RunOptions { telemetry: true, ..Default::default() };
+    let (mut messages, mut errors, mut digest) = (0u64, 0u64, 0xcbf2_9ce4_8422_2325u64);
+    let out = run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, rec| {
+        errors += rec.observations.iter().filter(|o| o.is_error()).count() as u64;
+        for (v, m) in rec.sent.iter().flat_map(|(v, ms)| ms.iter().map(move |m| (v.0, m))) {
+            messages += 1;
+            for w in
+                [u64::from(v), u64::from(m.src.0), m.seq, m.sent_at.as_nanos(), m.value.to_bits()]
+            {
+                digest = (digest ^ w).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    })
+    .expect("campaign runs");
+    let mut s = telemetry_fingerprint(out.telemetry.as_ref());
+    s.push_str(&format!(
+        "records.messages={messages};records.errors={errors};records.digest={digest:016x};"
+    ));
     s
 }
 
@@ -544,4 +600,18 @@ fn insufficient_bandwidth_campaign() {
 fn under_dimensioned_rx_queue_campaign() {
     let c = defect_campaign(ConfigDefect::UnderDimensionedRxQueue { factor: 16 });
     check("rx queue defect", &overflow_fingerprint(&c), RX_QUEUE_DEFECT);
+}
+
+#[test]
+fn fault_free_campaign() {
+    let c = Campaign::reference(vec![], 10.0, 4_000, 2026);
+    check("fault-free", &record_fingerprint(&c), CLEAN_4000);
+}
+
+#[test]
+fn late_onset_connector_campaign() {
+    let mut c = reference_connector();
+    let round_len = ClusterSim::new(c.spec.clone(), c.seed).expect("valid spec").round_len();
+    c.faults[0].onset = SimTime::ZERO + round_len * 1_000;
+    check("late-onset connector", &record_fingerprint(&c), LATE_ONSET_CONNECTOR);
 }

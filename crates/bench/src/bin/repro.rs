@@ -120,12 +120,11 @@ fn run_flightrec(path: &str, effort: Effort) {
         2026,
     );
     let opts = RunOptions { telemetry: true, flightrec: true, ..Default::default() };
-    let out =
-        decos::runner::run_campaign_opts(&c, EngineParams::default(), opts, &mut [], |_, _, _| {})
-            .unwrap_or_else(|e| {
-                eprintln!("flightrec campaign failed: {e}");
-                std::process::exit(exitcode::FAILURE);
-            });
+    let out = decos::runner::run_campaign_opts(&c, EngineParams::default(), opts, |_, _, _| {})
+        .unwrap_or_else(|e| {
+            eprintln!("flightrec campaign failed: {e}");
+            std::process::exit(exitcode::FAILURE);
+        });
     let trace = out.trace.as_ref().expect("flightrec on");
     flightdump::write_flightrec(trace, path).unwrap_or_else(|e| {
         eprintln!("cannot write {path}: {e}");

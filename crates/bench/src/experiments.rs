@@ -449,7 +449,7 @@ fn pattern_signature(
     let mut sim_lif: Vec<decos::platform::PortLif> = Vec::new();
 
     let (params, opts) = (EngineParams::default(), RunOptions::default());
-    run_campaign_opts(&c, params, opts, &mut [], |sim, engine, rec| {
+    run_campaign_opts(&c, params, opts, |sim, engine, rec| {
         if sim_lif.is_empty() {
             sim_lif = sim.lif().to_vec();
         }
@@ -1434,14 +1434,8 @@ pub fn e14_diag_degradation(effort: Effort) -> E14Degradation {
         faults.extend(campaign::diag_degradation_campaign(1.0, 0.0, 0));
         let c = Campaign::reference(faults, 10.0, rounds, 1_400 + (levels.len() - 1) as u64);
         let opts = RunOptions { telemetry: true, flightrec: true, ..Default::default() };
-        let out = decos::runner::run_campaign_opts(
-            &c,
-            EngineParams::default(),
-            opts,
-            &mut [],
-            |_, _, _| {},
-        )
-        .expect("degradation campaign analyzes clean");
+        let out = decos::runner::run_campaign_opts(&c, EngineParams::default(), opts, |_, _, _| {})
+            .expect("degradation campaign analyzes clean");
         let path = "e14_flightrec.jsonl";
         match crate::flightdump::dump_on_anomaly(&out, path) {
             Ok(true) => Some(path.to_string()),

@@ -298,14 +298,8 @@ mod tests {
             11,
         );
         let opts = RunOptions { telemetry: true, flightrec: true, ..Default::default() };
-        let out = decos::runner::run_campaign_opts(
-            &c,
-            EngineParams::default(),
-            opts,
-            &mut [],
-            |_, _, _| {},
-        )
-        .unwrap();
+        let out = decos::runner::run_campaign_opts(&c, EngineParams::default(), opts, |_, _, _| {})
+            .unwrap();
         let trace = out.trace.as_ref().unwrap();
         assert!(!trace.events.is_empty());
         let dir = std::env::temp_dir().join("decos-flightdump-test");

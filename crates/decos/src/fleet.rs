@@ -120,8 +120,6 @@ pub struct FleetOptions {
     /// Worker shards for the streaming executor; `None` = one shard per
     /// available core. The result is bit-identical for any value.
     pub shards: Option<usize>,
-    /// Per-vehicle outcome retention policy (aggregates are always exact).
-    pub retain: FleetRetention,
 }
 
 impl FleetOptions {
@@ -444,7 +442,8 @@ pub fn run_fleet(spec: &ClusterSpec, cfg: FleetConfig) -> Result<FleetOutcome, C
 }
 
 /// Runs a fleet with explicit engine parameters and [`FleetOptions`]
-/// (telemetry, fleet-wide base faults, shard count, retention).
+/// (telemetry, fleet-wide base faults, shard count). Per-vehicle outcomes
+/// are kept under [`FleetRetention::Auto`].
 ///
 /// Fails with the pre-flight's rejection, or else with the error of the
 /// lowest-index vehicle whose sampled campaign is rejected; that vehicle
@@ -466,7 +465,7 @@ pub fn run_fleet_configured(
         cfg.vehicles,
         FLEET_BLOCK,
         opts.shard_count(),
-        || (FleetAccumulator::new(cfg.vehicles, opts.retain), None),
+        || (FleetAccumulator::new(cfg.vehicles, FleetRetention::Auto), None),
         |(acc, rejected): &mut (FleetAccumulator, Option<(u64, CampaignError)>), range| {
             for v in range {
                 if v > first_rejected.load(Ordering::Relaxed) {
@@ -558,7 +557,7 @@ pub(crate) fn run_vehicle(
     // The pre-flight analyzed the base vehicle only; a sampled fault can
     // still name something this cluster lacks (the sampler draws fig10
     // jobs), and the per-vehicle analysis rejects it here.
-    let out = run_campaign_opts(&campaign, params, run_opts, &mut [], |_, _, _| {})?;
+    let out = run_campaign_opts(&campaign, params, run_opts, |_, _, _| {})?;
 
     let decos_actions = out.report.actions();
     let decos_class = out.report.verdict_of(truth_fru).and_then(|v| v.class);

@@ -4,13 +4,14 @@
 //! *"A Maintenance-Oriented Fault Model for the DECOS Integrated Diagnostic
 //! Architecture"* (Peti, Obermaisser, Ademaj, Kopetz — IPPS 2005):
 //!
-//! * [`sim`] — deterministic discrete-event kernel, seeded RNG streams,
-//!   streaming statistics;
+//! * [`sim`] — simulated time, seeded RNG streams, streaming statistics,
+//!   telemetry and the flight recorder;
 //! * [`timebase`] — local clocks, fault-tolerant clock sync, sparse time;
 //! * [`ttnet`] — the time-triggered core network (TDMA, guardians,
 //!   membership);
 //! * [`vnet`] — virtual networks (ports, bounded queues, configuration);
-//! * [`platform`] — components, jobs, DASs, TMR, the Fig. 10 cluster;
+//! * [`platform`] — components, jobs, DASs, TMR, the Fig. 10 cluster, and
+//!   the TDMA slot loop every run advances through;
 //! * [`faults`] — the maintenance-oriented fault taxonomy + injection;
 //! * [`reliability`] — FIT rates, Weibull/bathtub models, α-count;
 //! * [`diagnosis`] — symptoms, ONAs, trust levels, maintenance advice, and
@@ -88,7 +89,7 @@ pub mod prelude {
     pub use decos_faults::{FaultClass, FaultKind, FaultSpec, FruRef, MaintenanceAction};
     pub use decos_platform::fig10;
     pub use decos_platform::{
-        ClusterSim, ClusterSpec, JobId, NodeId, ObserverFn, Position, SlotMetrics, SlotObserver,
+        ClusterSim, ClusterSpec, JobId, NodeId, Position, SlotMetrics, SlotObserver,
     };
     pub use decos_sim::flightrec::{
         FaultLifecycle, FaultRecord, FlightRecording, TraceEvent, TraceEventKind,

@@ -128,7 +128,7 @@ pub struct RunOptions {
     /// lifecycle fold for the latency metrics.
     pub flightrec: bool,
     /// Route every slot through the legacy per-slot simulation body,
-    /// ignoring the environment's quiescence/disturbance hints (see
+    /// ignoring the environment's disturbance hint (see
     /// [`ClusterSim::force_legacy_path`]). The outcome is bit-identical by
     /// contract; equivalence tests pin that contract with this switch.
     pub legacy_paths: bool,
@@ -144,23 +144,20 @@ pub struct RunOptions {
 
 /// Runs a campaign.
 pub fn run_campaign(c: &Campaign) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_opts(c, EngineParams::default(), RunOptions::default(), &mut [], |_, _, _| {})
+    run_campaign_opts(c, EngineParams::default(), RunOptions::default(), |_, _, _| {})
 }
 
 /// Runs a campaign with explicit engine parameters and [`RunOptions`].
 ///
 /// The integrated engine and the OBD baseline are always present (they
-/// produce the [`CampaignOutcome`]); `extras` — metrics recorders, probes,
-/// custom accumulators — see every record right after them, in order.
-/// `observe` then sees the cluster, the engine and the slot record *after*
-/// both diagnoses ingested it (trajectory sampling, custom
-/// instrumentation). Records are a *reused buffer*: observers must copy
-/// anything they keep.
+/// produce the [`CampaignOutcome`]). `observe` sees the cluster, the
+/// engine and the slot record *after* both diagnoses ingested it
+/// (trajectory sampling, custom instrumentation). Records are a *reused
+/// buffer*: observers must copy anything they keep.
 pub fn run_campaign_opts(
     c: &Campaign,
     params: EngineParams,
     opts: RunOptions,
-    extras: &mut [&mut dyn SlotObserver],
     mut observe: impl FnMut(&ClusterSim, &DiagnosticEngine, &SlotRecord),
 ) -> Result<CampaignOutcome, CampaignError> {
     // Static model check first: refuse to simulate an experiment whose
@@ -226,11 +223,10 @@ pub fn run_campaign_opts(
     let spr = sim.schedule().slots_per_round();
     let slots = c.rounds * spr as u64;
     let mut rec = SlotRecord::empty();
-    // Round-batched dispatch: the cluster drives a whole precomputed round
-    // per call (probing the environment once for quiescence) and feeds
-    // every record to this per-slot observer chain. The environment comes
-    // back through the sink so the diagnostic-path bridge below sees the
-    // state `begin_slot` just established.
+    // The cluster steps one round per call and feeds every record to this
+    // per-slot observer chain. The environment comes back through the
+    // sink so the diagnostic-path bridge below sees the state `begin_slot`
+    // just established.
     for _ in 0..c.rounds {
         sim.step_round_with(&mut env, &mut rec, &mut |sim, env, rec| {
             debug_assert_eq!(
@@ -285,15 +281,9 @@ pub fn run_campaign_opts(
             engine.inject_disturbance(env.diag_disturbance());
             engine.on_slot(sim, rec);
             obd.on_slot(sim, rec);
-            for ex in extras.iter_mut() {
-                ex.on_slot(sim, rec);
-            }
             if rec.addr.slot.0 == spr - 1 {
                 engine.on_round_end(sim, rec);
                 obd.on_round_end(sim, rec);
-                for ex in extras.iter_mut() {
-                    ex.on_round_end(sim, rec);
-                }
             }
             observe(sim, &engine, rec);
         });
@@ -372,7 +362,7 @@ pub fn trust_trajectories(
 ) -> Result<TrustSeries, CampaignError> {
     let mut series: TrustSeries = frus.iter().map(|f| (*f, Vec::new())).collect();
     let params = EngineParams::default();
-    run_campaign_opts(c, params, RunOptions::default(), &mut [], |sim, engine, rec| {
+    run_campaign_opts(c, params, RunOptions::default(), |sim, engine, rec| {
         // Sample on the last slot of every `every_rounds`-th round. The
         // cadence must come from the schedule, not the component count —
         // the two only coincide on clusters with one slot per component.
@@ -483,7 +473,7 @@ mod tests {
         assert!(run_campaign(&ambiguous).is_ok(), "default gate must not reject");
         // …while the hardened gate refuses it, attaching the full report.
         let opts = RunOptions { deny_diagnosability: true, ..RunOptions::default() };
-        match run_campaign_opts(&ambiguous, EngineParams::default(), opts, &mut [], |_, _, _| {}) {
+        match run_campaign_opts(&ambiguous, EngineParams::default(), opts, |_, _, _| {}) {
             Err(CampaignError::Rejected(report)) => {
                 assert!(report.contains(DiagCode::FaultPairIndistinguishable), "{report}");
             }
@@ -496,9 +486,7 @@ mod tests {
             400,
             11,
         );
-        assert!(
-            run_campaign_opts(&clean, EngineParams::default(), opts, &mut [], |_, _, _| {}).is_ok()
-        );
+        assert!(run_campaign_opts(&clean, EngineParams::default(), opts, |_, _, _| {}).is_ok());
     }
 
     #[test]

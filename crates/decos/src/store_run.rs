@@ -33,7 +33,7 @@
 
 use crate::fleet::{
     preflight, run_vehicle, FleetAccumulator, FleetConfig, FleetOptions, FleetOutcome,
-    VehicleOutcome,
+    FleetRetention, VehicleOutcome,
 };
 use crate::fleet_exec;
 use crate::runner::{run_campaign_opts, Campaign, CampaignError, CampaignOutcome, RunOptions};
@@ -401,7 +401,7 @@ pub fn run_campaign_stored<IO: StoreIo>(
         let cs = &mut *cs;
         let stats = &mut stats;
         let failure = &mut failure;
-        let out = run_campaign_opts(c, params, opts, &mut [], |sim, engine, rec| {
+        let out = run_campaign_opts(c, params, opts, |sim, engine, rec| {
             let spr = sim.schedule().slots_per_round();
             if rec.addr.slot.0 != spr - 1 || failure.is_some() {
                 return;
@@ -668,7 +668,7 @@ pub fn run_fleet_stored<IO: StoreIo>(
     // ascending index order behind the `next` watermark. `pending` only
     // ever holds the not-yet-drainable part of one batch, so resident
     // memory stays bounded regardless of fleet size.
-    let mut acc = FleetAccumulator::new(cfg.vehicles, opts.retain);
+    let mut acc = FleetAccumulator::new(cfg.vehicles, FleetRetention::Auto);
     let mut next: u64 = 0;
     let mut pending: BTreeMap<u64, (VehicleOutcome, Option<TelemetrySnapshot>)> = BTreeMap::new();
     let drain = |acc: &mut FleetAccumulator,

@@ -247,9 +247,16 @@ impl FaultEnvironment {
         &self.log
     }
 
-    /// The injected fault specifications.
-    pub fn fault_specs(&self) -> impl Iterator<Item = &FaultSpec> {
-        self.faults.iter().map(|f| &f.spec)
+    /// Whether the half-open window `[from, to)` is provably quiescent: no
+    /// fault, of any kind, can act anywhere inside it. A query for callers
+    /// that classify windows; the cluster does not consume it and steps
+    /// every slot the same way.
+    pub fn window_quiescent(&self, from: SimTime, to: SimTime) -> bool {
+        // A fault inactive at the window start can only become active via
+        // the per-slot Bernoulli trial, which requires `now >= onset` —
+        // impossible inside the window when every onset lies at or beyond
+        // its end.
+        self.faults.iter().all(|f| !f.is_active(from) && f.spec.onset >= to)
     }
 
     /// Folds the active diagnostic-path faults into the disturbance the
@@ -371,20 +378,9 @@ impl Environment for FaultEnvironment {
         // application-path kind. Value-domain kinds — sensor defects,
         // software design faults, capacitor-aging bias — never reach the
         // channel: they act through `pre_dispatch` / `filter_outputs`,
-        // which run on both slot bodies (and are no-ops in a quiescent
-        // window, like every hook). Diagnostic-path kinds manifest on the
-        // diagnosis transport, never on the slot hooks.
+        // which run on both slot bodies. Diagnostic-path kinds manifest on
+        // the diagnosis transport, never on the slot hooks.
         self.faults.iter().any(|f| f.is_active(now) && !f.spec.kind.is_diag_path())
-    }
-
-    fn window_quiescent(&self, from: SimTime, to: SimTime) -> bool {
-        // A fault inactive at the window start can only become active via
-        // the per-slot Bernoulli trial, which requires `now >= onset` —
-        // impossible inside the window when every onset lies at or beyond
-        // its end. Diagnostic-path kinds are deliberately included:
-        // `diag_disturbance` reads the `begin_slot`-maintained clock, so
-        // skipping `begin_slot` is sound only while they too are dormant.
-        self.faults.iter().all(|f| !f.is_active(from) && f.spec.onset >= to)
     }
 
     fn component_directive(&mut self, now: SimTime, node: NodeId) -> Option<ComponentDirective> {

@@ -2,10 +2,10 @@
 //!
 //! A time-triggered cluster is statically scheduled: the only timeline is
 //! the TDMA slot sequence, so the simulation advances slot by slot rather
-//! than through a general event queue (the generic DES kernel in
-//! `decos-sim` remains available for irregular workloads; the slot loop is
-//! both simpler and faster for the — by construction periodic — core
-//! network, which matters for fleet-scale Monte-Carlo runs).
+//! than through a general event queue. Every run advances through
+//! [`ClusterSim::step_slot_into`]: `begin_slot` and the job hooks run on
+//! every slot, the channel hooks on every slot the environment reports
+//! disturbed.
 //!
 //! Every deviation from nominal behaviour enters through the
 //! [`Environment`] hooks; the simulation itself is fault-agnostic. The
@@ -360,8 +360,8 @@ struct StepScratch {
     /// component's endpoints).
     overflow_shadow: Vec<(NodeId, VnetId, u64, u64)>,
     /// Some overflow counter may differ from the shadow: a push overflowed
-    /// a queue this slot, or [`ClusterSim::component_mut`] handed out the
-    /// endpoints. The shadow is walked, and deltas emitted, only then.
+    /// a queue this slot. The shadow is walked, and deltas emitted, only
+    /// then.
     overflowed: bool,
     /// Job dispatch output buffer.
     msgs: Vec<Message>,
@@ -604,14 +604,6 @@ impl ClusterSim {
         &self.comps[node.0 as usize]
     }
 
-    /// Mutable component state (used by fault injectors in tests). The
-    /// next step compares every overflow counter with its shadow, so a
-    /// counter moved through this reference still shows as a delta.
-    pub fn component_mut(&mut self, node: NodeId) -> &mut ComponentState {
-        self.scratch.as_mut().expect("scratch attached between steps").overflowed = true;
-        &mut self.comps[node.0 as usize]
-    }
-
     /// All components.
     pub fn components(&self) -> &[ComponentState] {
         &self.comps
@@ -620,12 +612,6 @@ impl ClusterSim {
     /// Job runtime by id.
     pub fn job(&self, id: JobId) -> &JobRuntime {
         &self.jobs[self.job_index[&id]]
-    }
-
-    /// Mutable job runtime by id.
-    pub fn job_mut(&mut self, id: JobId) -> &mut JobRuntime {
-        let i = self.job_index[&id];
-        &mut self.jobs[i]
     }
 
     /// All job runtimes.
@@ -730,46 +716,7 @@ impl ClusterSim {
     /// bit-identical to repeated [`step_slot`](ClusterSim::step_slot)
     /// calls (same RNG draw order; see
     /// `BroadcastBus::resolve_slot_into`).
-    pub fn step_slot_into(&mut self, env: &mut dyn Environment, rec: &mut SlotRecord) {
-        self.step_slot_inner(env, rec, false);
-    }
-
-    /// Advances the simulation over every remaining slot of the current
-    /// round (a whole round when entered at a round boundary), feeding
-    /// each record — and the environment, for post-slot bookkeeping — to
-    /// `sink`.
-    ///
-    /// This is the round-batched dispatch mode: the environment is probed
-    /// once for quiescence over the whole window, and a quiescent round
-    /// runs without any per-slot environment calls. The observable
-    /// behaviour is bit-identical to per-slot stepping; only the work done
-    /// per slot changes.
-    pub fn step_round_with<E: Environment + ?Sized>(
-        &mut self,
-        env: &mut E,
-        rec: &mut SlotRecord,
-        sink: &mut dyn FnMut(&ClusterSim, &mut E, &SlotRecord),
-    ) {
-        let remaining = self.plan.slots().len() - self.next.slot.0 as usize;
-        let from = self.plan.start_of(self.next.round, self.next.slot.0 as usize);
-        let to = self.plan.round_start(self.next.round + 1);
-        let quiescent = !self.force_legacy && env.window_quiescent(from, to);
-        for _ in 0..remaining {
-            self.step_slot_inner(env, rec, quiescent);
-            sink(self, env, rec);
-        }
-    }
-
-    /// One slot step. `quiescent` marks a slot inside a window the
-    /// environment vouched for via [`Environment::window_quiescent`]:
-    /// `begin_slot`, the per-slot disturbance probe and the fast body's job
-    /// hooks are skipped (all are no-ops by that promise).
-    fn step_slot_inner<E: Environment + ?Sized>(
-        &mut self,
-        env: &mut E,
-        rec: &mut SlotRecord,
-        quiescent: bool,
-    ) {
+    pub fn step_slot_into<E: Environment + ?Sized>(&mut self, env: &mut E, rec: &mut SlotRecord) {
         let addr = self.next;
         let k = addr.slot.0 as usize;
         let t = self.plan.start_of(addr.round, k);
@@ -787,9 +734,7 @@ impl ClusterSim {
 
         rec.reset(addr, t, owner, self.comps.len(), &mut scratch.sent_pool);
 
-        if !quiescent {
-            env.begin_slot(t, addr);
-        }
+        env.begin_slot(t, addr);
         if addr.slot.0 == 0 {
             self.round_boundary(t, env, rec, &mut scratch);
         }
@@ -823,7 +768,7 @@ impl ClusterSim {
         // owner-to-median distance, so clean slots admit on that cheap
         // bound and skip the median sort; otherwise the median is computed
         // once and the exact offset decides (the legacy body reuses it).
-        let disturbed = !quiescent && (self.force_legacy || env.cluster_disturbed(t));
+        let disturbed = self.force_legacy || env.cluster_disturbed(t);
         let operational = self.comps[oidx].is_operational(t);
         let mut global_dev_ns = None;
         let fast = !disturbed && operational && {
@@ -844,7 +789,7 @@ impl ClusterSim {
         };
         if fast {
             self.slot_bodies.0 += 1;
-            self.send_side(env, !quiescent, rec, &mut scratch);
+            self.send_side(env, rec, &mut scratch);
         } else {
             self.slot_bodies.1 += 1;
             self.legacy_channel(env, operational, global_dev_ns, rec, &mut scratch);
@@ -881,6 +826,22 @@ impl ClusterSim {
         self.scratch = Some(scratch);
     }
 
+    /// Advances the simulation over every remaining slot of the current
+    /// round (a whole round when entered at a round boundary), feeding
+    /// each record — and the environment, for post-slot bookkeeping — to
+    /// `sink`.
+    pub fn step_round_with<E: Environment + ?Sized>(
+        &mut self,
+        env: &mut E,
+        rec: &mut SlotRecord,
+        sink: &mut dyn FnMut(&ClusterSim, &mut E, &SlotRecord),
+    ) {
+        for _ in self.next.slot.0 as usize..self.plan.slots().len() {
+            self.step_slot_into(env, rec);
+            sink(self, env, rec);
+        }
+    }
+
     /// The global time base: the median clock deviation of the
     /// operational components. Slot boundaries mean this to cluster
     /// members, so a sender's observable send offset is its deviation from
@@ -896,13 +857,10 @@ impl ClusterSim {
 
     /// The sender side both slot bodies share: dispatch the owner's hosted
     /// jobs through the environment's job hooks, drain its endpoints with
-    /// local loopback, and record what was sent in `rec.sent`. `hooks` is
-    /// false only inside a quiescent window, where every hook is a no-op by
-    /// promise.
+    /// local loopback, and record what was sent in `rec.sent`.
     fn send_side<E: Environment + ?Sized>(
         &mut self,
         env: &mut E,
-        hooks: bool,
         rec: &mut SlotRecord,
         scratch: &mut StepScratch,
     ) {
@@ -912,9 +870,7 @@ impl ClusterSim {
         for h in 0..self.hosted_idx[oidx].len() {
             let ji = self.hosted_idx[oidx][h];
             let job = &mut self.jobs[ji];
-            if hooks {
-                env.pre_dispatch(t, job);
-            }
+            env.pre_dispatch(t, job);
             scratch.msgs.clear();
             let comp = &mut self.comps[oidx];
             let mut ctx = DispatchCtx {
@@ -924,9 +880,7 @@ impl ClusterSim {
                 rng: &mut self.job_rngs[ji],
             };
             job.dispatch_into(&mut ctx, &mut scratch.msgs);
-            if hooks {
-                env.filter_outputs(t, job.spec(), &mut scratch.msgs);
-            }
+            env.filter_outputs(t, job.spec(), &mut scratch.msgs);
             if let Some(ep) =
                 job.spec().behavior.output_vnet().and_then(|v| comp.endpoints.get_mut(&v))
             {
@@ -973,7 +927,7 @@ impl ClusterSim {
         let transmitted = operational && !tx_dist.silence;
         let mut tx_offset_ns = 0i64;
         if transmitted {
-            self.send_side(env, true, rec, scratch);
+            self.send_side(env, rec, scratch);
             // The channel may corrupt the bytes into a CRC-passing local
             // copy, so this body builds them; the fast body never does.
             let frame = &mut scratch.tx_frame;
@@ -1077,9 +1031,7 @@ impl ClusterSim {
     }
 
     /// Runs `n` whole rounds, feeding every record to `sink` (one reused
-    /// record; `sink` must copy anything it wants to keep). Round-batched:
-    /// each round goes through
-    /// [`step_round_with`](ClusterSim::step_round_with).
+    /// record; `sink` must copy anything it wants to keep).
     pub fn run_rounds(
         &mut self,
         n: u64,

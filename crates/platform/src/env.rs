@@ -74,25 +74,11 @@ pub trait Environment {
     /// bodies run the job hooks. Lifecycle directives and drift are not
     /// covered either: [`component_directive`](Environment::component_directive)
     /// and [`extra_drift_ppm`](Environment::extra_drift_ppm) are polled at
-    /// round boundaries on every path. Inside a window vouched for by
-    /// [`window_quiescent`](Environment::window_quiescent) every hook is
-    /// a no-op and the cluster skips them all. The conservative default
-    /// keeps custom environments on the exact per-slot path.
+    /// round boundaries on every path, and
+    /// [`begin_slot`](Environment::begin_slot) runs on every slot. The
+    /// conservative default keeps custom environments on the legacy body.
     fn cluster_disturbed(&self, _now: SimTime) -> bool {
         true
-    }
-
-    /// Whether the half-open window `[from, to)` is provably quiescent:
-    /// no fault can be active or *become* active anywhere inside it.
-    ///
-    /// Returning `true` is a *promise* that every per-slot hook call inside
-    /// the window — [`begin_slot`](Environment::begin_slot), the channel
-    /// disturbances and the job hooks — would draw no randomness and
-    /// change no observable state, so the cluster may batch the whole
-    /// round without per-slot environment calls. The conservative default
-    /// (`false`) keeps per-slot calls.
-    fn window_quiescent(&self, _from: SimTime, _to: SimTime) -> bool {
-        false
     }
 
     /// Lifecycle directive for a component, polled once per round.
@@ -135,10 +121,6 @@ pub struct NullEnvironment;
 impl Environment for NullEnvironment {
     fn cluster_disturbed(&self, _now: SimTime) -> bool {
         false
-    }
-
-    fn window_quiescent(&self, _from: SimTime, _to: SimTime) -> bool {
-        true
     }
 }
 

@@ -264,11 +264,6 @@ impl JobRuntime {
         self.sensor.as_ref()
     }
 
-    /// Mutable sensor access (fault injection).
-    pub fn sensor_mut(&mut self) -> Option<&mut Sensor> {
-        self.sensor.as_mut()
-    }
-
     /// Injects a sensor fault; no-op for sensorless behaviours.
     pub fn set_sensor_fault(&mut self, fault: SensorFault) {
         if let Some(s) = &mut self.sensor {

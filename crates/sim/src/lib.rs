@@ -1,12 +1,10 @@
-//! # decos-sim — deterministic discrete-event simulation kernel
+//! # decos-sim — deterministic simulation substrate
 //!
 //! Foundation crate of the DECOS integrated-diagnostic-architecture
 //! reproduction. Provides:
 //!
 //! * [`time`] — nanosecond-granular simulated time ([`SimTime`],
 //!   [`SimDuration`]);
-//! * [`kernel`] — a deterministic discrete-event engine ([`Engine`],
-//!   [`Model`]) with priority-ordered same-instant delivery;
 //! * [`rng`] — named, seeded random streams ([`SeedSource`]) so every
 //!   experiment is reproducible from one `u64` seed;
 //! * [`stats`] — allocation-free streaming statistics used by both the
@@ -18,12 +16,13 @@
 //!   latency fold behind the `detect_latency`/`convict_latency` metrics
 //!   (DESIGN.md §11).
 //!
-//! The kernel is deliberately single-threaded per run: determinism of a run
-//! outweighs intra-run parallelism. Fleet-scale experiments parallelise
-//! *across* runs (see `decos::fleet`), which is embarrassingly parallel.
+//! There is no event queue here: the core network is time-triggered, so a
+//! run advances through the TDMA slot loop of `decos_platform::ClusterSim`.
+//! A run is deliberately single-threaded: its determinism outweighs
+//! intra-run parallelism. Fleet-scale experiments parallelise *across*
+//! runs (see `decos::fleet`), which is embarrassingly parallel.
 
 pub mod flightrec;
-pub mod kernel;
 pub mod rng;
 pub mod stats;
 pub mod telemetry;
@@ -32,7 +31,6 @@ pub mod time;
 pub use flightrec::{
     FaultLifecycle, FaultRecord, FlightRecorder, FlightRecording, TraceEvent, TraceEventKind,
 };
-pub use kernel::{Context, Engine, Model, Priority, RunOutcome, DEFAULT_PRIORITY};
 pub use rng::{SampleExt, SeedSource};
 pub use telemetry::{Counter, CounterSet, Gauge, GaugeSet, TelemetrySnapshot};
 pub use time::{SimDuration, SimTime};

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// A point in simulated physical time, in nanoseconds since simulation start.
 ///
-/// `SimTime` is the omniscient reference time of the simulation kernel. It is
+/// `SimTime` is the omniscient reference time of the simulation. It is
 /// totally ordered and overflow-checked in debug builds; at nanosecond
 /// granularity a `u64` covers ~584 years of simulated time, far beyond the
 /// 15-year vehicle lifetimes simulated by the fleet experiments.

@@ -1,71 +1,11 @@
-//! Property tests for the simulation kernel substrate.
+//! Property tests for the simulation substrate: time, statistics and
+//! random streams.
 
 use decos_sim::stats::{quantile, Histogram, Running};
-use decos_sim::{Context, Engine, Model, SeedSource, SimDuration, SimTime};
+use decos_sim::{SeedSource, SimDuration, SimTime};
 use proptest::prelude::*;
 
-// ---------------------------------------------------------------------------
-// Kernel ordering
-// ---------------------------------------------------------------------------
-
-struct Collector {
-    fired: Vec<(u64, u16, u32)>,
-}
-
-struct Tagged {
-    tag: u32,
-}
-
-impl Model for Collector {
-    type Event = Tagged;
-    fn handle(&mut self, ctx: &mut Context<Tagged>, event: Tagged) {
-        self.fired.push((ctx.now().as_nanos(), 0, event.tag));
-    }
-}
-
 proptest! {
-    #[test]
-    fn kernel_delivers_every_event_in_time_order(
-        schedule in proptest::collection::vec((0u64..1_000_000, 0u16..4), 1..200)
-    ) {
-        let mut eng = Engine::new(Collector { fired: Vec::new() });
-        for (i, &(at, prio)) in schedule.iter().enumerate() {
-            eng.schedule_at_prio(SimTime::from_nanos(at), prio, Tagged { tag: i as u32 });
-        }
-        eng.run_until(SimTime::MAX);
-        let fired = &eng.model().fired;
-        prop_assert_eq!(fired.len(), schedule.len(), "no event lost or duplicated");
-        // Non-decreasing firing times.
-        prop_assert!(fired.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Same-instant events fired in (priority, submission) order.
-        for w in fired.windows(2) {
-            if w[0].0 == w[1].0 {
-                let p0 = schedule[w[0].2 as usize].1;
-                let p1 = schedule[w[1].2 as usize].1;
-                prop_assert!(p0 < p1 || (p0 == p1 && w[0].2 < w[1].2));
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_horizon_split_equals_single_run(
-        schedule in proptest::collection::vec(0u64..1_000_000, 1..100),
-        split in 0u64..1_000_000,
-    ) {
-        let run = |horizons: &[u64]| {
-            let mut eng = Engine::new(Collector { fired: Vec::new() });
-            for (i, &at) in schedule.iter().enumerate() {
-                eng.schedule_at(SimTime::from_nanos(at), Tagged { tag: i as u32 });
-            }
-            for &h in horizons {
-                eng.run_until(SimTime::from_nanos(h));
-            }
-            eng.run_until(SimTime::MAX);
-            eng.into_model().fired
-        };
-        prop_assert_eq!(run(&[]), run(&[split]), "pausing at a horizon must not change the trace");
-    }
-
     // -----------------------------------------------------------------------
     // Time arithmetic
     // -----------------------------------------------------------------------

@@ -30,7 +30,7 @@ fn main() {
     let healthy = Campaign { spec: spec.clone(), faults: vec![], accel: 1.0, rounds: 500, seed: 1 };
     let mut nav_cmds = 0u64;
     let (params, opts) = (EngineParams::default(), RunOptions::default());
-    run_campaign_opts(&healthy, params, opts, &mut [], |sim, _, rec| {
+    run_campaign_opts(&healthy, params, opts, |sim, _, rec| {
         if rec.addr.slot.0 == 0 {
             nav_cmds = sim.job(jobs::NAV_C).counters().produced;
         }

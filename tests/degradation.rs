@@ -28,7 +28,7 @@ fn diagnosis_survives_symptom_floods_on_a_starved_network() {
     let c = Campaign::reference(faults, 10.0, 4_000, 31);
     let params = EngineParams { net_capacity_per_round: 4, ..Default::default() };
     let mut last_stats = None;
-    let out = run_campaign_opts(&c, params, RunOptions::default(), &mut [], |_, eng, _| {
+    let out = run_campaign_opts(&c, params, RunOptions::default(), |_, eng, _| {
         last_stats = Some(eng.dissemination_stats());
     })
     .unwrap();
@@ -72,7 +72,7 @@ fn late_onset_fault_leaves_early_trust_untouched() {
     let c = Campaign::reference(faults, 10.0, 10_000, 33);
     let mut trust_before_onset = 1.0f64;
     let (params, opts) = (EngineParams::default(), RunOptions::default());
-    let out = run_campaign_opts(&c, params, opts, &mut [], |_, eng, rec| {
+    let out = run_campaign_opts(&c, params, opts, |_, eng, rec| {
         if rec.start < onset {
             trust_before_onset = trust_before_onset.min(eng.trust_of(FruRef::Component(NodeId(1))));
         }

@@ -57,7 +57,7 @@ fn telemetry_counters_are_seed_deterministic() {
     let c = mixed_campaign(321);
     let opts = RunOptions { telemetry: true, ..Default::default() };
     let run = || {
-        run_campaign_opts(&c, EngineParams::default(), opts, &mut [], |_, _, _| {})
+        run_campaign_opts(&c, EngineParams::default(), opts, |_, _, _| {})
             .unwrap()
             .telemetry
             .expect("telemetry requested")

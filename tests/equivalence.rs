@@ -3,9 +3,9 @@
 //! The slot pipeline carries two bodies for the same slot semantics. Both
 //! share the sender side (job dispatch with the environment's job hooks)
 //! and the receiver side. The fast body is taken when the channel is
-//! undisturbed (the window is quiescent, or no channel-disturbing episode
-//! is active) and the owner's send offset lies inside the admission
-//! window; it skips the channel machinery. The legacy body runs the
+//! undisturbed (no channel-disturbing episode is active) and the owner's
+//! send offset lies inside the admission window; it skips the channel
+//! machinery. The legacy body runs the
 //! transmit/receive disturbances, CRC, guardian and channel resolution
 //! for every other slot. Value-domain faults (sensor, software, capacitor
 //! aging) never disturb the channel, so they run on the fast body; quartz
@@ -47,7 +47,7 @@ struct Seen {
 fn run_with(c: &Campaign, legacy: bool, seen: &mut Seen) -> decos::runner::CampaignOutcome {
     let opts =
         RunOptions { telemetry: true, flightrec: true, legacy_paths: legacy, ..Default::default() };
-    run_campaign_opts(c, EngineParams::default(), opts, &mut [], |sim, _, rec| {
+    run_campaign_opts(c, EngineParams::default(), opts, |sim, _, rec| {
         seen.fast_slots = sim.slot_body_counts().0;
         for d in &rec.overflow_deltas {
             seen.tx_overflows += d.tx;
@@ -79,7 +79,7 @@ fn assert_equivalent(c: &Campaign) -> Seen {
 
 #[test]
 fn clean_vehicle_paths_agree() {
-    // Every slot is quiescent: the fast path runs essentially everywhere.
+    // No fault can act: the fast path runs essentially everywhere.
     assert_equivalent(&Campaign::reference(vec![], 1.0, 400, 7));
 }
 

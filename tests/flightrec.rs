@@ -14,7 +14,7 @@ fn connector(seed: u64, rounds: u64) -> Campaign {
 
 fn run_flightrec(c: &Campaign) -> decos::runner::CampaignOutcome {
     let opts = RunOptions { telemetry: true, flightrec: true, ..Default::default() };
-    run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, _| {}).unwrap()
+    run_campaign_opts(c, EngineParams::default(), opts, |_, _, _| {}).unwrap()
 }
 
 #[test]
@@ -41,7 +41,6 @@ fn recorder_does_not_perturb_outcome_or_fingerprint() {
         &c,
         EngineParams::default(),
         RunOptions { telemetry: true, ..Default::default() },
-        &mut [],
         |_, _, _| {},
     )
     .unwrap();

@@ -404,8 +404,8 @@ fn telemetry_fingerprint(telemetry: Option<&TelemetrySnapshot>) -> String {
 
 fn campaign_fingerprint(c: &Campaign, legacy_paths: bool) -> String {
     let opts = RunOptions { telemetry: true, legacy_paths, ..Default::default() };
-    let out = run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, _| {})
-        .expect("campaign runs");
+    let out =
+        run_campaign_opts(c, EngineParams::default(), opts, |_, _, _| {}).expect("campaign runs");
     telemetry_fingerprint(out.telemetry.as_ref())
 }
 
@@ -414,7 +414,7 @@ fn campaign_fingerprint(c: &Campaign, legacy_paths: bool) -> String {
 fn classifier_fingerprint(c: &Campaign) -> String {
     let opts = RunOptions { telemetry: true, ..Default::default() };
     let mut per_pattern: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let out = run_campaign_opts(c, EngineParams::default(), opts, &mut [], |sim, engine, rec| {
+    let out = run_campaign_opts(c, EngineParams::default(), opts, |sim, engine, rec| {
         if rec.addr.slot.0 + 1 == sim.schedule().slots_per_round() {
             for m in engine.last_matches() {
                 *per_pattern.entry(m.pattern).or_insert(0) += 1;
@@ -434,7 +434,7 @@ fn classifier_fingerprint(c: &Campaign) -> String {
 fn overflow_fingerprint(c: &Campaign) -> String {
     let opts = RunOptions { telemetry: true, ..Default::default() };
     let (mut tx, mut rx, mut records) = (0u64, 0u64, 0u64);
-    let out = run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, rec| {
+    let out = run_campaign_opts(c, EngineParams::default(), opts, |_, _, rec| {
         records += u64::from(!rec.overflow_deltas.is_empty());
         for d in &rec.overflow_deltas {
             tx += d.tx;
@@ -453,7 +453,7 @@ fn overflow_fingerprint(c: &Campaign) -> String {
 fn record_fingerprint(c: &Campaign) -> String {
     let opts = RunOptions { telemetry: true, ..Default::default() };
     let (mut messages, mut errors, mut digest) = (0u64, 0u64, 0xcbf2_9ce4_8422_2325u64);
-    let out = run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, rec| {
+    let out = run_campaign_opts(c, EngineParams::default(), opts, |_, _, rec| {
         errors += rec.observations.iter().filter(|o| o.is_error()).count() as u64;
         for (v, m) in rec.sent.iter().flat_map(|(v, ms)| ms.iter().map(move |m| (v.0, m))) {
             messages += 1;

@@ -43,7 +43,6 @@ fn straight_fingerprint(c: &Campaign) -> String {
         c,
         EngineParams::default(),
         telemetry_opts(),
-        &mut [],
         |_, _, _| {},
     )
     .expect("straight campaign runs");

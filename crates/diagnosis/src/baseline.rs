@@ -66,10 +66,6 @@ pub struct ObdDiagnosis {
     complaints: Vec<u64>,
     /// Host of each job (value DTCs blame the hosting ECU).
     job_hosts: BTreeMap<JobId, NodeId>,
-    /// LIF records sorted by producing port, so the per-message
-    /// plausibility check is a binary search instead of a linear scan of
-    /// the cluster's LIF table.
-    lif_by_port: Vec<decos_platform::PortLif>,
     round_len: SimDuration,
 }
 
@@ -99,11 +95,6 @@ impl ObdDiagnosis {
             dtcs: Vec::new(),
             complaints: vec![0; n],
             job_hosts: sim.spec().jobs.iter().map(|j| (j.id, j.host)).collect(),
-            lif_by_port: {
-                let mut lifs = sim.lif().to_vec();
-                lifs.sort_unstable_by_key(|l| l.port);
-                lifs
-            },
             round_len: sim.round_len(),
         }
     }
@@ -114,7 +105,7 @@ impl ObdDiagnosis {
     }
 
     /// Feeds one slot record (each ECU sees only its own observations).
-    pub fn ingest(&mut self, _sim: &ClusterSim, rec: &SlotRecord) {
+    pub fn ingest(&mut self, sim: &ClusterSim, rec: &SlotRecord) {
         let owner = rec.owner.0 as usize;
         // Communication judgement per observer.
         for (i, obs) in rec.observations.iter().enumerate() {
@@ -141,8 +132,7 @@ impl ObdDiagnosis {
         // signal" DTC); blames the producer's host ECU.
         for (_, msgs) in &rec.sent {
             for m in msgs {
-                if let Ok(li) = self.lif_by_port.binary_search_by_key(&m.src, |l| l.port) {
-                    let lif = &self.lif_by_port[li];
+                if let Some(lif) = sim.lif_of(m.src) {
                     let job = lif.producer;
                     if lif.value_violation(m.value) {
                         self.value_run.entry(job).or_insert(rec.start);

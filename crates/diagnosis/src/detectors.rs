@@ -6,7 +6,7 @@
 //! analysis happens downstream in the encapsulated diagnostic DAS.
 
 use crate::symptom::{QueueSide, Subject, Symptom, SymptomKind};
-use decos_platform::{ClusterSim, JobBehavior, JobId, NodeId, ObsKind, PortLif, SlotRecord};
+use decos_platform::{ClusterSim, JobBehavior, JobId, NodeId, ObsKind, SlotRecord};
 use decos_vnet::{PortId, VnetId};
 
 /// Thresholds of the value-domain detectors.
@@ -36,14 +36,13 @@ struct VoterRow {
 /// The detector bank for one cluster.
 ///
 /// Storage is struct-of-arrays over the cluster's static description:
-/// LIF records live in one port-sorted slice (binary-searched per
-/// message), per-component expectations are node-indexed vectors, and the
-/// voter counters sit inline in the voter table — the per-slot detectors
-/// touch contiguous memory instead of chasing per-key tree nodes.
+/// per-component expectations are node-indexed vectors and the voter
+/// counters sit inline in the voter table, so the per-slot detectors touch
+/// contiguous memory instead of chasing per-key tree nodes. LIF records
+/// are looked up per message through the cluster's constant-time
+/// [`ClusterSim::lif_of`].
 pub struct SymptomDetectors {
     params: DetectorParams,
-    /// LIF records sorted by producing port (binary search).
-    lif_by_port: Vec<PortLif>,
     /// State ports expected once per round, indexed by hosting component.
     periodic_ports: Vec<Vec<(PortId, JobId)>>,
     /// (node, vnet) → job whose receive queue lives there; sorted.
@@ -59,8 +58,6 @@ impl SymptomDetectors {
     /// Builds the detector bank from the cluster's static description.
     pub fn new(sim: &ClusterSim) -> Self {
         let params = DetectorParams::default();
-        let mut lif_by_port: Vec<PortLif> = sim.lif().to_vec();
-        lif_by_port.sort_unstable_by_key(|l| l.port);
 
         let n = sim.spec().n_components();
         let mut periodic_ports: Vec<Vec<(PortId, JobId)>> = vec![Vec::new(); n];
@@ -101,20 +98,7 @@ impl SymptomDetectors {
             }
             dup
         });
-        SymptomDetectors { params, lif_by_port, periodic_ports, rx_consumer, tx_producer, voters }
-    }
-
-    /// LIF record of a port (used by downstream pattern analysis).
-    pub fn lif(&self, port: PortId) -> Option<&PortLif> {
-        self.lif_by_port.binary_search_by_key(&port, |l| l.port).ok().map(|i| &self.lif_by_port[i])
-    }
-
-    /// The job consuming network `vnet` on component `node`, if any.
-    pub fn consumer_of(&self, node: NodeId, vnet: VnetId) -> Option<JobId> {
-        self.rx_consumer
-            .binary_search_by_key(&(node, vnet), |&(k, _)| k)
-            .ok()
-            .map(|i| self.rx_consumer[i].1)
+        SymptomDetectors { params, periodic_ports, rx_consumer, tx_producer, voters }
     }
 
     /// Runs all detectors over one slot record. Appends symptoms to `out`
@@ -158,8 +142,7 @@ impl SymptomDetectors {
             // 2. Value-domain checks of carried messages against the LIF.
             for (_, msgs) in &rec.sent {
                 for m in msgs {
-                    if let Ok(li) = self.lif_by_port.binary_search_by_key(&m.src, |l| l.port) {
-                        let lif = &self.lif_by_port[li];
+                    if let Some(lif) = sim.lif_of(m.src) {
                         if lif.value_violation(m.value) {
                             out.push(Symptom {
                                 at: rec.start,
@@ -276,7 +259,6 @@ impl SymptomDetectors {
         //    voter's divergence record is part of its host's interface
         //    state; sample deltas once per round.
         if rec.addr.slot.0 == 0 {
-            let lifs = &self.lif_by_port;
             for v in &mut self.voters {
                 let job = sim.job(v.id);
                 let host = job.spec().host;
@@ -286,11 +268,9 @@ impl SymptomDetectors {
                     if now > v.counts[r] {
                         // Attribute the divergence to the replica job that
                         // produced the outvoted port.
-                        let subject = lifs
-                            .binary_search_by_key(&v.inputs[r], |l| l.port)
-                            .ok()
-                            .map(|i| Subject::Job(lifs[i].producer))
-                            .unwrap_or(Subject::Job(v.id));
+                        let subject = sim
+                            .lif_of(v.inputs[r])
+                            .map_or(Subject::Job(v.id), |l| Subject::Job(l.producer));
                         out.push(Symptom {
                             at: rec.start,
                             point,

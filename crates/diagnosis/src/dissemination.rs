@@ -191,12 +191,6 @@ impl DiagnosticNetwork {
         Self::new(spec.capacity_per_round as usize, spec.queue_depth as usize)
     }
 
-    /// The default dimensioning ([`DiagNetSpec::default`]): 64 symptoms per
-    /// round with an eight-round backlog.
-    pub fn generous() -> Self {
-        Self::from_spec(&DiagNetSpec::default()).expect("default dimensioning is valid")
-    }
-
     /// Attaches content screening (builder style).
     pub fn with_screen(mut self, screen: PlausibilityScreen) -> Self {
         self.observer_counts = vec![0; screen.n_components as usize];

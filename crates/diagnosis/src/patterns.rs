@@ -18,7 +18,7 @@
 //! | value/omission symptoms of ≥ 2 jobs of different DASs co-hosted on one component | space: within one component | job external ⇒ **component internal** |
 //! | value symptoms confined to a single job | — | **job inherent**, sub-divided by value shape (persistent/drift ⇒ transducer, intermittent ⇒ software) |
 
-use crate::state::DistributedState;
+use crate::state::{DistributedState, ValueSeries};
 use crate::symptom::{Subject, SymptomKind};
 use decos_faults::{FaultClass, FruRef};
 use decos_platform::{ClusterSim, DasId, JobId, NodeId, Position};
@@ -211,12 +211,6 @@ impl OnaBank {
     /// The active parameters.
     pub fn params(&self) -> &OnaParams {
         &self.params
-    }
-
-    /// α value accumulated against a component subject (experiment E11
-    /// reads this directly).
-    pub fn subject_alpha(&self, n: NodeId) -> f64 {
-        self.alpha_subject.get(&n).map(AlphaCount::alpha).unwrap_or(0.0)
     }
 
     /// Evaluates all ONAs for the round that just completed.
@@ -580,9 +574,10 @@ impl OnaBank {
     /// drift point at the transducer, intermittent wrongness at software.
     ///
     /// Cost: the duty cycle and the spread read only the last
-    /// `job_window_rounds` entries of the value series; the whole-series
+    /// `job_window_rounds` entries of the value series. The whole-series
     /// slope runs only once the duty and endpoint tests of the drift
-    /// verdict have passed.
+    /// verdict have passed, and is then read off the series' running sums
+    /// in constant time unless their certificate refuses.
     fn classify_job_inherent(
         &self,
         j: JobId,
@@ -596,7 +591,8 @@ impl OnaBank {
             return (FaultClass::JobInherentTransducer, "transducer-dead", 0.75);
         }
 
-        if let Some(series) = ds.job_value_series(j) {
+        if let Some(values) = ds.job_value_series(j) {
+            let series = values.points();
             let take = series.len().min(self.params.job_window_rounds);
             if take >= 3 {
                 let recent = series.range(series.len() - take..);
@@ -606,7 +602,7 @@ impl OnaBank {
                 let viols = recent.clone().filter(|e| e.2).count();
                 let duty = (viols as f64 / span_rounds).min(1.0);
 
-                if duty > 0.3 && rising(series, viols) {
+                if duty > 0.3 && rising(values) {
                     return (FaultClass::JobInherentTransducer, "transducer-drift", 0.8);
                 }
                 if duty >= self.params.stuck_duty && violation_spread(recent) < 1e-6 {
@@ -623,38 +619,43 @@ impl OnaBank {
     }
 }
 
-/// One job's value-symptom series: `(instant, magnitude, violation)`.
-type ValueSeries = VecDeque<(SimTime, f64, bool)>;
-
 /// The magnitude trend test of the drift verdict, over the
 /// *long-horizon* series: drift is a slow process, and judging it on a
 /// short window would miss growth that is obvious over the campaign.
-/// `recent_viols` is the number of violations in the recent window (a
-/// lower bound on the series' count).
 ///
 /// The series is rising when its last magnitude clears the first by 20%
 /// plus 0.1 and its least-squares slope is positive. The endpoint test
-/// runs first, because it costs two short scans where the slope costs
-/// two passes over the series.
-fn rising(series: &ValueSeries, recent_viols: usize) -> bool {
+/// runs first and costs two short scans; the slope sign then costs
+/// constant time while the running sums certify it (see
+/// [`slope_rises`]).
+fn rising(series: &ValueSeries) -> bool {
     // Prefer the violation magnitudes (one consistent unit); fall back to
     // the drift-proximity series before the first violations.
-    let viol_only = recent_viols >= 3 || series.iter().filter(|e| e.2).nth(2).is_some();
-    let pts = slope_points(series, viol_only);
+    let viol_only = series.sums(true).n() >= 3;
+    let pts = slope_points(series.points(), viol_only);
     let (Some((_, first_mag)), Some((_, last_mag))) = (pts.clone().next(), pts.clone().next_back())
     else {
         return false;
     };
-    last_mag > first_mag * 1.2 + 0.1 && ols_slope_of(pts).is_some_and(|slope| slope > 0.0)
+    last_mag > first_mag * 1.2 + 0.1 && slope_rises(series, viol_only)
+}
+
+/// Whether the least-squares slope of the series (violations only or
+/// all points) is positive: the sign the running sums certify, else the
+/// two-pass [`ols_slope_of`] over the points, which stays the reference.
+fn slope_rises(series: &ValueSeries, viol_only: bool) -> bool {
+    series.sums(viol_only).certified_rising().unwrap_or_else(|| {
+        ols_slope_of(slope_points(series.points(), viol_only)).is_some_and(|slope| slope > 0.0)
+    })
 }
 
 /// The `(seconds, magnitude)` points of a value series, violations only
 /// or all of them.
 fn slope_points(
-    series: &ValueSeries,
+    points: &VecDeque<(SimTime, f64, bool)>,
     viol_only: bool,
 ) -> impl DoubleEndedIterator<Item = (f64, f64)> + Clone + '_ {
-    series.iter().filter(move |e| e.2 || !viol_only).map(|e| (e.0.as_secs_f64(), e.1))
+    points.iter().filter(move |e| e.2 || !viol_only).map(|e| (e.0.as_secs_f64(), e.1))
 }
 
 /// [`decos_sim::stats::ols_slope`] over a re-iterable sequence, in two
@@ -906,7 +907,112 @@ mod tests {
         assert_same_slope(&[(0.1, 0.7), (0.2, 0.3), (0.3, 0.9), (0.4, -0.2)]);
     }
 
+    /// The reference verdict: the two-pass slope over the points is
+    /// positive.
+    fn reference_rises(series: &ValueSeries, viol_only: bool) -> bool {
+        ols_slope_of(slope_points(series.points(), viol_only)).is_some_and(|slope| slope > 0.0)
+    }
+
+    /// Checks the running-sum certificate, and the verdict with its
+    /// fallback, against the reference for both point selections.
+    fn check_certificate(series: &ValueSeries) -> Result<(), String> {
+        for viol_only in [false, true] {
+            let reference = reference_rises(series, viol_only);
+            let certified = series.sums(viol_only).certified_rising();
+            if certified.is_some_and(|rises| rises != reference)
+                || slope_rises(series, viol_only) != reference
+            {
+                return Err(format!("viol_only={viol_only}: {:?}", series.points()));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn two_pass_slope_certificate_refuses_and_the_fallback_decides() {
+        let at = |s: u64| SimTime::from_secs(s);
+        // A clear rise is certified.
+        let mut series = ValueSeries::default();
+        for i in 0..8 {
+            series.push((at(i), 0.5 + i as f64, true), 4096);
+        }
+        assert_eq!(series.sums(true).certified_rising(), Some(true));
+        // A rise of one unit in the last place of a large offset is far
+        // below the certificate's error bound: it refuses, and the
+        // two-pass slope decides (positive).
+        let c = (1u64 << 40) as f64;
+        let ulp = c * f64::EPSILON;
+        let mut series = ValueSeries::default();
+        for i in 0..8 {
+            series.push((at(i), c + i as f64 * ulp, true), 4096);
+        }
+        assert_eq!(series.sums(true).certified_rising(), None);
+        assert!(reference_rises(&series, true));
+        assert!(slope_rises(&series, true));
+        // Constant magnitudes and a single instant: refused, not rising.
+        for points in
+            [[(at(1), 5.0), (at(2), 5.0), (at(3), 5.0)], [(at(3), 1.0), (at(3), 2.0), (at(3), 4.0)]]
+        {
+            let mut series = ValueSeries::default();
+            for (t, y) in points {
+                series.push((t, y, false), 4096);
+            }
+            assert_eq!(series.sums(false).certified_rising(), None, "{points:?}");
+            assert!(!slope_rises(&series, false));
+        }
+        // An infinite deviation is outside the certified domain.
+        let mut series = ValueSeries::default();
+        for (i, y) in [1.0, 2.0, f64::INFINITY, 4.0].into_iter().enumerate() {
+            series.push((at(i as u64), y, true), 4096);
+        }
+        assert_eq!(series.sums(true).certified_rising(), None);
+        assert_eq!(check_certificate(&series), Ok(()));
+    }
+
     proptest! {
+        #[test]
+        fn two_pass_slope_certified_sign_matches_ols_slope(
+            cap in 2usize..48,
+            shape in 0u8..5,
+            t0_s in 0u64..5_000,
+            slope_exp in -3.0f64..4.0,
+            falling in any::<bool>(),
+            offset in 0.0f64..200.0,
+            raw in proptest::collection::vec((0u8..6, 0u64..4_000, 0.0f64..50.0, 0u8..4), 1..96),
+        ) {
+            // Pushes past `cap` run the rebuild; violation flags toggle at
+            // random; equal instants, zeros and infinities come up often.
+            let mut series = ValueSeries::default();
+            let mut t = t0_s * 1_000_000_000;
+            let n = raw.len() as f64;
+            // The certificate's relative error bound for this length.
+            let tau = 8.0 * (n + 10.0) * (f64::EPSILON / 2.0);
+            let sign = if falling { -1.0 } else { 1.0 };
+            let eps = sign * tau * 10f64.powf(slope_exp) * offset.max(1.0);
+            for &(dt_code, dt_ms, free, viol) in &raw {
+                t += match dt_code {
+                    0 => 0,
+                    1 => 1,
+                    _ => dt_ms * 1_000_000,
+                };
+                let at = SimTime::from_nanos(t);
+                let x = at.as_secs_f64();
+                let y = match shape {
+                    // Near-flat: y = c + ε·x with ε around the bound τ.
+                    0 => offset + eps * x,
+                    1 => offset,
+                    2 => 0.0,
+                    3 if dt_code == 5 && viol == 3 => f64::INFINITY,
+                    _ => free,
+                };
+                series.push((at, y, viol > 0), cap);
+                prop_assert!(series.points().len() <= cap);
+                if let Err(msg) = check_certificate(&series) {
+                    return Err(proptest::TestCaseError::fail(msg));
+                }
+            }
+        }
+
         #[test]
         fn two_pass_slope_matches_ols_slope(
             raw in proptest::collection::vec((0u8..8, -1e3f64..1e3, 0u8..8, -1e3f64..1e3), 0..12)
@@ -930,7 +1036,7 @@ mod tests {
             // A series bounded like the state's per-job series (push, then
             // drop the oldest past `cap`), filled past its cap until its
             // contents wrap the ring buffer.
-            let mut series = ValueSeries::new();
+            let mut series = VecDeque::new();
             let mut t = 0u64;
             for (pushes, &(dt, code, v, viol)) in raw.iter().cycle().enumerate() {
                 t += dt * 1_000_000;

@@ -27,9 +27,8 @@ pub struct DistributedState {
     horizon_rounds: usize,
     /// Node-indexed per-component accumulator columns.
     comps: ComponentColumns,
-    /// Per-job recent value-symptom series: (time, deviation-or-proximity,
-    /// violated?).
-    job_value_series: BTreeMap<JobId, VecDeque<(SimTime, f64, bool)>>,
+    /// Per-job value-symptom series with their running slope sums.
+    job_value_series: BTreeMap<JobId, ValueSeries>,
     /// Per-job counts by label.
     job_counts: BTreeMap<JobId, BTreeMap<&'static str, u64>>,
     /// Trend window length.
@@ -109,11 +108,7 @@ impl DistributedState {
                         _ => None,
                     };
                     if let Some(e) = entry {
-                        let series = self.job_value_series.entry(j).or_default();
-                        series.push_back(e);
-                        if series.len() > self.series_cap {
-                            series.pop_front();
-                        }
+                        self.job_value_series.entry(j).or_default().push(e, self.series_cap);
                     }
                 }
             }
@@ -203,8 +198,150 @@ impl DistributedState {
     }
 
     /// The recorded value-symptom series of a job.
-    pub fn job_value_series(&self, j: JobId) -> Option<&VecDeque<(SimTime, f64, bool)>> {
+    pub fn job_value_series(&self, j: JobId) -> Option<&ValueSeries> {
         self.job_value_series.get(&j)
+    }
+}
+
+/// One job's value-symptom series: `(instant, magnitude, violation)`
+/// points in push order, where the magnitude is a deviation (violations)
+/// or a drift proximity, plus running least-squares sums of all points
+/// and of the violations alone.
+#[derive(Debug, Clone, Default)]
+pub struct ValueSeries {
+    points: VecDeque<(SimTime, f64, bool)>,
+    all: SlopeSums,
+    violations: SlopeSums,
+}
+
+impl ValueSeries {
+    /// Appends a point, dropping the oldest once the series holds more
+    /// than `cap`. A drop refolds both sum records from the remaining
+    /// points, so they always equal a fold of the series in push order.
+    pub(crate) fn push(&mut self, point: (SimTime, f64, bool), cap: usize) {
+        self.points.push_back(point);
+        self.all.add(point);
+        if point.2 {
+            self.violations.add(point);
+        }
+        if self.points.len() > cap {
+            self.points.pop_front();
+            self.all = SlopeSums::default();
+            self.violations = SlopeSums::default();
+            for &p in &self.points {
+                self.all.add(p);
+                if p.2 {
+                    self.violations.add(p);
+                }
+            }
+        }
+    }
+
+    /// The points, oldest first.
+    pub fn points(&self) -> &VecDeque<(SimTime, f64, bool)> {
+        &self.points
+    }
+
+    /// The running sums of the violations (`viol_only`) or of all points.
+    pub(crate) fn sums(&self, viol_only: bool) -> &SlopeSums {
+        if viol_only {
+            &self.violations
+        } else {
+            &self.all
+        }
+    }
+}
+
+/// Running least-squares sums over `(x, y)` points, `x` the instant in
+/// seconds and `y` the magnitude, folded from `-0.0` in push order.
+///
+/// `n`, `Σx` and `Σy` are the same additions in the same order as the
+/// first pass of the patterns layer's two-pass slope over the same
+/// points, so the means `Σx/n` and `Σy/n` equal its means bit for bit.
+/// `Σx²` and `Σxy` feed only [`certified_rising`](SlopeSums::certified_rising).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlopeSums {
+    n: usize,
+    sum_x: f64,
+    sum_y: f64,
+    sum_xx: f64,
+    sum_xy: f64,
+    /// Points with a coordinate outside the certified domain.
+    outside: usize,
+}
+
+impl Default for SlopeSums {
+    fn default() -> Self {
+        SlopeSums { n: 0, sum_x: -0.0, sum_y: -0.0, sum_xx: -0.0, sum_xy: -0.0, outside: 0 }
+    }
+}
+
+/// Upper end of the certified coordinate domain, `2¹⁰⁰`.
+const DOMAIN_MAX: f64 = (1u128 << 100) as f64;
+
+/// Whether a coordinate lies in the certified domain `{0} ∪ [2⁻¹⁰⁰, 2¹⁰⁰]`.
+fn certifiable(v: f64) -> bool {
+    v == 0.0 || (1.0 / DOMAIN_MAX..=DOMAIN_MAX).contains(&v)
+}
+
+impl SlopeSums {
+    fn add(&mut self, (at, y, _): (SimTime, f64, bool)) {
+        let x = at.as_secs_f64();
+        self.n += 1;
+        self.sum_x += x;
+        self.sum_y += y;
+        self.sum_xx += x * x;
+        self.sum_xy += x * y;
+        if !(certifiable(x) && certifiable(y)) {
+            self.outside += 1;
+        }
+    }
+
+    /// Number of points folded in.
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The sign of the two-pass least-squares slope over the folded
+    /// points, when the sums alone certify it: `Some(true)` when the
+    /// slope is positive, `Some(false)` when it is negative, `None` when
+    /// the sums cannot decide and the caller must run the two-pass slope.
+    ///
+    /// The two-pass slope takes the float means `mx = Σx/n`, `my = Σy/n`,
+    /// then `sxy = Σ(x−mx)(y−my)` and `sxx = Σ(x−mx)²`, and is positive
+    /// exactly when `sxx > ε` (else it is undefined) and `sxy/sxx > 0`.
+    /// With the same `mx`, `my`, the exact value of its `sxy` is
+    /// `S = Σxy − my·Σx − mx·Σy + n·mx·my`, evaluated here in floats as
+    /// `E`. Every coordinate is `≥ 0`, so `T = Σxy + my·Σx + mx·Σy +
+    /// n·mx·my` bounds `Σ|x−mx|·|y−my|` and every term of `E`. With
+    /// `u = 2⁻⁵³` and `γₖ = ku/(1−ku)`, recursive summation and the three
+    /// roundings of each two-pass term put the two-pass `sxy` within
+    /// `γₙ₊₂·T` of `S`, and the rounded sums and the four-term expression
+    /// put `E` within `γₙ₊₃·T` of `S`. So `|sxy − E| ≤ 2γₙ₊₃·T`, which
+    /// `τ·T` with `τ = 8·(n+10)·u` exceeds, with room for the rounding of
+    /// `T` and of `τ·T` themselves. The same argument with `y = x` gives
+    /// `Ex` and `Tx`, and bounds the two-pass `sxx` below by `Ex − τ·Tx`.
+    /// Hence if `Ex − τ·Tx > 2ε`, then `sxx > ε`; and if `|E| > τ·T`,
+    /// then `sxy` is non-zero with the sign of `E`.
+    ///
+    /// The error model assumes no overflow and no underflow. Restricting
+    /// every coordinate to `{0} ∪ [2⁻¹⁰⁰, 2¹⁰⁰]` (instants and LIF
+    /// magnitudes lie far inside it) keeps every non-zero product within
+    /// `[2⁻⁴⁰⁰, 2²⁴⁰]` and the quotient `sxy/sxx` clear of underflow, for
+    /// any `n < 2⁴⁰`. A series with any point outside the domain (negative,
+    /// non-finite, or extreme) is never certified.
+    pub(crate) fn certified_rising(&self) -> Option<bool> {
+        if self.outside > 0 || self.n < 2 {
+            return None;
+        }
+        let n = self.n as f64;
+        let (mx, my) = (self.sum_x / n, self.sum_y / n);
+        let tau = 8.0 * (n + 10.0) * (f64::EPSILON / 2.0);
+        let ex = self.sum_xx - mx * self.sum_x - mx * self.sum_x + n * mx * mx;
+        let tx = self.sum_xx + mx * self.sum_x + mx * self.sum_x + n * mx * mx;
+        let e = self.sum_xy - my * self.sum_x - mx * self.sum_y + n * mx * my;
+        let t = self.sum_xy + my * self.sum_x + mx * self.sum_y + n * mx * my;
+        (ex - tau * tx > 2.0 * f64::EPSILON && e.abs() > tau * t).then_some(e > 0.0)
     }
 }
 
@@ -447,7 +584,7 @@ mod tests {
                 )],
             );
         }
-        let series = ds.job_value_series(JobId(7)).unwrap();
+        let series = ds.job_value_series(JobId(7)).unwrap().points();
         assert_eq!(series.len(), 3);
         assert!(series[0].1 < series[2].1);
         assert!(series[2].2, "last one is a violation");

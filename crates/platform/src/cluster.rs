@@ -16,7 +16,7 @@ use crate::component::{ComponentSpec, ComponentState};
 use crate::env::{ComponentDirective, Environment};
 use crate::ids::{Criticality, DasId, JobId, NodeId};
 use crate::job::{DispatchCtx, JobRuntime, JobSpec};
-use crate::lif::{derive_lif, PortLif};
+use crate::lif::{derive_lif, PortIndex, PortLif};
 use decos_sim::rng::SeedSource;
 use decos_sim::time::{SimDuration, SimTime};
 use decos_timebase::{fta_round_in_place, ActionLattice, SyncStatus};
@@ -24,7 +24,7 @@ use decos_ttnet::{
     BroadcastBus, ChannelParams, Frame, GuardianMode, MembershipChange, MembershipParams,
     ResolveScratch, RoundPlan, RxDisturbance, SlotAddress, SlotVerdict, TdmaSchedule, TxSignal,
 };
-use decos_vnet::{encode_segment, ConfigDefect, Message, PushOutcome, VnetConfig, VnetId};
+use decos_vnet::{encode_segment, ConfigDefect, Message, PortId, PushOutcome, VnetConfig, VnetId};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -97,8 +97,8 @@ pub struct ClusterSpec {
     pub lattice_granule: SimDuration,
     /// Cluster precision bound (sync-loss threshold), ns.
     pub precision_ns: u64,
-    /// Encapsulated diagnostic-network dimensioning (the default preserves
-    /// the historical `generous()` numbers).
+    /// Encapsulated diagnostic-network dimensioning (the default keeps the
+    /// numbers the diagnosis layer has always used).
     pub diag_net: DiagNetSpec,
 }
 
@@ -399,6 +399,8 @@ pub struct ClusterSim {
     slot_bodies: (u64, u64),
     lattice: ActionLattice,
     lif: Vec<PortLif>,
+    /// Port → position in `lif`, for [`ClusterSim::lif_of`].
+    lif_index: PortIndex,
     bus: BroadcastBus,
     comps: Vec<ComponentState>,
     jobs: Vec<JobRuntime>,
@@ -435,6 +437,7 @@ impl ClusterSim {
             TdmaSchedule::new(spec.components.iter().map(|c| c.node).collect(), spec.slot_len);
         let lattice = ActionLattice::new(spec.lattice_granule);
         let lif = derive_lif(&spec.jobs);
+        let lif_index = PortIndex::new(&lif);
 
         // Per component: hosted jobs and used vnets.
         let mut comps = Vec::with_capacity(spec.components.len());
@@ -533,6 +536,7 @@ impl ClusterSim {
             slot_bodies: (0, 0),
             lattice,
             lif,
+            lif_index,
             bus: BroadcastBus::new(params),
             comps,
             jobs,
@@ -587,6 +591,12 @@ impl ClusterSim {
     /// The derived LIF records.
     pub fn lif(&self) -> &[PortLif] {
         &self.lif
+    }
+
+    /// The LIF record of output port `port`, found in constant time.
+    #[inline]
+    pub fn lif_of(&self, port: PortId) -> Option<&PortLif> {
+        self.lif_index.get(port).map(|i| &self.lif[i])
     }
 
     /// Nominal start instant of the next slot.
@@ -1050,6 +1060,18 @@ mod tests {
     use super::*;
     use crate::env::NullEnvironment;
     use crate::fig10;
+
+    #[test]
+    fn lif_of_agrees_with_a_scan_of_lif() {
+        for spec in [fig10::reference_spec(), crate::avionics::avionics_spec()] {
+            let sim = ClusterSim::new(spec, 1).unwrap();
+            let max = sim.lif().iter().map(|l| l.port.0).max().unwrap();
+            for p in 0..=max + 2 {
+                let port = PortId(p);
+                assert_eq!(sim.lif_of(port), sim.lif().iter().find(|l| l.port == port), "{port}");
+            }
+        }
+    }
 
     #[test]
     fn reference_cluster_builds() {

@@ -230,11 +230,62 @@ pub fn derive_lif(jobs: &[JobSpec]) -> Vec<PortLif> {
     out
 }
 
+/// Constant-time map from a port id to its position in a LIF slice.
+///
+/// An open-addressed table: a power of two of at least twice the record
+/// count, indexed by the port id masked to the table size, with linear
+/// probing and a key check. Sparse `u32` port ids therefore cost no more
+/// memory than dense ones. Ports must be distinct, which
+/// [`ClusterSpec::validate`](crate::ClusterSpec::validate) guarantees for a
+/// cluster's LIF records.
+#[derive(Debug, Clone)]
+pub(crate) struct PortIndex {
+    /// `(port, position)`; an empty slot holds position `u32::MAX`.
+    slots: Vec<(PortId, u32)>,
+    mask: usize,
+}
+
+impl PortIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    /// Indexes the ports of `lif` by their position.
+    pub(crate) fn new(lif: &[PortLif]) -> Self {
+        let len = (2 * lif.len()).max(1).next_power_of_two();
+        let mut index = PortIndex { slots: vec![(PortId(0), Self::EMPTY); len], mask: len - 1 };
+        for (pos, l) in lif.iter().enumerate() {
+            let mut h = l.port.0 as usize & index.mask;
+            while index.slots[h].1 != Self::EMPTY {
+                debug_assert_ne!(index.slots[h].0, l.port, "duplicate LIF port");
+                h = (h + 1) & index.mask;
+            }
+            index.slots[h] = (l.port, pos as u32);
+        }
+        index
+    }
+
+    /// Position of the record for `port`, if any.
+    #[inline]
+    pub(crate) fn get(&self, port: PortId) -> Option<usize> {
+        let mut h = port.0 as usize & self.mask;
+        loop {
+            let (key, pos) = self.slots[h];
+            if pos == Self::EMPTY {
+                return None;
+            }
+            if key == port {
+                return Some(pos as usize);
+            }
+            h = (h + 1) & self.mask;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::Criticality;
     use crate::transducer::SignalModel;
+    use proptest::prelude::*;
 
     fn job(id: u32, behavior: JobBehavior) -> JobSpec {
         JobSpec {
@@ -377,5 +428,52 @@ mod tests {
         assert_eq!(lif[0].rate, RateLif::Poisson { rate_hz: 100.0 });
         assert!(!lif[0].value_violation(1.2));
         assert!(lif[0].value_violation(2.0));
+    }
+
+    /// A LIF record for `port` (only the port matters to the index).
+    fn record(port: u32) -> PortLif {
+        PortLif {
+            port: PortId(port),
+            vnet: VnetId(1),
+            producer: JobId(port),
+            host: NodeId(0),
+            das: DasId(0),
+            kind: PortKind::State,
+            value_min: 0.0,
+            value_max: 1.0,
+            nominal_min: 0.0,
+            nominal_max: 1.0,
+            rate: RateLif::PeriodicPerRound,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn port_index_matches_a_linear_scan(
+            raw in proptest::collection::vec((0u8..4, any::<u32>()), 0..40),
+            probes in proptest::collection::vec(any::<u32>(), 0..16),
+        ) {
+            // Sparse ports, some sharing their low bits (one bucket) and
+            // some small (dense), each kept once in first-drawn order.
+            let mut ports: Vec<u32> = Vec::new();
+            for &(shape, v) in &raw {
+                let p = match shape {
+                    0 => v & 0xFFFF_0000,
+                    1 => v % 64,
+                    _ => v,
+                };
+                if !ports.contains(&p) {
+                    ports.push(p);
+                }
+            }
+            let lif: Vec<PortLif> = ports.iter().map(|&p| record(p)).collect();
+            let index = PortIndex::new(&lif);
+            prop_assert!(index.slots.len() >= 2 * lif.len());
+            let scan = |p: u32| lif.iter().position(|l| l.port == PortId(p));
+            let near = ports.iter().flat_map(|&p| [p, p.wrapping_add(1), p ^ 0x8000_0000]);
+            for p in near.chain(probes.iter().copied()) {
+                prop_assert_eq!(index.get(PortId(p)), scan(p), "port {}", p);
+            }
+        }
     }
 }

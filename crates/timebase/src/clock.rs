@@ -73,11 +73,6 @@ impl LocalClock {
         LocalClock::new(0.0, 0.0)
     }
 
-    /// The configured systematic drift in ppm (excluding degradation).
-    pub fn nominal_drift_ppm(&self) -> f64 {
-        self.drift_ppm
-    }
-
     /// The currently effective drift in ppm, including degradation.
     pub fn effective_drift_ppm(&self) -> f64 {
         match self.state {

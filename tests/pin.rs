@@ -383,6 +383,53 @@ const LATE_ONSET_CONNECTOR: &str = concat!(
     "records.messages=36013;records.errors=304;records.digest=395729c4681a2d6f;",
 );
 
+// Fleet and clock-path entries whose float and timing details a fold
+// order or a slot-admission change could move.
+
+/// The fig10 mixed-fault fleet with a lossy, corrupting diagnostic path in
+/// every vehicle: 300 vehicles x 200 rounds, seed 2026. The entry is the
+/// counter fingerprint followed by the bits of the f64 mean delivery
+/// quality, which most vehicles pull below 1.0.
+const LOSSY_FLEET_300: &str = concat!(
+    "slots_simulated=240000;rounds_simulated=60000;symptoms_offered=26007;",
+    "symptoms_delivered=17310;symptoms_dropped=7820;frames_corrupted=870;frames_rejected=7;",
+    "frames_delayed=0;frames_forged_suspected=0;ona_matches=12175;trust_frozen_rounds=2665;",
+    "failovers=0;crashed_rounds=0;vehicles=300;degraded_vehicles=192;faults_injected=822;",
+    "faults_detected=191;faults_convicted=112;wrong_fru_convictions=10;",
+    "detect_latency_rounds=3571;convict_latency_rounds=4585;journal_records=0;journal_bytes=0;",
+    "journal_fsyncs=0;snapshots_written=0;store_recovered_records=0;store_quarantined_bytes=0;",
+    "delivery_quality=0.7800175014813021;nff_ratio=0.0;detect_latency=18.69633507853403;",
+    "convict_latency=40.9375;quality_bits=3fe8f5e743656f33;",
+);
+
+/// fig10 component 1 with recurring PCB-crack outages (restarts) and then
+/// a permanent IC failure (a dead clock), 4000 rounds, seed 2026.
+const INTERNAL_DEGRADATION_C1: &str = concat!(
+    "slots_simulated=16000;rounds_simulated=4000;symptoms_offered=198;symptoms_delivered=198;",
+    "symptoms_dropped=0;frames_corrupted=0;frames_rejected=0;frames_delayed=0;",
+    "frames_forged_suspected=0;ona_matches=72;trust_frozen_rounds=0;failovers=0;",
+    "crashed_rounds=0;vehicles=1;degraded_vehicles=0;faults_injected=1;faults_detected=1;",
+    "faults_convicted=1;wrong_fru_convictions=0;detect_latency_rounds=1;",
+    "convict_latency_rounds=4;journal_records=0;journal_bytes=0;journal_fsyncs=0;",
+    "snapshots_written=0;store_recovered_records=0;store_quarantined_bytes=0;",
+    "delivery_quality=1.0;nff_ratio=0.0;detect_latency=1.0;convict_latency=4.0;",
+    "records.messages=35934;records.errors=180;records.digest=54f32d2cd7ffaa11;",
+);
+
+/// fig10 component 2's quartz degrading at 1e7 ppm per hour: the clocks
+/// spread out of the admission window, 4000 rounds, seed 2026.
+const QUARTZ_C2: &str = concat!(
+    "slots_simulated=16000;rounds_simulated=4000;symptoms_offered=11971;",
+    "symptoms_delivered=11971;symptoms_dropped=0;frames_corrupted=0;frames_rejected=0;",
+    "frames_delayed=0;frames_forged_suspected=0;ona_matches=3990;trust_frozen_rounds=0;",
+    "failovers=0;crashed_rounds=0;vehicles=1;degraded_vehicles=0;faults_injected=1;",
+    "faults_detected=1;faults_convicted=1;wrong_fru_convictions=0;detect_latency_rounds=4;",
+    "convict_latency_rounds=17;journal_records=0;journal_bytes=0;journal_fsyncs=0;",
+    "snapshots_written=0;store_recovered_records=0;store_quarantined_bytes=0;",
+    "delivery_quality=1.0;nff_ratio=0.0;detect_latency=4.0;convict_latency=17.0;",
+    "records.messages=36110;records.errors=11967;records.digest=3cbc2781ced7c802;",
+);
+
 /// Panics unless `actual` equals `pinned`, listing each moved
 /// `name=value` pair and printing the whole actual string.
 fn check(entry: &str, actual: &str, pinned: &str) {
@@ -614,4 +661,55 @@ fn late_onset_connector_campaign() {
     let round_len = ClusterSim::new(c.spec.clone(), c.seed).expect("valid spec").round_len();
     c.faults[0].onset = SimTime::ZERO + round_len * 1_000;
     check("late-onset connector", &record_fingerprint(&c), LATE_ONSET_CONNECTOR);
+}
+
+const LOSSY_FLEET: FleetConfig =
+    FleetConfig { vehicles: 300, rounds: 200, accel: 10.0, seed: 2026 };
+
+fn lossy_fleet_opts(shards: usize) -> FleetOptions {
+    FleetOptions {
+        base_faults: decos::faults::campaign::diag_degradation_campaign(0.3, 0.05, 0),
+        ..fleet_opts(shards)
+    }
+}
+
+#[test]
+fn lossy_diagnostic_path_fleet_at_one_two_and_three_shards() {
+    for shards in [1, 2, 3] {
+        let out = run_fleet_configured(
+            &fig10::reference_spec(),
+            LOSSY_FLEET,
+            EngineParams::default(),
+            &lossy_fleet_opts(shards),
+        )
+        .expect("fleet runs");
+        let below = out.vehicles.iter().filter(|v| v.delivery_quality < 1.0).count();
+        assert!(
+            2 * below > out.vehicles.len(),
+            "only {below} of {} vehicles have a quality below 1.0",
+            out.vehicles.len()
+        );
+        let mut s = telemetry_fingerprint(out.telemetry.as_ref());
+        s.push_str(&format!("quality_bits={:016x};", out.mean_delivery_quality.to_bits()));
+        check(&format!("lossy fleet at {shards} shards"), &s, LOSSY_FLEET_300);
+    }
+}
+
+#[test]
+fn internal_degradation_campaign_with_restarts_and_a_dead_clock() {
+    let faults = decos::faults::campaign::internal_degradation_campaign(NodeId(1));
+    let c = Campaign::reference(faults, 10.0, 4_000, 2026);
+    check("internal degradation", &record_fingerprint(&c), INTERNAL_DEGRADATION_C1);
+}
+
+#[test]
+fn quartz_degradation_campaign() {
+    let faults = vec![FaultSpec {
+        id: 1,
+        kind: FaultKind::QuartzDegradation { drift_ppm_per_hour: 1e7 },
+        target: FruRef::Component(NodeId(2)),
+        onset: SimTime::ZERO,
+    }];
+    let c = Campaign::reference(faults, 10.0, 4_000, 2026);
+    check("quartz degradation", &record_fingerprint(&c), QUARTZ_C2);
 }

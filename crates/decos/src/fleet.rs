@@ -10,16 +10,17 @@
 //! single-threaded simulation with a derived seed. At 10⁴–10⁶ vehicles the
 //! aggregation must *stream*: every finished vehicle folds immediately into
 //! a per-shard [`FleetAccumulator`] (see [`crate::fleet_exec`] for the
-//! work-stealing block executor), shard partials merge in shard-index
+//! work-stealing executor, from which [`run_fleet_configured`]'s shards
+//! claim one vehicle at a time), shard partials merge in shard-index
 //! order, and [`FleetOutcome::vehicles`] retains a bounded
 //! [`RetainedVehicles`] sample instead of a fleet-sized `Vec`.
 //!
 //! Determinism: every aggregate except the delivery-quality sum is integer
-//! arithmetic, hence order-invariant. The one float sum is accumulated in
-//! fixed [`FLEET_BLOCK`]-sized index blocks (a block is a single work unit,
-//! so one shard sums it front-to-back) and the blocks fold in ascending
-//! index order at [`FleetAccumulator::finish`] — the counter fingerprint
-//! and all gauges are bit-identical for any shard count.
+//! arithmetic, hence order-invariant. The one float sum is folded in fixed
+//! [`FLEET_BLOCK`]-sized index blocks, each front to back, and the blocks
+//! fold in ascending index order at [`FleetAccumulator::finish`] — the
+//! counter fingerprint and all gauges are bit-identical for any shard
+//! count and any way the vehicles were dealt.
 
 use crate::fleet_exec;
 use crate::runner::{run_campaign_opts, Campaign, CampaignError, RunOptions};
@@ -34,10 +35,13 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Vehicles per work-stealing block — and per float-summation block.
-/// One block is one indivisible work unit: a single shard sums its
-/// delivery qualities front-to-back, which is what makes the final
-/// ascending-block fold shard-count-invariant.
+/// Vehicles per delivery-quality fold block: the fleet mean sums each
+/// block's qualities front to back, then the block sums in ascending
+/// order, whichever shards recorded the vehicles. It is the fold unit,
+/// not the work unit: [`run_fleet_configured`] deals single vehicles,
+/// while callers that deal whole blocks (the stored fleet's ordered drain,
+/// or a caller's own [`crate::fleet_exec::run_sharded`] over `FLEET_BLOCK`
+/// ranges) keep one running sum per block.
 pub const FLEET_BLOCK: u64 = 64;
 
 /// Fleets at or below this size keep every [`VehicleOutcome`] under
@@ -258,9 +262,12 @@ pub struct FleetOutcome {
 /// Each shard owns one accumulator and [`Self::record`]s vehicles in
 /// ascending index order as they finish; partials [`Self::merge`] in
 /// shard-index order and [`Self::finish`] produces the [`FleetOutcome`].
-/// Everything held here is bounded: integer counters, the block-indexed
-/// delivery-quality sums (`vehicles / FLEET_BLOCK` entries), one merged
-/// telemetry snapshot and the stride-sampled retention vector.
+/// What is held here: integer counters, one merged telemetry snapshot,
+/// the stride-sampled retention vector, one delivery-quality running sum
+/// per [`FLEET_BLOCK`] (`vehicles / FLEET_BLOCK` entries), and an
+/// `(index, quality)` pair, 16 B, for each vehicle recorded outside its
+/// block's run. An accumulator fed whole blocks in order holds no pairs;
+/// one fed single vehicles by a sharded executor holds most of its share.
 #[derive(Debug)]
 pub struct FleetAccumulator {
     total: u64,
@@ -272,11 +279,18 @@ pub struct FleetAccumulator {
     obd: ActionScore,
     class_counts: BTreeMap<String, u64>,
     class_correct: BTreeMap<String, u64>,
-    /// Delivery-quality partial sums keyed by `index / FLEET_BLOCK`. A
-    /// block is summed front-to-back by exactly one shard; the final fold
-    /// walks blocks in ascending key order, so the f64 result does not
-    /// depend on how blocks were dealt to shards.
+    /// Delivery-quality running sums keyed by `index / FLEET_BLOCK`, each
+    /// over the block's run: the vehicles this accumulator recorded
+    /// contiguously from the block's first index, summed front to back.
+    /// Exactly one accumulator records a block's first index, so the keys
+    /// of merged partials are disjoint.
     quality_blocks: BTreeMap<u64, f64>,
+    /// The index that extends the open block run, if one is open.
+    run_next: Option<u64>,
+    /// Qualities of the vehicles recorded outside their block's run.
+    /// [`Self::finish`] folds each after its block's run, in index order,
+    /// so the f64 result does not depend on how vehicles were dealt.
+    loose_quality: Vec<(u64, f64)>,
     degraded_vehicles: u64,
     telemetry: Option<TelemetrySnapshot>,
     samples: Vec<SampledVehicle>,
@@ -296,6 +310,8 @@ impl FleetAccumulator {
             class_counts: BTreeMap::new(),
             class_correct: BTreeMap::new(),
             quality_blocks: BTreeMap::new(),
+            run_next: None,
+            loose_quality: Vec::new(),
             degraded_vehicles: 0,
             telemetry: None,
             samples: Vec::new(),
@@ -303,8 +319,8 @@ impl FleetAccumulator {
     }
 
     /// Folds one finished vehicle in. Within one accumulator, calls must
-    /// come in ascending index order (the executor's block deal and the
-    /// store's journal drain both guarantee this).
+    /// come in ascending index order (the executor's ascending deal and
+    /// the store's journal drain both guarantee this).
     pub fn record(
         &mut self,
         index: u64,
@@ -324,7 +340,17 @@ impl FleetAccumulator {
         let class = outcome.truth_class.to_string();
         *self.class_correct.entry(class.clone()).or_insert(0) += outcome.decos.correct_actions;
         *self.class_counts.entry(class).or_insert(0) += 1;
-        *self.quality_blocks.entry(index / FLEET_BLOCK).or_insert(0.0) += outcome.delivery_quality;
+        let quality = outcome.delivery_quality;
+        if index % FLEET_BLOCK == 0 {
+            self.quality_blocks.insert(index / FLEET_BLOCK, 0.0 + quality);
+            self.run_next = Some(index + 1);
+        } else if self.run_next == Some(index) {
+            *self.quality_blocks.get_mut(&(index / FLEET_BLOCK)).expect("open run") += quality;
+            self.run_next = Some(index + 1);
+        } else {
+            self.run_next = None;
+            self.loose_quality.push((index, quality));
+        }
         self.degraded_vehicles += u64::from(outcome.degraded);
         if let Some(t) = telemetry {
             match self.telemetry.as_mut() {
@@ -337,9 +363,15 @@ impl FleetAccumulator {
         }
     }
 
+    /// Vehicles held as loose `(index, quality)` pairs until
+    /// [`Self::finish`]: those recorded outside their block's run.
+    pub fn loose_vehicles(&self) -> usize {
+        self.loose_quality.len()
+    }
+
     /// Merges another shard's partial in. Callers merge shard partials in
-    /// shard-index order; quality blocks must be disjoint (a block is one
-    /// work unit, never split across shards).
+    /// shard-index order; each vehicle must have been recorded by exactly
+    /// one of them.
     pub fn merge(&mut self, other: FleetAccumulator) {
         debug_assert_eq!(self.total, other.total);
         debug_assert_eq!(self.stride, other.stride);
@@ -357,10 +389,12 @@ impl FleetAccumulator {
         for (b, q) in other.quality_blocks {
             debug_assert!(
                 !self.quality_blocks.contains_key(&b),
-                "quality block {b} split across shards"
+                "quality block {b} started by two accumulators"
             );
             self.quality_blocks.insert(b, q);
         }
+        self.run_next = None;
+        self.loose_quality.extend(other.loose_quality);
         self.degraded_vehicles += other.degraded_vehicles;
         if let Some(t) = other.telemetry {
             match self.telemetry.as_mut() {
@@ -371,17 +405,33 @@ impl FleetAccumulator {
         self.samples.extend(other.samples);
     }
 
-    /// Finalizes the fleet aggregate: folds the quality blocks in
-    /// ascending index order, re-derives fleet-scope gauges from the
-    /// merged counters and sorts the retained sample.
+    /// Finalizes the fleet aggregate: folds each quality block (its run,
+    /// then its loose vehicles in index order) and the blocks in ascending
+    /// index order, re-derives fleet-scope gauges from the merged counters
+    /// and sorts the retained sample.
     pub fn finish(mut self) -> FleetOutcome {
         debug_assert_eq!(
             self.recorded, self.total,
             "accumulator must see every vehicle exactly once"
         );
-        // BTreeMap iterates in ascending key order and `sum` folds left to
-        // right, so this is the same float sequence for every shard count.
-        let quality_sum: f64 = self.quality_blocks.values().sum();
+        // Each block's run is a front-to-back prefix of the block, and its
+        // loose vehicles follow it in index order, so every block sum is
+        // the same float sequence however the vehicles were dealt; BTreeMap
+        // iterates in ascending key order and `sum` folds left to right.
+        self.loose_quality.sort_unstable_by_key(|&(i, _)| i);
+        let mut loose = self.loose_quality.iter().peekable();
+        let quality_sum: f64 = self
+            .quality_blocks
+            .iter()
+            .map(|(&b, &run)| {
+                let mut sum = run;
+                while let Some(&(_, q)) = loose.next_if(|(i, _)| i / FLEET_BLOCK == b) {
+                    sum += q;
+                }
+                sum
+            })
+            .sum();
+        debug_assert!(loose.next().is_none(), "a loose vehicle's block has no run");
         let mean_delivery_quality =
             if self.total == 0 { 1.0 } else { quality_sum / self.total as f64 };
         self.samples.sort_unstable_by_key(|s| s.index);
@@ -461,9 +511,11 @@ pub fn run_fleet_configured(
     // publishes nothing else (each rejection returns with its shard), so
     // relaxed ordering suffices.
     let first_rejected = AtomicU64::new(u64::MAX);
+    // Shards claim one vehicle at a time, so the slowest vehicle, not the
+    // slowest block, sets the tail.
     let parts = fleet_exec::run_sharded(
         cfg.vehicles,
-        FLEET_BLOCK,
+        1,
         opts.shard_count(),
         || (FleetAccumulator::new(cfg.vehicles, FleetRetention::Auto), None),
         |(acc, rejected): &mut (FleetAccumulator, Option<(u64, CampaignError)>), range| {
@@ -475,7 +527,7 @@ pub fn run_fleet_configured(
                     Ok((outcome, telemetry)) => acc.record(v, outcome, telemetry),
                     Err(e) => {
                         first_rejected.fetch_min(v, Ordering::Relaxed);
-                        // A shard's blocks ascend, so its first rejection
+                        // A shard's claims ascend, so its first rejection
                         // is its lowest.
                         rejected.get_or_insert((v, e));
                         return;
@@ -484,8 +536,8 @@ pub fn run_fleet_configured(
             }
         },
     );
-    // The lowest rejected index is the same at any shard count: its block
-    // is never skipped, and every vehicle before it in that block runs.
+    // The lowest rejected index is the same at any shard count: only
+    // vehicles above a rejected one are skipped.
     let mut parts = parts.into_iter();
     let (mut acc, mut first) = parts.next().expect("run_sharded returns at least one shard");
     for (part, rejected) in parts {
@@ -694,6 +746,37 @@ mod tests {
         assert_eq!(x.class_correct, y.class_correct);
         assert_eq!(x.degraded_vehicles, y.degraded_vehicles);
         assert_eq!(x.vehicles.len(), y.vehicles.len());
+    }
+
+    #[test]
+    fn accumulator_folds_any_deal_bit_identically() {
+        let total = 1000u64;
+        let mut whole = FleetAccumulator::new(total, FleetRetention::Auto);
+        for i in 0..total {
+            whole.record(i, synth(i), None);
+        }
+        let want = whole.finish().mean_delivery_quality.to_bits();
+        // Single vehicles dealt round-robin, in uneven runs and with a
+        // split inside a block, each accumulator seeing ascending indices.
+        let deals: [&dyn Fn(u64) -> usize; 4] = [
+            &|i| (i % 2) as usize,
+            &|i| (i % 7) as usize,
+            &|i| usize::from(i % 97 < 40) + 2 * usize::from(i % 5 == 0),
+            &|i| usize::from(i >= 100),
+        ];
+        for (d, deal) in deals.iter().enumerate() {
+            let mut parts: Vec<FleetAccumulator> =
+                (0..7).map(|_| FleetAccumulator::new(total, FleetRetention::Auto)).collect();
+            for i in 0..total {
+                parts[deal(i)].record(i, synth(i), None);
+            }
+            let mut parts = parts.into_iter();
+            let mut acc = parts.next().unwrap();
+            for p in parts {
+                acc.merge(p);
+            }
+            assert_eq!(acc.finish().mean_delivery_quality.to_bits(), want, "deal {d}");
+        }
     }
 
     #[test]

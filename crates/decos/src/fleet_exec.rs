@@ -8,20 +8,24 @@
 //! 1. **Streaming aggregation** — a shard folds each finished item into
 //!    its own accumulator immediately instead of materializing a
 //!    fleet-sized `Vec` of per-item results.
-//! 2. **Work stealing** — shards pull fixed-size index *blocks* from a
-//!    shared atomic cursor, so a straggler block (an expensive vehicle)
-//!    idles one shard for one block, not a whole contiguous range.
+//! 2. **Work stealing** — shards claim index *blocks* of a caller-chosen
+//!    size from a shared atomic cursor, so an expensive item idles one
+//!    shard for one block, not a whole contiguous range. The in-memory
+//!    fleet claims single vehicles (block size 1): a claim is one atomic
+//!    add against milliseconds of simulation, and the slowest vehicle,
+//!    not the slowest block of vehicles, sets the tail.
 //!
 //! Callers that do want every result back, in order, use [`map_ordered`]
 //! on top of the same executor.
 //!
 //! Determinism contract: blocks are dealt in ascending order and each
-//! block is processed front-to-back by exactly one shard, so the set of
-//! `(block, shard)` assignments varies between runs but the *per-block*
-//! fold order never does. Aggregates that are order-invariant across
-//! blocks (integer counters) — or that the caller folds back together in
-//! ascending block order (see `FleetAccumulator`'s block-indexed float
-//! sums) — are therefore bit-identical for any shard count, including 1.
+//! block is processed front-to-back by exactly one shard, so each shard
+//! sees ascending indices; which shard got which block varies between
+//! runs. Aggregates that are order-invariant (integer counters), or that
+//! the caller folds back together in ascending index order (see
+//! `FleetAccumulator`'s per-block delivery-quality runs and loose
+//! vehicles), are therefore bit-identical for any shard count, including
+//! 1.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};

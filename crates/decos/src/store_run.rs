@@ -126,12 +126,11 @@ impl From<StoreError> for StoreRunError {
     }
 }
 
-/// What a stored run did, for reporting and telemetry patching. The
-/// journal/store counters deliberately live *outside* the outcome's
-/// telemetry snapshot: a straight run and a resumed run legitimately
-/// differ in I/O (that is the point of resuming), so patching them into
-/// the fingerprint would break the determinism contract. Call
-/// [`StoreRunStats::apply_to`] on emitted snapshots only.
+/// What a stored run did, for reporting. The journal and store counts are
+/// reported here (the store CLI prints them in its stats line), not in the
+/// outcome's telemetry: the snapshot's journal and store counters read 0
+/// in run snapshots by design, so that fingerprints stay the same across a
+/// resume, which legitimately does different I/O than a straight run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreRunStats {
     /// Rounds (campaign) or vehicles (fleet) already committed when the
@@ -151,19 +150,6 @@ pub struct StoreRunStats {
     pub snapshots_written: u64,
     /// Torn-tail bytes quarantined by recovery at open.
     pub quarantined_bytes: u64,
-}
-
-impl StoreRunStats {
-    /// Patches the store counters into a telemetry snapshot (emission
-    /// paths only — see the type-level note on determinism).
-    pub fn apply_to(&self, snap: &mut TelemetrySnapshot) {
-        snap.set_counter(Counter::JournalRecords.name(), self.journal_records);
-        snap.set_counter(Counter::JournalBytes.name(), self.journal_bytes);
-        snap.set_counter(Counter::JournalFsyncs.name(), self.fsyncs);
-        snap.set_counter(Counter::SnapshotsWritten.name(), self.snapshots_written);
-        snap.set_counter(Counter::StoreRecoveredRecords.name(), self.committed_before);
-        snap.set_counter(Counter::StoreQuarantinedBytes.name(), self.quarantined_bytes);
-    }
 }
 
 /// Canonical campaign spec hash: cluster, faults, engine parameters,

@@ -44,6 +44,65 @@ fn aggregates_are_bit_identical_across_shard_counts() {
     }
 }
 
+/// A fleet whose every vehicle carries a lossy, corrupting diagnostic
+/// network, so that most vehicles have a delivery quality below 1.0 and
+/// the fold order of the quality mean shows in its bits.
+fn lossy_fleet_at(shards: usize) -> FleetOutcome {
+    let cfg = FleetConfig { vehicles: 150, rounds: 200, accel: 10.0, seed: 31 };
+    let opts = FleetOptions {
+        telemetry: true,
+        shards: Some(shards),
+        base_faults: decos::faults::campaign::diag_degradation_campaign(0.3, 0.05, 0),
+        ..FleetOptions::default()
+    };
+    run_fleet_configured(&fig10::reference_spec(), cfg, EngineParams::default(), &opts).unwrap()
+}
+
+#[test]
+fn quality_mean_is_bit_identical_across_shard_counts_on_a_lossy_fleet() {
+    let reference = lossy_fleet_at(1);
+    let below = reference.vehicles.iter().filter(|v| v.delivery_quality < 1.0).count();
+    assert!(2 * below > reference.vehicles.len(), "only {below} vehicles below quality 1.0");
+    for shards in [2, 3, 7] {
+        let out = lossy_fleet_at(shards);
+        assert_eq!(fingerprint(&out), fingerprint(&reference), "fingerprint at {shards} shards");
+        assert_eq!(
+            out.mean_delivery_quality.to_bits(),
+            reference.mean_delivery_quality.to_bits(),
+            "f64 quality mean at {shards} shards"
+        );
+    }
+}
+
+#[test]
+fn an_accumulator_fed_whole_blocks_in_order_keeps_no_loose_pairs() {
+    let total = 5 * FLEET_BLOCK + 17;
+    let fleet = lossy_fleet_at(1);
+    let outcome = |i: u64| {
+        let s = &fleet.vehicles.samples()[(i % fleet.vehicles.len() as u64) as usize];
+        s.outcome.clone()
+    };
+    // Blocks dealt alternately to two accumulators, as a caller running
+    // `run_sharded` over `FLEET_BLOCK` ranges on two shards would.
+    let mut parts = [
+        FleetAccumulator::new(total, FleetRetention::Auto),
+        FleetAccumulator::new(total, FleetRetention::Auto),
+    ];
+    for i in 0..total {
+        parts[((i / FLEET_BLOCK) % 2) as usize].record(i, outcome(i), None);
+    }
+    assert_eq!(parts[0].loose_vehicles(), 0);
+    assert_eq!(parts[1].loose_vehicles(), 0);
+    // Every other vehicle, as one of two shards claiming single vehicles
+    // in lockstep gets them: all are loose but each block's first.
+    let mut every_other = FleetAccumulator::new(total, FleetRetention::Auto);
+    for i in (0..total).step_by(2) {
+        every_other.record(i, outcome(i), None);
+    }
+    let blocks = total.div_ceil(FLEET_BLOCK);
+    assert_eq!(every_other.loose_vehicles() as u64, total.div_ceil(2) - blocks);
+}
+
 #[test]
 fn auto_shards_match_the_pinned_reference() {
     let pinned = fleet_at(Some(1));

@@ -12,14 +12,14 @@
 //! output of one step is a [`SlotRecord`] — exactly the *interface state*
 //! the integrated diagnostic architecture is allowed to observe.
 
-use crate::component::{ComponentSpec, ComponentState};
+use crate::component::{ComponentSpec, ComponentState, Power};
 use crate::env::{ComponentDirective, Environment};
 use crate::ids::{Criticality, DasId, JobId, NodeId};
 use crate::job::{DispatchCtx, JobRuntime, JobSpec};
 use crate::lif::{derive_lif, PortIndex, PortLif};
 use decos_sim::rng::SeedSource;
 use decos_sim::time::{SimDuration, SimTime};
-use decos_timebase::{fta_round_in_place, ActionLattice, SyncStatus};
+use decos_timebase::{fta_round_in_place, fta_round_sorted, ActionLattice, SyncStatus};
 use decos_ttnet::{
     BroadcastBus, ChannelParams, Frame, GuardianMode, MembershipChange, MembershipParams,
     ResolveScratch, RoundPlan, RxDisturbance, SlotAddress, SlotVerdict, TdmaSchedule, TxSignal,
@@ -336,6 +336,119 @@ fn median_i64(xs: &mut [i64]) -> i64 {
     }
 }
 
+/// Faulty clocks the cluster's FTA tolerates among `n` operational
+/// members: one from four members on, none below.
+fn fta_tolerance(n: usize) -> usize {
+    if n >= 4 {
+        1
+    } else {
+        0
+    }
+}
+
+/// The spread of the operational clocks' deviations at `t`: the clean-slot
+/// admission test of [`ClusterSim::step_slot_into`] compares it with the
+/// admission window.
+fn deviation_spread(comps: &[ComponentState], t: SimTime) -> u64 {
+    let mut mn = i64::MAX;
+    let mut mx = i64::MIN;
+    for c in comps {
+        if c.is_operational(t) {
+            let d = c.clock.deviation_ns(t);
+            mn = mn.min(d);
+            mx = mx.max(d);
+        }
+    }
+    mx.saturating_sub(mn).unsigned_abs()
+}
+
+/// The largest slot start, in ns, [`round_admission_certified`] accepts:
+/// below it every instant converts to `f64` exactly.
+const CERTIFIED_T_MAX_NS: u64 = 1 << 53;
+
+/// The largest accumulated correction, in ns, a certified clock may carry.
+const CERTIFIED_CORRECTION_MAX_NS: u64 = 1 << 61;
+
+/// The largest drift offset, in ns, a certified clock may reach within the
+/// round (`|ppm|·t·10⁻⁶` at the last slot start, evaluated in `f64`).
+const CERTIFIED_DRIFT_MAX_NS: f64 = (1u64 << 50) as f64;
+
+/// Rounding allowance of [`round_admission_certified`] for a round whose
+/// largest drift offset at the last slot start is `drift_ns`.
+fn admission_allowance_ns(drift_ns: f64) -> u64 {
+    5 + (drift_ns * (-50f64).exp2()).ceil() as u64
+}
+
+/// Whether every slot start of a round admits on the deviation spread,
+/// decided once at the round boundary.
+///
+/// `op` are the members operational at the round's first slot start,
+/// `spread0` their [`deviation_spread`] there (after the round's clock
+/// corrections) and `t_last` the round's last slot start. When this
+/// returns true, `deviation_spread(comps, t) <= window_ns` holds at every
+/// slot start `t` of the round, so the per-slot test can be skipped.
+///
+/// **Why.** No member is restarting (otherwise refuse), so the operational
+/// set stays `op` all round: an `On` member stays on and a dead one dead
+/// until the next boundary, and clock drift and corrections change only at
+/// boundaries. Under the guards below (live oscillator, finite drift,
+/// `t_last < 2⁵³`, `|correction| ≤ 2⁶¹`, drift offset `≤ 2⁵⁰`) nothing
+/// overflows or saturates, and member `i`'s deviation at a slot start `t`
+/// is `Dᵢ(t) = trunc(fl(fl(t·pᵢ)·κ)) + cᵢ`, with `pᵢ` its effective drift,
+/// `κ = fl(10⁻⁶)` and `cᵢ` its correction (see `LocalClock::read`).
+/// Write `yᵢ(t) = t·pᵢ·κ` (exact, linear in `t`). Two roundings of relative
+/// error `u = 2⁻⁵³` each, an absolute underflow error of at most `2⁻¹⁰⁷⁴`
+/// each, and the truncation give `Dᵢ(t) = yᵢ(t) + cᵢ + eᵢ(t)` with
+/// `|eᵢ(t)| < 1 + εᵢ(t)`, `εᵢ(t) = |yᵢ(t)|·(2u + u²) + 2⁻¹⁰⁷³`, which grows
+/// with `t`, so `εᵢ(t) ≤ ε := maxᵢ εᵢ(t_last)` over the round. For a pair
+/// `i, j` the difference `Lᵢⱼ(t) = yᵢ(t) − yⱼ(t) + cᵢ − cⱼ` is affine in `t`,
+/// so on `[t₀, t_last]` its magnitude peaks at an end, where it is within
+/// `2 + 2ε` of the integer `Dᵢ − Dⱼ`, itself at most that end's spread.
+/// Hence at every slot start `|Dᵢ(t) − Dⱼ(t)| < M + 4 + 4ε`, with `M` the
+/// larger end spread. With `Y = fl(fl(max|pᵢ|·t_last)·κ)`, the computed
+/// largest drift offset, `Y ≥ maxᵢ|yᵢ(t_last)|·(1 − u)²`, so
+/// `4ε ≤ 2⁻⁵⁰·Y·(1 + 2⁻⁵⁴)/(1 − u)² + 2⁻¹⁰⁷¹ < 2⁻⁵⁰·Y + 1` since `Y ≤ 2⁵⁰`.
+/// The allowance `A = 5 + ⌈2⁻⁵⁰·Y⌉` therefore exceeds `4 + 4ε`, and
+/// `M + A ≤ window_ns` gives every slot start a spread below the window.
+fn round_admission_certified(
+    comps: &[ComponentState],
+    op: &[usize],
+    spread0: u64,
+    t_last: SimTime,
+    window_ns: u64,
+) -> bool {
+    if comps.iter().any(|c| matches!(c.power(), Power::Restarting { .. })) {
+        return false;
+    }
+    let t_last_ns = t_last.as_nanos();
+    if t_last_ns >= CERTIFIED_T_MAX_NS {
+        return false;
+    }
+    let mut max_ppm = 0.0f64;
+    let mut mn = i64::MAX;
+    let mut mx = i64::MIN;
+    for &i in op {
+        let clock = &comps[i].clock;
+        let ppm = clock.effective_drift_ppm();
+        if clock.is_dead()
+            || !ppm.is_finite()
+            || clock.correction_ns().unsigned_abs() > CERTIFIED_CORRECTION_MAX_NS
+        {
+            return false;
+        }
+        max_ppm = max_ppm.max(ppm.abs());
+        let d = clock.deviation_ns(t_last);
+        mn = mn.min(d);
+        mx = mx.max(d);
+    }
+    let drift_ns = max_ppm * t_last_ns as f64 * 1e-6;
+    if drift_ns > CERTIFIED_DRIFT_MAX_NS {
+        return false;
+    }
+    let spread_last = mx.saturating_sub(mn).unsigned_abs();
+    spread0.max(spread_last).saturating_add(admission_allowance_ns(drift_ns)) <= window_ns
+}
+
 /// Reusable buffers for [`ClusterSim::step_slot_into`]: pure capacity the
 /// steady-state slot pipeline recycles. Contents are transient within one
 /// step (except the overflow shadow and its flag); after warm-up a
@@ -348,8 +461,9 @@ struct StepScratch {
     op: Vec<usize>,
     /// Clock deviations (round boundary FTA input, global-time median).
     devs: Vec<i64>,
-    /// Per-node relative deviations handed to the FTA; doubles as the
-    /// median workspace for the post-correction reference.
+    /// The deviations sorted for the FTA (or one member's relative
+    /// deviations, when their spread overflows); doubles as the median
+    /// workspace for the post-correction reference.
     rel: Vec<i64>,
     /// FTA corrections per operational component.
     corrections: Vec<i64>,
@@ -414,6 +528,9 @@ pub struct ClusterSim {
     /// fast path's admission bound (channel parameters are fixed at
     /// construction).
     fast_window_ns: u64,
+    /// Every slot of the current round admits on the deviation spread
+    /// (see [`round_admission_certified`]); set at each round boundary.
+    round_admits: bool,
     /// Per-component networks any hosted job consumes from (sorted,
     /// deduplicated).
     rx_vnets: Vec<Vec<VnetId>>,
@@ -544,6 +661,7 @@ impl ClusterSim {
             tx_layouts,
             hosted_idx,
             fast_window_ns,
+            round_admits: false,
             rx_vnets,
             next: SlotAddress { round: 0, slot: decos_ttnet::SlotIndex(0) },
             rng_bus: seeds.stream("bus", 0),
@@ -658,36 +776,65 @@ impl ClusterSim {
             }
         }
         // FTA resynchronization among operational components.
+        self.round_admits = false;
         scratch.op.clear();
         scratch.op.extend((0..self.comps.len()).filter(|&i| self.comps[i].is_operational(t)));
         if scratch.op.len() >= 2 {
             scratch.devs.clear();
             scratch.devs.extend(scratch.op.iter().map(|&i| self.comps[i].clock.deviation_ns(t)));
-            let k = if scratch.op.len() >= 4 { 1 } else { 0 };
+            let k = fta_tolerance(scratch.op.len());
             scratch.corrections.clear();
-            for me in 0..scratch.op.len() {
-                scratch.rel.clear();
-                scratch.rel.extend(
-                    scratch
-                        .devs
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != me)
-                        .map(|(_, d)| d - scratch.devs[me]),
-                );
-                scratch.corrections.push(
-                    fta_round_in_place(&mut scratch.rel, k).map(|r| r.correction_ns).unwrap_or(0),
-                );
+            scratch.rel.clear();
+            scratch.rel.extend_from_slice(&scratch.devs);
+            scratch.rel.sort_unstable();
+            let sorted = &scratch.rel;
+            if sorted[sorted.len() - 1].checked_sub(sorted[0]).is_some() {
+                // One sort serves every member (`fta_round_sorted`).
+                for &d in &scratch.devs {
+                    let pos = sorted.partition_point(|&s| s < d);
+                    scratch.corrections.push(
+                        fta_round_sorted(sorted, pos, k).map(|r| r.correction_ns).unwrap_or(0),
+                    );
+                }
+            } else {
+                // Relative deviations would wrap: each member builds and
+                // sorts its own vector.
+                for me in 0..scratch.op.len() {
+                    scratch.rel.clear();
+                    scratch.rel.extend(
+                        scratch
+                            .devs
+                            .iter()
+                            .enumerate()
+                            .filter(|(j, _)| *j != me)
+                            .map(|(_, d)| d - scratch.devs[me]),
+                    );
+                    scratch.corrections.push(
+                        fta_round_in_place(&mut scratch.rel, k)
+                            .map(|r| r.correction_ns)
+                            .unwrap_or(0),
+                    );
+                }
             }
-            for (&ci, &corr) in scratch.op.iter().zip(&scratch.corrections) {
-                self.comps[ci].clock.apply_correction(corr);
+            // A reading is linear in the accumulated correction, so the
+            // post-correction deviation is the deviation plus the step
+            // unless the correction saturated or the sum overflows.
+            scratch.post.clear();
+            for ((&ci, &dev), &corr) in
+                scratch.op.iter().zip(&scratch.devs).zip(&scratch.corrections)
+            {
+                let clock = &mut self.comps[ci].clock;
+                let exact = clock.correction_ns().checked_add(corr).is_some();
+                clock.apply_correction(corr);
+                scratch.post.push(match dev.checked_add(corr) {
+                    Some(post) if exact => post,
+                    _ => clock.deviation_ns(t),
+                });
             }
             // Post-correction status against the cluster reference. The
             // median (not the mean) is the reference: a single wildly
             // drifting clock must not drag the reference with it and damn
             // the healthy majority.
-            scratch.post.clear();
-            scratch.post.extend(scratch.op.iter().map(|&i| self.comps[i].clock.deviation_ns(t)));
             scratch.rel.clear();
             scratch.rel.extend_from_slice(&scratch.post);
             let reference = median_i64(&mut scratch.rel);
@@ -698,6 +845,18 @@ impl ClusterSim {
                     rec.sync_losses.push(self.comps[ci].node());
                 }
             }
+            // The sorted post-correction deviations give the first slot's
+            // spread.
+            let spread0 =
+                scratch.rel[scratch.rel.len() - 1].saturating_sub(scratch.rel[0]).unsigned_abs();
+            let t_last = self.plan.start_of(rec.addr.round, self.plan.slots().len() - 1);
+            self.round_admits = round_admission_certified(
+                &self.comps,
+                &scratch.op,
+                spread0,
+                t_last,
+                self.fast_window_ns,
+            );
         }
     }
 
@@ -778,20 +937,13 @@ impl ClusterSim {
         // owner-to-median distance, so clean slots admit on that cheap
         // bound and skip the median sort; otherwise the median is computed
         // once and the exact offset decides (the legacy body reuses it).
+        // A round whose boundary certified the spread bound for every slot
+        // (`round_admits`) skips the per-slot spread reads too.
         let disturbed = self.force_legacy || env.cluster_disturbed(t);
         let operational = self.comps[oidx].is_operational(t);
         let mut global_dev_ns = None;
         let fast = !disturbed && operational && {
-            let mut mn = i64::MAX;
-            let mut mx = i64::MIN;
-            for c in &self.comps {
-                if c.is_operational(t) {
-                    let d = c.clock.deviation_ns(t);
-                    mn = mn.min(d);
-                    mx = mx.max(d);
-                }
-            }
-            mx.saturating_sub(mn).unsigned_abs() <= self.fast_window_ns || {
+            self.round_admits || deviation_spread(&self.comps, t) <= self.fast_window_ns || {
                 let g = self.global_dev_ns(t, &mut scratch.devs);
                 global_dev_ns = Some(g);
                 self.comps[oidx].clock.deviation_ns(t).abs_diff(g) <= self.fast_window_ns
@@ -1060,6 +1212,7 @@ mod tests {
     use super::*;
     use crate::env::NullEnvironment;
     use crate::fig10;
+    use proptest::prelude::*;
 
     #[test]
     fn lif_of_agrees_with_a_scan_of_lif() {
@@ -1192,5 +1345,166 @@ mod tests {
         let deployed = spec.deployed_vnets();
         let d = deployed.iter().find(|v| v.id == target).unwrap();
         assert_eq!(d.rx_queue_depth, (orig_depth / 2).max(1));
+    }
+
+    /// One member of a random round, raw: drift shape, a unit draw,
+    /// degradation shape, correction, lifecycle and lifecycle instant.
+    type Member = (u8, f64, u8, i64, u8, u64);
+
+    /// A component of the round built from `m` at base drift `base_ppm`.
+    /// Unless `wide`, its drift lies within 10⁻³ ppm of the base, so that
+    /// the truncation jitter decides the spread; a wide one may lie 50 ppm
+    /// off or be degraded by up to 10⁶ ppm. A `hostile` member may carry a
+    /// non-finite drift, a huge correction, a dead oscillator or component,
+    /// or a restart; lifecycle instants fall anywhere from a round before
+    /// `t0` to past `t_end`.
+    fn round_member(
+        i: usize,
+        m: Member,
+        wide: bool,
+        hostile: bool,
+        base_ppm: f64,
+        t0: u64,
+        t_end: u64,
+    ) -> ComponentState {
+        let (drift_shape, unit, extra_shape, raw_correction, life, raw_at) = m;
+        let offset_ppm = match drift_shape {
+            0 => 0.0,
+            1 if wide => (unit - 0.5) * 100.0,
+            _ => (unit - 0.5) * 2e-3,
+        };
+        let spec = ComponentSpec {
+            node: NodeId(i as u16),
+            position: crate::ids::Position { x: 0.0, y: 0.0 },
+            drift_ppm: base_ppm + offset_ppm,
+        };
+        let mut c = ComponentState::new(spec, &[], Vec::new(), 12, MembershipParams::default(), 1);
+        match extra_shape {
+            5 if hostile => c.clock.degrade(f64::NAN),
+            4 if wide => c.clock.degrade((unit - 0.5) * 2e6),
+            5 if wide => c.clock.degrade(unit * 1e3),
+            _ => {}
+        }
+        c.clock.apply_correction(if hostile && raw_correction & 1 == 1 {
+            raw_correction >> 2
+        } else {
+            raw_correction % 5_000
+        });
+        if !hostile {
+            return c;
+        }
+        let before = t0.saturating_sub(t_end - t0 + 1);
+        let at = SimTime::from_nanos(before + raw_at % (2 * (t_end - before) + 1));
+        match life {
+            0..=3 => {}
+            4 => c.kill(at.min(SimTime::from_nanos(t0))),
+            5 => c.clock.kill(at),
+            _ => {
+                let from = SimTime::from_nanos(before);
+                c.begin_restart(from, at.saturating_since(from));
+            }
+        }
+        c
+    }
+
+    proptest! {
+        /// Whenever the round certificate holds, the per-slot spread test
+        /// admits at every slot start of the round, restarts completing
+        /// on the way as in `step_slot_into`. Drifts include degraded and
+        /// non-finite ones, clocks carry small and huge corrections,
+        /// members may be dead, have a dead oscillator or be restarting,
+        /// and slot starts reach past 2^53 ns.
+        #[test]
+        fn round_certificate_implies_every_slot_admits(
+            members in proptest::collection::vec(
+                (0u8..3, 0.0..1.0f64, 0u8..6, any::<i64>(), 0u8..8, any::<u64>()),
+                2..9,
+            ),
+            hostility in 0u8..4,
+            wide in any::<bool>(),
+            base in (0u8..2, -100.0..100.0f64),
+            start in (0u8..4, any::<u64>()),
+            slot in (0u8..2, any::<u64>()),
+            slots in 1u64..33,
+            slack in (0u8..5, any::<u64>()),
+        ) {
+            let base_ppm = if base.0 == 0 { 0.0 } else { base.1 };
+            let t0 = match start.0 {
+                0 | 1 => start.1 % 20_000_000_000,
+                // Around the certified limit of 2^53 ns.
+                2 => (1 << 53) - start.1 % 4_000_000_000,
+                _ => start.1 % (1 << 60),
+            };
+            let slot_len = if slot.0 == 0 { 1 + slot.1 % 1_000 } else { 1 + slot.1 % 5_000_000 };
+            let t_last = t0 + (slots - 1) * slot_len;
+            let mut comps: Vec<ComponentState> = members
+                .into_iter()
+                .enumerate()
+                .map(|(i, m)| {
+                    // Half the rounds are benign, a quarter have one hostile
+                    // member and a quarter are hostile throughout.
+                    let hostile = hostility == 3 || (hostility == 2 && i == 0);
+                    round_member(i, m, wide, hostile, base_ppm, t0, t_last + slot_len)
+                })
+                .collect();
+            let (t0, t_last) = (SimTime::from_nanos(t0), SimTime::from_nanos(t_last));
+            let op: Vec<usize> = (0..comps.len()).filter(|&i| comps[i].is_operational(t0)).collect();
+            let spread0 = deviation_spread(&comps, t0);
+            // Windows at and just above the larger end spread, where the
+            // rounding allowance decides, and some anywhere above it.
+            let slack = match slack.0 {
+                0 | 1 => 0,
+                2 => slack.1 % 8,
+                3 => slack.1 % 64,
+                _ => slack.1 % 1_000_000,
+            };
+            let window = spread0.max(deviation_spread(&comps, t_last)).saturating_add(slack);
+            if round_admission_certified(&comps, &op, spread0, t_last, window) {
+                for s in 0..slots {
+                    let t = t0 + SimDuration::from_nanos(s * slot_len);
+                    for c in &mut comps {
+                        c.poll_restart(t);
+                    }
+                    let spread = deviation_spread(&comps, t);
+                    prop_assert!(spread <= window, "slot {} spread {} > window {}", s, spread, window);
+                }
+            }
+        }
+
+        /// One sort of the members' deviations yields each member's FTA
+        /// round, bit for bit, for every cluster size the FTA serves and
+        /// at every position of a repeated deviation.
+        #[test]
+        fn fta_from_sorted_matches_per_member_fta(
+            n in 2usize..13,
+            raw in proptest::collection::vec((0u8..3, any::<i64>()), 12),
+        ) {
+            let devs: Vec<i64> = raw[..n]
+                .iter()
+                .map(|&(shape, v)| match shape {
+                    0 => v % 8,
+                    1 => v % 10_000_000,
+                    // Wide, yet with a spread that fits an i64.
+                    _ => v >> 2,
+                })
+                .collect();
+            let k = fta_tolerance(n);
+            let mut sorted = devs.clone();
+            sorted.sort_unstable();
+            for (me, &own) in devs.iter().enumerate() {
+                let mut rel: Vec<i64> = devs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != me)
+                    .map(|(_, &d)| d - own)
+                    .collect();
+                let want = fta_round_in_place(&mut rel, k);
+                let first = sorted.partition_point(|&d| d < own);
+                let last = sorted.partition_point(|&d| d <= own) - 1;
+                for pos in first..=last {
+                    prop_assert_eq!(fta_round_sorted(&sorted, pos, k), want, "n {} member {}", n, me);
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 use crate::ids::{Criticality, DasId, JobId, NodeId};
 use crate::tmr::{vote, DivergenceRecord, VoteError};
 use crate::transducer::{Actuator, Sensor, SensorFault, SignalModel};
-use decos_sim::rng::SampleExt;
+use decos_sim::rng::Poisson;
 use decos_sim::time::{SimDuration, SimTime};
 use decos_vnet::{Message, PortId, VnetEndpoint, VnetId};
 use rand::rngs::SmallRng;
@@ -231,6 +231,9 @@ pub struct JobRuntime {
     counters: JobCounters,
     /// A halted job produces nothing (crashed partition).
     halted: bool,
+    /// An event sender's per-round arrival distribution, built at the
+    /// first dispatch, with the round length it was built for.
+    arrivals: Option<(SimDuration, Poisson)>,
 }
 
 impl JobRuntime {
@@ -251,6 +254,7 @@ impl JobRuntime {
             divergence: DivergenceRecord::new(),
             counters: JobCounters::default(),
             halted: false,
+            arrivals: None,
         }
     }
 
@@ -323,7 +327,8 @@ impl JobRuntime {
         let start = out.len();
         // Split borrows: match the behaviour in place while mutating the
         // runtime state fields (no clone of the behaviour handle).
-        let JobRuntime { spec, seq, sensor, actuator, divergence, counters, halted: _ } = self;
+        let JobRuntime { spec, seq, sensor, actuator, divergence, counters, halted: _, arrivals } =
+            self;
         counters.dispatches += 1;
         let mut next_seq = || {
             *seq += 1;
@@ -365,8 +370,15 @@ impl JobRuntime {
                 }
             }
             JobBehavior::EventSender { port, rate_hz, value, .. } => {
-                let lambda = rate_hz * ctx.round.as_secs_f64();
-                let k = ctx.rng.poisson(lambda);
+                let poisson = match *arrivals {
+                    Some((round, p)) if round == ctx.round => p,
+                    _ => {
+                        let p = Poisson::new(rate_hz * ctx.round.as_secs_f64());
+                        *arrivals = Some((ctx.round, p));
+                        p
+                    }
+                };
+                let k = poisson.sample(ctx.rng);
                 for _ in 0..k {
                     out.push(Message {
                         src: *port,

@@ -9,6 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
+use serde::{Deserialize, Serialize};
 
 /// SplitMix64 step — the standard seed-expansion permutation.
 ///
@@ -113,34 +114,58 @@ pub trait SampleExt: Rng + RngExt + Sized {
         mean + std_dev * self.standard_normal()
     }
 
-    /// Samples a Poisson variate with mean `lambda`.
-    ///
-    /// Knuth's product method for small means; for `lambda > 30` a normal
-    /// approximation (rounded, clamped at zero) keeps the cost O(1) — the
-    /// event-triggered workload generators call this once per TDMA round.
+    /// Samples a Poisson variate with mean `lambda`: one draw of
+    /// [`Poisson::new`]`(lambda)`. A caller that samples the same mean
+    /// repeatedly keeps the [`Poisson`] instead.
     fn poisson(&mut self, lambda: f64) -> u64 {
+        Poisson::new(lambda).sample(self)
+    }
+}
+
+impl<R: Rng> SampleExt for R {}
+
+/// A Poisson distribution with its Knuth threshold `exp(-λ)` computed
+/// once, for generators that draw the same mean every TDMA round.
+///
+/// Knuth's product method serves small means; for `lambda > 30` a normal
+/// approximation (rounded, clamped at zero) keeps the cost O(1).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Poisson {
+    lambda: f64,
+    exp_neg_lambda: f64,
+}
+
+impl Poisson {
+    /// The distribution with mean `lambda`.
+    ///
+    /// # Panics
+    /// If `lambda` is negative or not finite.
+    pub fn new(lambda: f64) -> Self {
         assert!(lambda.is_finite() && lambda >= 0.0, "lambda must be finite and non-negative");
+        Poisson { lambda, exp_neg_lambda: (-lambda).exp() }
+    }
+
+    /// Draws one variate from `rng`.
+    pub fn sample<R: SampleExt>(&self, rng: &mut R) -> u64 {
+        let lambda = self.lambda;
         if lambda == 0.0 {
             return 0;
         }
         if lambda > 30.0 {
-            let x = self.normal(lambda, lambda.sqrt()).round();
+            let x = rng.normal(lambda, lambda.sqrt()).round();
             return if x < 0.0 { 0 } else { x as u64 };
         }
-        let l = (-lambda).exp();
         let mut k = 0u64;
         let mut p = 1.0;
         loop {
-            p *= self.random::<f64>();
-            if p <= l {
+            p *= rng.random::<f64>();
+            if p <= self.exp_neg_lambda {
                 return k;
             }
             k += 1;
         }
     }
 }
-
-impl<R: Rng> SampleExt for R {}
 
 #[cfg(test)]
 mod tests {

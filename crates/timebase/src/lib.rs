@@ -17,5 +17,6 @@ pub mod sync;
 pub use clock::{LocalClock, LocalNanos, OscillatorState};
 pub use sparse::{ActionLattice, LatticePoint, SparseOrder};
 pub use sync::{
-    fta_round, fta_round_in_place, precision_bound_ns, SyncMonitor, SyncRound, SyncStatus,
+    fta_round, fta_round_in_place, fta_round_sorted, precision_bound_ns, SyncMonitor, SyncRound,
+    SyncStatus,
 };

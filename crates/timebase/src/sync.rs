@@ -62,15 +62,65 @@ pub fn fta_round_in_place(deviations: &mut [LocalNanos], k: usize) -> Result<Syn
     deviations.sort_unstable();
     let used = &deviations[k..deviations.len() - k];
     let sum: i128 = used.iter().map(|&d| d as i128).sum();
+    let observed_precision_ns =
+        used.iter().map(|&d| d.unsigned_abs()).max().expect("non-empty by construction");
+    Ok(SyncRound {
+        correction_ns: damped_average(sum, used.len()),
+        used: used.len(),
+        observed_precision_ns,
+    })
+}
+
+/// Half the truncated average of `len` used measurements summing to
+/// `sum`: the FTA correction.
+fn damped_average(sum: i128, len: usize) -> i64 {
     // Both divisions truncate toward zero; the i64 one avoids the i128
     // division libcall whenever the sum fits, which is every real round.
     let avg = match i64::try_from(sum) {
-        Ok(sum) => sum / used.len() as i64,
-        Err(_) => (sum / used.len() as i128) as i64,
+        Ok(sum) => sum / len as i64,
+        Err(_) => (sum / len as i128) as i64,
     };
-    let observed_precision_ns =
-        used.iter().map(|&d| d.unsigned_abs()).max().expect("non-empty by construction");
-    Ok(SyncRound { correction_ns: avg / 2, used: used.len(), observed_precision_ns })
+    avg / 2
+}
+
+/// [`fta_round`] for one member of a cluster, read off every member's
+/// deviation sorted once.
+///
+/// `sorted` holds the members' clock deviations (from any common
+/// reference) in ascending order, and `pos` is the position of this
+/// member's own. The member's relative vector — every *other* deviation
+/// minus its own — sorts to `sorted` less one copy of `sorted[pos]`,
+/// shifted by `-sorted[pos]`. So its used measurements are the central
+/// window `sorted[k..n - k]` less one element (`sorted[pos]` clamped into
+/// the window), shifted, and no per-member vector or sort is needed.
+///
+/// Bit for bit equal to [`fta_round`] on that relative vector whenever
+/// `sorted[n - 1] - sorted[0]` fits an `i64`, so that no relative
+/// deviation wraps: the sum below is then the exact sum `fta_round` forms.
+pub fn fta_round_sorted(
+    sorted: &[LocalNanos],
+    pos: usize,
+    k: usize,
+) -> Result<SyncRound, SyncError> {
+    let n = sorted.len();
+    debug_assert!(pos < n, "member position {pos} outside {n} deviations");
+    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "deviations must be sorted");
+    let need = 2 * k + 1;
+    let have = n.saturating_sub(1);
+    if have < need {
+        return Err(SyncError::InsufficientMeasurements { have, need });
+    }
+    let own = sorted[pos];
+    let (lo, hi) = (k, n - k);
+    let skip = pos.clamp(lo, hi - 1);
+    let used = hi - lo - 1;
+    let window: i128 = sorted[lo..hi].iter().map(|&d| d as i128).sum();
+    let sum = window - sorted[skip] as i128 - used as i128 * own as i128;
+    // The used window's extremes bound every used |relative deviation|.
+    let first = sorted[if skip == lo { lo + 1 } else { lo }];
+    let last = sorted[if skip == hi - 1 { hi - 2 } else { hi - 1 }];
+    let observed_precision_ns = (first - own).unsigned_abs().max((last - own).unsigned_abs());
+    Ok(SyncRound { correction_ns: damped_average(sum, used), used, observed_precision_ns })
 }
 
 /// Precision bound of the FTA algorithm.

@@ -342,6 +342,7 @@ impl FleetAccumulator {
         *self.class_counts.entry(class).or_insert(0) += 1;
         let quality = outcome.delivery_quality;
         if index % FLEET_BLOCK == 0 {
+            // A run starts from +0.0, as every block sum always has.
             self.quality_blocks.insert(index / FLEET_BLOCK, 0.0 + quality);
             self.run_next = Some(index + 1);
         } else if self.run_next == Some(index) {

@@ -31,6 +31,6 @@ pub mod time;
 pub use flightrec::{
     FaultLifecycle, FaultRecord, FlightRecorder, FlightRecording, TraceEvent, TraceEventKind,
 };
-pub use rng::{Poisson, SampleExt, SeedSource};
+pub use rng::{SampleExt, SeedSource};
 pub use telemetry::{Counter, CounterSet, Gauge, GaugeSet, TelemetrySnapshot};
 pub use time::{SimDuration, SimTime};

@@ -416,6 +416,21 @@ const INTERNAL_DEGRADATION_C1: &str = concat!(
     "records.messages=35934;records.errors=180;records.digest=54f32d2cd7ffaa11;",
 );
 
+/// fig10 component 1 crashing under stress and restarting (with state
+/// synchronization) about every 2 s of simulated time, then failing
+/// permanently (a dead clock) after 0.002 h, 4000 rounds, seed 2026.
+const STRESS_RESTARTS_THEN_DEAD_C1: &str = concat!(
+    "slots_simulated=16000;rounds_simulated=4000;symptoms_offered=6704;symptoms_delivered=6704;",
+    "symptoms_dropped=0;frames_corrupted=0;frames_rejected=0;frames_delayed=0;",
+    "frames_forged_suspected=0;ona_matches=2237;trust_frozen_rounds=0;failovers=0;",
+    "crashed_rounds=0;vehicles=1;degraded_vehicles=0;faults_injected=2;faults_detected=2;",
+    "faults_convicted=1;wrong_fru_convictions=0;detect_latency_rounds=3;",
+    "convict_latency_rounds=4;journal_records=0;journal_bytes=0;journal_fsyncs=0;",
+    "snapshots_written=0;store_recovered_records=0;store_quarantined_bytes=0;",
+    "delivery_quality=1.0;nff_ratio=0.0;detect_latency=1.5;convict_latency=4.0;",
+    "records.messages=29408;records.errors=6693;records.digest=3d04d3a38154e202;",
+);
+
 /// fig10 component 2's quartz degrading at 1e7 ppm per hour: the clocks
 /// spread out of the admission window, 4000 rounds, seed 2026.
 const QUARTZ_C2: &str = concat!(
@@ -700,6 +715,27 @@ fn internal_degradation_campaign_with_restarts_and_a_dead_clock() {
     let faults = decos::faults::campaign::internal_degradation_campaign(NodeId(1));
     let c = Campaign::reference(faults, 10.0, 4_000, 2026);
     check("internal degradation", &record_fingerprint(&c), INTERNAL_DEGRADATION_C1);
+}
+
+#[test]
+fn stress_restarts_then_a_dead_clock_campaign() {
+    let c1 = FruRef::Component(NodeId(1));
+    let faults = vec![
+        FaultSpec {
+            id: 1,
+            kind: FaultKind::StressOutage { rate_per_hour: 180.0, outage_ms: 40.0 },
+            target: c1,
+            onset: SimTime::ZERO,
+        },
+        FaultSpec {
+            id: 2,
+            kind: FaultKind::IcPermanent { after_hours: 0.002 },
+            target: c1,
+            onset: SimTime::ZERO,
+        },
+    ];
+    let c = Campaign::reference(faults, 10.0, 4_000, 2026);
+    check("stress restarts then dead", &record_fingerprint(&c), STRESS_RESTARTS_THEN_DEAD_C1);
 }
 
 #[test]

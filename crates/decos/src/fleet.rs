@@ -11,16 +11,18 @@
 //! aggregation must *stream*: every finished vehicle folds immediately into
 //! a per-shard [`FleetAccumulator`] (see [`crate::fleet_exec`] for the
 //! work-stealing executor, from which [`run_fleet_configured`]'s shards
-//! claim one vehicle at a time), shard partials merge in shard-index
-//! order, and [`FleetOutcome::vehicles`] retains a bounded
-//! [`RetainedVehicles`] sample instead of a fleet-sized `Vec`.
+//! claim one vehicle at a time), shard partials merge, and
+//! [`FleetOutcome::vehicles`] retains a bounded [`RetainedVehicles`]
+//! sample instead of a fleet-sized `Vec` of outcomes.
 //!
 //! Determinism: every aggregate except the delivery-quality sum is integer
-//! arithmetic, hence order-invariant. The one float sum is folded in fixed
-//! [`FLEET_BLOCK`]-sized index blocks, each front to back, and the blocks
-//! fold in ascending index order at [`FleetAccumulator::finish`] — the
-//! counter fingerprint and all gauges are bit-identical for any shard
-//! count and any way the vehicles were dealt.
+//! arithmetic, hence order-invariant. For the one float sum each
+//! accumulator keeps an `(index, quality)` pair per vehicle (16 B), and
+//! [`FleetAccumulator::finish`] sorts the pairs and folds them in fixed
+//! [`FLEET_BLOCK`]-sized index blocks, each front to back, then the blocks
+//! in ascending order — the counter fingerprint and all gauges are
+//! bit-identical for any shard count and any order the vehicles were
+//! recorded in.
 
 use crate::fleet_exec;
 use crate::runner::{run_campaign_opts, Campaign, CampaignError, RunOptions};
@@ -37,11 +39,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Vehicles per delivery-quality fold block: the fleet mean sums each
 /// block's qualities front to back, then the block sums in ascending
-/// order, whichever shards recorded the vehicles. It is the fold unit,
-/// not the work unit: [`run_fleet_configured`] deals single vehicles,
-/// while callers that deal whole blocks (the stored fleet's ordered drain,
-/// or a caller's own [`crate::fleet_exec::run_sharded`] over `FLEET_BLOCK`
-/// ranges) keep one running sum per block.
+/// order, whichever accumulators recorded the vehicles and in whatever
+/// order. It is the fold unit only: it fixes the float sequence, not how
+/// vehicles are dealt ([`run_fleet_configured`] deals single vehicles).
 pub const FLEET_BLOCK: u64 = 64;
 
 /// Fleets at or below this size keep every [`VehicleOutcome`] under
@@ -80,26 +80,17 @@ pub enum FleetRetention {
     /// back to the deterministic stride sample.
     #[default]
     Auto,
-    /// Keep every vehicle regardless of fleet size (memory grows linearly
-    /// with the fleet — ask for this only when you need it).
-    Full,
-    /// Keep only the stride sample (roughly [`RETENTION_SAMPLE_TARGET`]
-    /// vehicles) even for small fleets.
-    Sample,
 }
 
 impl FleetRetention {
     /// Retention stride for a fleet of `total` vehicles: vehicles with
-    /// `index % stride == 0` are kept. Depends only on the policy and the
-    /// fleet size — never on shard count — so retained samples are
-    /// identical however the fleet was executed.
+    /// `index % stride == 0` are kept. Depends only on the fleet size —
+    /// never on shard count — so retained samples are identical however
+    /// the fleet was executed.
     pub fn stride_for(self, total: u64) -> u64 {
         match self {
-            FleetRetention::Full => 1,
             FleetRetention::Auto if total <= FULL_RETENTION_MAX => 1,
-            FleetRetention::Auto | FleetRetention::Sample => {
-                total.div_ceil(RETENTION_SAMPLE_TARGET).max(1)
-            }
+            FleetRetention::Auto => total.div_ceil(RETENTION_SAMPLE_TARGET),
         }
     }
 }
@@ -259,38 +250,25 @@ pub struct FleetOutcome {
 
 /// Streaming per-shard fleet aggregate.
 ///
-/// Each shard owns one accumulator and [`Self::record`]s vehicles in
-/// ascending index order as they finish; partials [`Self::merge`] in
-/// shard-index order and [`Self::finish`] produces the [`FleetOutcome`].
-/// What is held here: integer counters, one merged telemetry snapshot,
-/// the stride-sampled retention vector, one delivery-quality running sum
-/// per [`FLEET_BLOCK`] (`vehicles / FLEET_BLOCK` entries), and an
-/// `(index, quality)` pair, 16 B, for each vehicle recorded outside its
-/// block's run. An accumulator fed whole blocks in order holds no pairs;
-/// one fed single vehicles by a sharded executor holds most of its share.
+/// Each shard owns one accumulator and [`Self::record`]s vehicles as they
+/// finish, in any order; partials [`Self::merge`] in any order and
+/// [`Self::finish`] produces the [`FleetOutcome`]. What is held here:
+/// integer counters, one merged telemetry snapshot, the stride-sampled
+/// retention vector, and an `(index, quality)` pair, 16 B, for every
+/// recorded vehicle.
 #[derive(Debug)]
 pub struct FleetAccumulator {
     total: u64,
     stride: u64,
-    recorded: u64,
-    last_index: Option<u64>,
     confusion: ConfusionMatrix,
     decos: ActionScore,
     obd: ActionScore,
     class_counts: BTreeMap<String, u64>,
     class_correct: BTreeMap<String, u64>,
-    /// Delivery-quality running sums keyed by `index / FLEET_BLOCK`, each
-    /// over the block's run: the vehicles this accumulator recorded
-    /// contiguously from the block's first index, summed front to back.
-    /// Exactly one accumulator records a block's first index, so the keys
-    /// of merged partials are disjoint.
-    quality_blocks: BTreeMap<u64, f64>,
-    /// The index that extends the open block run, if one is open.
-    run_next: Option<u64>,
-    /// Qualities of the vehicles recorded outside their block's run.
-    /// [`Self::finish`] folds each after its block's run, in index order,
-    /// so the f64 result does not depend on how vehicles were dealt.
-    loose_quality: Vec<(u64, f64)>,
+    /// Delivery quality of every recorded vehicle, in recording order;
+    /// [`Self::finish`] sorts it by index, so the f64 mean does not
+    /// depend on how vehicles were dealt.
+    quality: Vec<(u64, f64)>,
     degraded_vehicles: u64,
     telemetry: Option<TelemetrySnapshot>,
     samples: Vec<SampledVehicle>,
@@ -302,25 +280,20 @@ impl FleetAccumulator {
         FleetAccumulator {
             total,
             stride: retain.stride_for(total),
-            recorded: 0,
-            last_index: None,
             confusion: ConfusionMatrix::new(),
             decos: ActionScore::default(),
             obd: ActionScore::default(),
             class_counts: BTreeMap::new(),
             class_correct: BTreeMap::new(),
-            quality_blocks: BTreeMap::new(),
-            run_next: None,
-            loose_quality: Vec::new(),
+            quality: Vec::new(),
             degraded_vehicles: 0,
             telemetry: None,
             samples: Vec::new(),
         }
     }
 
-    /// Folds one finished vehicle in. Within one accumulator, calls must
-    /// come in ascending index order (the executor's ascending deal and
-    /// the store's journal drain both guarantee this).
+    /// Folds one finished vehicle in. Vehicles may come in any order, but
+    /// each index exactly once across the merged partials.
     pub fn record(
         &mut self,
         index: u64,
@@ -328,30 +301,13 @@ impl FleetAccumulator {
         telemetry: Option<TelemetrySnapshot>,
     ) {
         debug_assert!(index < self.total, "vehicle index {index} outside fleet of {}", self.total);
-        debug_assert!(
-            self.last_index.is_none_or(|p| index > p),
-            "vehicles must be recorded in ascending index order per shard"
-        );
-        self.last_index = Some(index);
-        self.recorded += 1;
         self.confusion.record(outcome.truth_class, outcome.decos_class);
         self.decos.merge(&outcome.decos);
         self.obd.merge(&outcome.obd);
         let class = outcome.truth_class.to_string();
         *self.class_correct.entry(class.clone()).or_insert(0) += outcome.decos.correct_actions;
         *self.class_counts.entry(class).or_insert(0) += 1;
-        let quality = outcome.delivery_quality;
-        if index % FLEET_BLOCK == 0 {
-            // A run starts from +0.0, as every block sum always has.
-            self.quality_blocks.insert(index / FLEET_BLOCK, 0.0 + quality);
-            self.run_next = Some(index + 1);
-        } else if self.run_next == Some(index) {
-            *self.quality_blocks.get_mut(&(index / FLEET_BLOCK)).expect("open run") += quality;
-            self.run_next = Some(index + 1);
-        } else {
-            self.run_next = None;
-            self.loose_quality.push((index, quality));
-        }
+        self.quality.push((index, outcome.delivery_quality));
         self.degraded_vehicles += u64::from(outcome.degraded);
         if let Some(t) = telemetry {
             match self.telemetry.as_mut() {
@@ -364,20 +320,11 @@ impl FleetAccumulator {
         }
     }
 
-    /// Vehicles held as loose `(index, quality)` pairs until
-    /// [`Self::finish`]: those recorded outside their block's run.
-    pub fn loose_vehicles(&self) -> usize {
-        self.loose_quality.len()
-    }
-
-    /// Merges another shard's partial in. Callers merge shard partials in
-    /// shard-index order; each vehicle must have been recorded by exactly
-    /// one of them.
+    /// Merges another shard's partial in. Each vehicle must have been
+    /// recorded by exactly one of the merged partials.
     pub fn merge(&mut self, other: FleetAccumulator) {
         debug_assert_eq!(self.total, other.total);
         debug_assert_eq!(self.stride, other.stride);
-        self.recorded += other.recorded;
-        self.last_index = self.last_index.max(other.last_index);
         self.confusion.merge(&other.confusion);
         self.decos.merge(&other.decos);
         self.obd.merge(&other.obd);
@@ -387,15 +334,7 @@ impl FleetAccumulator {
         for (k, v) in other.class_correct {
             *self.class_correct.entry(k).or_insert(0) += v;
         }
-        for (b, q) in other.quality_blocks {
-            debug_assert!(
-                !self.quality_blocks.contains_key(&b),
-                "quality block {b} started by two accumulators"
-            );
-            self.quality_blocks.insert(b, q);
-        }
-        self.run_next = None;
-        self.loose_quality.extend(other.loose_quality);
+        self.quality.extend(other.quality);
         self.degraded_vehicles += other.degraded_vehicles;
         if let Some(t) = other.telemetry {
             match self.telemetry.as_mut() {
@@ -406,33 +345,28 @@ impl FleetAccumulator {
         self.samples.extend(other.samples);
     }
 
-    /// Finalizes the fleet aggregate: folds each quality block (its run,
-    /// then its loose vehicles in index order) and the blocks in ascending
-    /// index order, re-derives fleet-scope gauges from the merged counters
-    /// and sorts the retained sample.
+    /// Finalizes the fleet aggregate: sorts the qualities by index, folds
+    /// each [`FLEET_BLOCK`] front to back and the block sums in ascending
+    /// order, re-derives fleet-scope gauges from the merged counters and
+    /// sorts the retained sample.
     pub fn finish(mut self) -> FleetOutcome {
         debug_assert_eq!(
-            self.recorded, self.total,
+            self.quality.len() as u64,
+            self.total,
             "accumulator must see every vehicle exactly once"
         );
-        // Each block's run is a front-to-back prefix of the block, and its
-        // loose vehicles follow it in index order, so every block sum is
-        // the same float sequence however the vehicles were dealt; BTreeMap
-        // iterates in ascending key order and `sum` folds left to right.
-        self.loose_quality.sort_unstable_by_key(|&(i, _)| i);
-        let mut loose = self.loose_quality.iter().peekable();
+        self.quality.sort_unstable_by_key(|&(i, _)| i);
+        debug_assert!(
+            self.quality.windows(2).all(|w| w[0].0 != w[1].0),
+            "a vehicle index was recorded twice"
+        );
+        // Every block sum starts from +0.0 and `sum` folds the blocks left
+        // to right, so the float sequence is fixed by the indices alone.
         let quality_sum: f64 = self
-            .quality_blocks
-            .iter()
-            .map(|(&b, &run)| {
-                let mut sum = run;
-                while let Some(&(_, q)) = loose.next_if(|(i, _)| i / FLEET_BLOCK == b) {
-                    sum += q;
-                }
-                sum
-            })
+            .quality
+            .chunk_by(|a, b| a.0 / FLEET_BLOCK == b.0 / FLEET_BLOCK)
+            .map(|block| block.iter().fold(0.0, |sum, &(_, q)| sum + q))
             .sum();
-        debug_assert!(loose.next().is_none(), "a loose vehicle's block has no run");
         let mean_delivery_quality =
             if self.total == 0 { 1.0 } else { quality_sum / self.total as f64 };
         self.samples.sort_unstable_by_key(|s| s.index);
@@ -727,7 +661,7 @@ mod tests {
         for i in 0..total {
             whole.record(i, synth(i), None);
         }
-        // Split at a block boundary, as the executor always does.
+        // Two contiguous partials, split at a block boundary.
         let split = 5 * FLEET_BLOCK;
         let mut a = FleetAccumulator::new(total, FleetRetention::Auto);
         let mut b = FleetAccumulator::new(total, FleetRetention::Auto);
@@ -758,25 +692,33 @@ mod tests {
         }
         let want = whole.finish().mean_delivery_quality.to_bits();
         // Single vehicles dealt round-robin, in uneven runs and with a
-        // split inside a block, each accumulator seeing ascending indices.
+        // split inside a block.
         let deals: [&dyn Fn(u64) -> usize; 4] = [
             &|i| (i % 2) as usize,
             &|i| (i % 7) as usize,
             &|i| usize::from(i % 97 < 40) + 2 * usize::from(i % 5 == 0),
             &|i| usize::from(i >= 100),
         ];
+        // Each deal fed in ascending, descending and shuffled index order
+        // (379 is coprime to 1000, so `k * 379 % 1000` is a permutation).
+        let orders: [&dyn Fn(u64) -> u64; 3] =
+            [&|k| k, &|k| total - 1 - k, &|k| (k * 379 + 11) % total];
         for (d, deal) in deals.iter().enumerate() {
-            let mut parts: Vec<FleetAccumulator> =
-                (0..7).map(|_| FleetAccumulator::new(total, FleetRetention::Auto)).collect();
-            for i in 0..total {
-                parts[deal(i)].record(i, synth(i), None);
+            for (o, order) in orders.iter().enumerate() {
+                let mut parts: Vec<FleetAccumulator> =
+                    (0..7).map(|_| FleetAccumulator::new(total, FleetRetention::Auto)).collect();
+                for k in 0..total {
+                    let i = order(k);
+                    parts[deal(i)].record(i, synth(i), None);
+                }
+                let mut parts = parts.into_iter();
+                let mut acc = parts.next().unwrap();
+                for p in parts {
+                    acc.merge(p);
+                }
+                let got = acc.finish().mean_delivery_quality.to_bits();
+                assert_eq!(got, want, "deal {d}, order {o}");
             }
-            let mut parts = parts.into_iter();
-            let mut acc = parts.next().unwrap();
-            for p in parts {
-                acc.merge(p);
-            }
-            assert_eq!(acc.finish().mean_delivery_quality.to_bits(), want, "deal {d}");
         }
     }
 
@@ -798,13 +740,5 @@ mod tests {
         // Aggregates stay exact regardless of retention.
         assert_eq!(out.decos.cases, total);
         assert_eq!(out.confusion.total(), total);
-    }
-
-    #[test]
-    fn full_retention_overrides_the_size_threshold() {
-        let total = FULL_RETENTION_MAX + 100;
-        assert_eq!(FleetRetention::Full.stride_for(total), 1);
-        assert!(FleetRetention::Auto.stride_for(total) > 1);
-        assert_eq!(FleetRetention::Sample.stride_for(24), 1, "tiny fleet: stride floors at 1");
     }
 }

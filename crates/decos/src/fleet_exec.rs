@@ -18,14 +18,12 @@
 //! Callers that do want every result back, in order, use [`map_ordered`]
 //! on top of the same executor.
 //!
-//! Determinism contract: blocks are dealt in ascending order and each
-//! block is processed front-to-back by exactly one shard, so each shard
-//! sees ascending indices; which shard got which block varies between
-//! runs. Aggregates that are order-invariant (integer counters), or that
-//! the caller folds back together in ascending index order (see
-//! `FleetAccumulator`'s per-block delivery-quality runs and loose
-//! vehicles), are therefore bit-identical for any shard count, including
-//! 1.
+//! Determinism contract: every index is processed by exactly one shard;
+//! which shard got which block varies between runs. Aggregates that are
+//! order-invariant (integer counters), or that the caller folds in a
+//! fixed index order (`FleetAccumulator` sorts its per-vehicle delivery
+//! qualities by index before it folds them), are therefore bit-identical
+//! for any shard count, including 1.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};

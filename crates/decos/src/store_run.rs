@@ -17,11 +17,13 @@
 //! A fleet resume is cheaper: vehicles are independent, so committed
 //! vehicle records are *skipped* outright (their outcomes are read back
 //! from the journal) and only missing vehicles are simulated. Both kinds
-//! stream through the same [`FleetAccumulator`] the in-memory executor
-//! uses, folded in ascending vehicle-index order behind a watermark — so
-//! the resumed aggregate (including its one order-sensitive float sum) is
-//! bit-identical to the uninterrupted run's, and resident memory stays
-//! bounded even for 10⁶-vehicle fleets.
+//! fold into the same [`FleetAccumulator`] the in-memory executor uses,
+//! whose quality mean does not depend on the order vehicles arrive in —
+//! so the resumed aggregate (including its one order-sensitive float sum)
+//! is bit-identical to the uninterrupted run's. Memory is 16 B per vehicle
+//! in the accumulator, plus, on a resume, every committed
+//! [`VehicleRecord`], which [`FleetStore::open_or_create`] reads into
+//! memory.
 //!
 //! # What guards the journal
 //!
@@ -649,36 +651,16 @@ pub fn run_fleet_stored<IO: StoreIo>(
     let missing: Vec<u64> = (0..cfg.vehicles).filter(|v| !fs.committed.contains_key(v)).collect();
     let chunk = policy.chunk.max(1);
     let shards = opts.shard_count();
-    // Streaming fold: journaled and freshly simulated vehicles both drain
-    // into the same accumulator the in-memory executor uses, strictly in
-    // ascending index order behind the `next` watermark. `pending` only
-    // ever holds the not-yet-drainable part of one batch, so resident
-    // memory stays bounded regardless of fleet size.
+    // Journaled and freshly simulated vehicles fold into the same
+    // accumulator the in-memory executor uses; its quality mean does not
+    // depend on the order they arrive in. Every index below the fleet
+    // size is either committed or missing, so all of them are folded.
     let mut acc = FleetAccumulator::new(cfg.vehicles, FleetRetention::Auto);
-    let mut next: u64 = 0;
-    let mut pending: BTreeMap<u64, (VehicleOutcome, Option<TelemetrySnapshot>)> = BTreeMap::new();
-    let drain = |acc: &mut FleetAccumulator,
-                 pending: &mut BTreeMap<u64, (VehicleOutcome, Option<TelemetrySnapshot>)>,
-                 next: &mut u64,
-                 verified: &mut u64| {
-        while *next < cfg.vehicles {
-            if let Some((outcome, telemetry)) = pending.remove(next) {
-                acc.record(*next, outcome, telemetry);
-            } else if let Some(vr) = fs.committed.get(next) {
-                // Reused straight from the journal — the compute a resume
-                // saves.
-                *verified += 1;
-                acc.record(
-                    *next,
-                    vr.outcome.clone(),
-                    vr.counters.as_deref().map(snapshot_from_counters),
-                );
-            } else {
-                break;
-            }
-            *next += 1;
-        }
-    };
+    for (&v, vr) in fs.committed.range(..cfg.vehicles) {
+        // Reused straight from the journal — the compute a resume saves.
+        acc.record(v, vr.outcome.clone(), vr.counters.as_deref().map(snapshot_from_counters));
+        stats.verified += 1;
+    }
     for batch in missing.chunks(chunk) {
         let results = fleet_exec::map_ordered(batch.len() as u64, shards, |i| {
             let v = batch[i as usize];
@@ -712,10 +694,9 @@ pub fn run_fleet_stored<IO: StoreIo>(
         // Fold only after the batch is journaled and synced: the
         // accumulator must never get ahead of the crash-consistent
         // prefix it claims to summarize.
-        for (v, r) in results {
-            pending.insert(v, r);
+        for (v, (outcome, telemetry)) in results {
+            acc.record(v, outcome, telemetry);
         }
-        drain(&mut acc, &mut pending, &mut next, &mut stats.verified);
         let done = fs.committed.len() as u64 + stats.appended;
         if policy.snapshot_every > 0 && stats.appended > 0 && done % policy.snapshot_every == 0 {
             let snap = FleetSnapshot {
@@ -727,15 +708,6 @@ pub fn run_fleet_stored<IO: StoreIo>(
                 .map_err(|e| StoreError::Corrupt(format!("snapshot serialization: {e}")))?;
             fs.store.write_snapshot(&snap_name(done), &body)?;
         }
-    }
-    // An all-committed resume (no missing vehicles, hence no batches)
-    // still has to fold the journal back; the watermark also catches a
-    // store whose committed set has holes.
-    drain(&mut acc, &mut pending, &mut next, &mut stats.verified);
-    if next < cfg.vehicles {
-        return Err(
-            StoreError::Corrupt(format!("vehicle {next} neither committed nor simulated")).into()
-        );
     }
     if cfg.vehicles > fs.store.manifest().vehicles {
         let mut m = fs.store.manifest().clone();

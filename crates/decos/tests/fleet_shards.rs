@@ -75,35 +75,6 @@ fn quality_mean_is_bit_identical_across_shard_counts_on_a_lossy_fleet() {
 }
 
 #[test]
-fn an_accumulator_fed_whole_blocks_in_order_keeps_no_loose_pairs() {
-    let total = 5 * FLEET_BLOCK + 17;
-    let fleet = lossy_fleet_at(1);
-    let outcome = |i: u64| {
-        let s = &fleet.vehicles.samples()[(i % fleet.vehicles.len() as u64) as usize];
-        s.outcome.clone()
-    };
-    // Blocks dealt alternately to two accumulators, as a caller running
-    // `run_sharded` over `FLEET_BLOCK` ranges on two shards would.
-    let mut parts = [
-        FleetAccumulator::new(total, FleetRetention::Auto),
-        FleetAccumulator::new(total, FleetRetention::Auto),
-    ];
-    for i in 0..total {
-        parts[((i / FLEET_BLOCK) % 2) as usize].record(i, outcome(i), None);
-    }
-    assert_eq!(parts[0].loose_vehicles(), 0);
-    assert_eq!(parts[1].loose_vehicles(), 0);
-    // Every other vehicle, as one of two shards claiming single vehicles
-    // in lockstep gets them: all are loose but each block's first.
-    let mut every_other = FleetAccumulator::new(total, FleetRetention::Auto);
-    for i in (0..total).step_by(2) {
-        every_other.record(i, outcome(i), None);
-    }
-    let blocks = total.div_ceil(FLEET_BLOCK);
-    assert_eq!(every_other.loose_vehicles() as u64, total.div_ceil(2) - blocks);
-}
-
-#[test]
 fn auto_shards_match_the_pinned_reference() {
     let pinned = fleet_at(Some(1));
     let auto = fleet_at(None);

@@ -40,8 +40,6 @@ pub struct EngineParams {
     pub horizon_rounds: usize,
     /// Long-horizon trend bucket width.
     pub trend_window: SimDuration,
-    /// Diagnostic-network bandwidth, symptoms per round.
-    pub net_capacity_per_round: usize,
     /// Rounds of short-term history the cold-standby replica replays from
     /// its peers after a failover; during the resync it runs at reduced
     /// quality.
@@ -59,7 +57,6 @@ impl Default for EngineParams {
             advisor: AdvisorParams::default(),
             horizon_rounds: 512,
             trend_window: SimDuration::from_millis(400),
-            net_capacity_per_round: 64,
             resync_rounds: 8,
             degraded_quality_threshold: DEGRADED_QUALITY_THRESHOLD,
         }
@@ -131,14 +128,14 @@ fn class_index(c: FaultClass) -> u32 {
 }
 
 impl DiagnosticEngine {
-    /// Builds the engine for a cluster, failing on a misdimensioned
-    /// diagnostic network instead of panicking.
+    /// Builds the engine for a cluster, its diagnostic network dimensioned
+    /// by the spec's [`DiagNetSpec`](decos_platform::DiagNetSpec). A
+    /// misdimensioned network is a [`SpecError`], which
+    /// [`ClusterSim::new`] and the analyzer (DA070) already report for the
+    /// same spec, so a built sim never fails here.
     pub fn try_new(sim: &ClusterSim, params: EngineParams) -> Result<Self, SpecError> {
-        let network = DiagnosticNetwork::new(
-            params.net_capacity_per_round,
-            params.net_capacity_per_round * 8,
-        )?
-        .with_screen(PlausibilityScreen::for_spec(sim.spec()));
+        let network = DiagnosticNetwork::from_spec(&sim.spec().diag_net)?
+            .with_screen(PlausibilityScreen::for_spec(sim.spec()));
         Ok(DiagnosticEngine {
             detectors: SymptomDetectors::new(sim),
             network,
@@ -180,9 +177,9 @@ impl DiagnosticEngine {
     /// Builds the engine for a cluster.
     ///
     /// # Panics
-    /// On a zero-capacity diagnostic network; use
-    /// [`try_new`](DiagnosticEngine::try_new) to handle that as a
-    /// [`SpecError`].
+    /// On a misdimensioned diagnostic network, which [`ClusterSim::new`]
+    /// already refuses; [`try_new`](DiagnosticEngine::try_new) returns it
+    /// as a [`SpecError`] instead.
     pub fn new(sim: &ClusterSim, params: EngineParams) -> Self {
         Self::try_new(sim, params).expect("valid diagnostic-network dimensioning")
     }
@@ -631,9 +628,10 @@ mod tests {
 
     #[test]
     fn zero_capacity_network_is_a_spec_error() {
-        let sim = ClusterSim::new(fig10::reference_spec(), 23).unwrap();
-        let params = EngineParams { net_capacity_per_round: 0, ..Default::default() };
-        assert!(DiagnosticEngine::try_new(&sim, params).is_err());
+        let mut spec = fig10::reference_spec();
+        spec.diag_net.capacity_per_round = 0;
+        assert!(spec.structural_errors().contains(&SpecError::InvalidDiagNet));
+        assert_eq!(ClusterSim::new(spec, 23).err(), Some(SpecError::InvalidDiagNet));
     }
 
     #[test]

@@ -92,8 +92,11 @@ pub fn wearout_campaign(
     ]
 }
 
-/// A component-internal hard failure developing over time: recurring
-/// transient outages, then permanent death.
+/// A component-internal hard failure developing over time: PCB-crack
+/// outages at a growing rate, each of which silences the component's
+/// transmissions (no restart), and an IC death 0.05 h after onset. The
+/// death time is compared with unaccelerated simulated time (180 s), so
+/// a 4000-round fig10 run (16 s) sees only the outages.
 pub fn internal_degradation_campaign(node: NodeId) -> Vec<FaultSpec> {
     vec![
         FaultSpec {

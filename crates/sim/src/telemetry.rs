@@ -301,21 +301,6 @@ impl TelemetrySnapshot {
         self.counters.iter().find(|c| c.name == name).map(|c| c.value)
     }
 
-    /// Overwrites one counter by registry name, returning whether the
-    /// name was found. The campaign store patches its `journal_*` /
-    /// `store_*` counters into emitted snapshots with this — *after* the
-    /// determinism fingerprint is taken, since I/O counters legitimately
-    /// differ between a straight run and a resumed one.
-    pub fn set_counter(&mut self, name: &str, value: u64) -> bool {
-        match self.counters.iter_mut().find(|c| c.name == name) {
-            Some(c) => {
-                c.value = value;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Value of one gauge by registry name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.value)

@@ -5,6 +5,7 @@
 
 use decos::diagnosis::{score_case, ConfusionMatrix, EngineParams};
 use decos::faults::campaign;
+use decos::platform::DiagNetSpec;
 use decos::prelude::*;
 use proptest::prelude::*;
 
@@ -25,10 +26,10 @@ fn diagnosis_survives_symptom_floods_on_a_starved_network() {
         target: FruRef::Component(NodeId(0)),
         onset: SimTime::ZERO,
     }];
-    let c = Campaign::reference(faults, 10.0, 4_000, 31);
-    let params = EngineParams { net_capacity_per_round: 4, ..Default::default() };
+    let mut c = Campaign::reference(faults, 10.0, 4_000, 31);
+    c.spec.diag_net = DiagNetSpec { capacity_per_round: 4, queue_depth: 32 };
     let mut last_stats = None;
-    let out = run_campaign_opts(&c, params, RunOptions::default(), |_, eng, _| {
+    let out = run_campaign_opts(&c, EngineParams::default(), RunOptions::default(), |_, eng, _| {
         last_stats = Some(eng.dissemination_stats());
     })
     .unwrap();

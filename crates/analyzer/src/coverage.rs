@@ -1,6 +1,5 @@
 //! The ONA pattern catalog: which fault pattern indicates which taxonomy
-//! class, in which of the time/value/space dimensions, and under which
-//! parameter settings it can fire at all.
+//! class, and under which parameter settings it can fire at all.
 //!
 //! §V-A defines an ONA as a predicate over the distributed state in the
 //! value, time and space domains; Fig. 8 maps patterns to fault classes.
@@ -13,88 +12,35 @@
 use decos_diagnosis::OnaParams;
 use decos_faults::FaultClass;
 
-/// An ONA dimension (§V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dimension {
-    /// Temporal signature (burst, recurring, increasing frequency).
-    Time,
-    /// Value signature (corruption, drift, omission content).
-    Value,
-    /// Spatial signature (proximity zone, single stub, co-hosting).
-    Space,
-}
-
-impl core::fmt::Display for Dimension {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            Dimension::Time => "time",
-            Dimension::Value => "value",
-            Dimension::Space => "space",
-        })
-    }
-}
-
 /// One pattern of the ONA bank, as the analyzer models it.
 #[derive(Debug, Clone, Copy)]
-pub struct PatternInfo {
+pub(crate) struct PatternInfo {
     /// Stable pattern name (matches `PatternMatch::pattern`).
     pub name: &'static str,
     /// The fault class the pattern indicates (Fig. 8).
     pub class: FaultClass,
-    /// Dimensions the predicate quantifies over.
-    pub dims: &'static [Dimension],
 }
 
-use Dimension::{Space, Time, Value};
-
 /// Every pattern the ONA bank implements, in Fig. 8 order.
-pub const PATTERN_CATALOG: &[PatternInfo] = &[
-    PatternInfo {
-        name: "massive-transient",
-        class: FaultClass::ComponentExternal,
-        dims: &[Time, Value, Space],
-    },
-    PatternInfo { name: "isolated-transient", class: FaultClass::ComponentExternal, dims: &[Time] },
-    PatternInfo { name: "connector", class: FaultClass::ComponentBorderline, dims: &[Time, Space] },
-    PatternInfo {
-        name: "recurring-internal",
-        class: FaultClass::ComponentInternal,
-        dims: &[Time, Space],
-    },
-    PatternInfo { name: "wearout", class: FaultClass::ComponentInternal, dims: &[Time, Value] },
-    PatternInfo { name: "oscillator", class: FaultClass::ComponentInternal, dims: &[Time] },
-    PatternInfo {
-        name: "cohost-correlation",
-        class: FaultClass::ComponentInternal,
-        dims: &[Space, Value],
-    },
-    PatternInfo { name: "configuration", class: FaultClass::JobBorderline, dims: &[Value] },
-    PatternInfo {
-        name: "software-design",
-        class: FaultClass::JobInherentSoftware,
-        dims: &[Value, Time],
-    },
-    PatternInfo {
-        name: "transducer-stuck",
-        class: FaultClass::JobInherentTransducer,
-        dims: &[Value],
-    },
-    PatternInfo {
-        name: "transducer-drift",
-        class: FaultClass::JobInherentTransducer,
-        dims: &[Value],
-    },
-    PatternInfo {
-        name: "transducer-dead",
-        class: FaultClass::JobInherentTransducer,
-        dims: &[Value],
-    },
+pub(crate) const PATTERN_CATALOG: &[PatternInfo] = &[
+    PatternInfo { name: "massive-transient", class: FaultClass::ComponentExternal },
+    PatternInfo { name: "isolated-transient", class: FaultClass::ComponentExternal },
+    PatternInfo { name: "connector", class: FaultClass::ComponentBorderline },
+    PatternInfo { name: "recurring-internal", class: FaultClass::ComponentInternal },
+    PatternInfo { name: "wearout", class: FaultClass::ComponentInternal },
+    PatternInfo { name: "oscillator", class: FaultClass::ComponentInternal },
+    PatternInfo { name: "cohost-correlation", class: FaultClass::ComponentInternal },
+    PatternInfo { name: "configuration", class: FaultClass::JobBorderline },
+    PatternInfo { name: "software-design", class: FaultClass::JobInherentSoftware },
+    PatternInfo { name: "transducer-stuck", class: FaultClass::JobInherentTransducer },
+    PatternInfo { name: "transducer-drift", class: FaultClass::JobInherentTransducer },
+    PatternInfo { name: "transducer-dead", class: FaultClass::JobInherentTransducer },
 ];
 
 /// Why a pattern cannot fire under `ona` within `rounds` (0 = unbounded),
 /// or `None` if it can.
 #[must_use]
-pub fn unavailability(p: &PatternInfo, ona: &OnaParams, rounds: u64) -> Option<String> {
+pub(crate) fn unavailability(p: &PatternInfo, ona: &OnaParams, rounds: u64) -> Option<String> {
     let horizon = |needed: u64, what: &str| -> Option<String> {
         if rounds > 0 && needed > rounds {
             Some(format!("{what} needs {needed} rounds but the horizon is {rounds}"))
@@ -195,13 +141,6 @@ mod tests {
         assert!(unavailability(cfgp, &ona, 100).is_none());
     }
 
-    #[test]
-    fn every_pattern_names_at_least_one_dimension() {
-        for p in PATTERN_CATALOG {
-            assert!(!p.dims.is_empty(), "{} has no dimension", p.name);
-        }
-    }
-
     fn named(name: &str) -> &'static PatternInfo {
         PATTERN_CATALOG.iter().find(|p| p.name == name).unwrap_or_else(|| panic!("{name}"))
     }
@@ -283,11 +222,7 @@ mod tests {
 
     #[test]
     fn unknown_pattern_is_always_unavailable() {
-        let p = PatternInfo {
-            name: "no-such-pattern",
-            class: FaultClass::ComponentExternal,
-            dims: &[Time],
-        };
+        let p = PatternInfo { name: "no-such-pattern", class: FaultClass::ComponentExternal };
         assert!(unavailability(&p, &OnaParams::default(), 0).is_some());
     }
 }

@@ -16,9 +16,10 @@
 //! the earliest possible round with the highest confidence the matcher
 //! can emit. The verdict directions that follow:
 //!
-//! * [`Verdict::Undetectable`] and [`conviction beyond horizon`][SymptomSignature::conviction_round]
-//!   are *sound*: if the optimistic envelope cannot produce an
-//!   observation (or conviction), the simulator cannot either.
+//! * [`Verdict::Undetectable`] and conviction beyond the horizon
+//!   (`SymptomSignature::conviction_round`) are *sound*: if the optimistic
+//!   envelope cannot produce an observation (or conviction), the simulator
+//!   cannot either.
 //! * [`Verdict::Ambiguous`] is conservative for the maintenance claim —
 //!   signatures are over-approximated, so a pair is only declared
 //!   [`Verdict::Diagnosable`] when even the over-approximations differ.
@@ -56,13 +57,13 @@ pub struct Hypothesis {
 impl Hypothesis {
     /// Hypothesis from a campaign fault.
     #[must_use]
-    pub fn of(f: &decos_faults::FaultSpec) -> Self {
+    pub(crate) fn of(f: &decos_faults::FaultSpec) -> Self {
         Hypothesis { kind: f.kind.clone(), fru: f.target, fault_id: Some(f.id) }
     }
 
     /// The maintenance-oriented class.
     #[must_use]
-    pub fn class(&self) -> FaultClass {
+    pub(crate) fn class(&self) -> FaultClass {
         self.kind.class()
     }
 
@@ -100,13 +101,13 @@ pub struct SymptomSignature {
 impl SymptomSignature {
     /// No reachable observation at all: the hypothesis is invisible.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.observations.is_empty()
     }
 
     /// The comparison key: the set of `(pattern, subjects)` pairs.
     #[must_use]
-    pub fn key(&self) -> BTreeSet<(&'static str, Vec<FruRef>)> {
+    pub(crate) fn key(&self) -> BTreeSet<(&'static str, Vec<FruRef>)> {
         self.observations.iter().map(|o| (o.pattern, o.subjects.clone())).collect()
     }
 
@@ -114,7 +115,7 @@ impl SymptomSignature {
     /// advisor's conviction threshold, under the optimistic one-firing-
     /// per-round envelope. `None` for an empty signature.
     #[must_use]
-    pub fn conviction_round(&self, min_evidence: f64) -> Option<u64> {
+    pub(crate) fn conviction_round(&self, min_evidence: f64) -> Option<u64> {
         self.observations
             .iter()
             .filter(|o| o.confidence > 0.0)
@@ -178,7 +179,7 @@ pub enum Verdict {
 impl Verdict {
     /// Short tag for matrices.
     #[must_use]
-    pub fn tag(&self) -> char {
+    pub(crate) fn tag(&self) -> char {
         match self {
             Verdict::Diagnosable { .. } => 'D',
             Verdict::Ambiguous { .. } => 'A',
@@ -204,7 +205,7 @@ pub struct PairVerdict {
 /// pins the same FRU and prescribes the same action either way), so the
 /// DA080 lint skips it.
 #[must_use]
-pub fn maintenance_equivalent(a: &Hypothesis, b: &Hypothesis) -> bool {
+pub(crate) fn maintenance_equivalent(a: &Hypothesis, b: &Hypothesis) -> bool {
     a.fru == b.fru && a.class() == b.class()
 }
 
@@ -450,7 +451,7 @@ pub struct DiagnosabilityReport {
 
 impl DiagnosabilityReport {
     /// The ambiguous pairs.
-    pub fn ambiguous(&self) -> impl Iterator<Item = &PairVerdict> {
+    pub(crate) fn ambiguous(&self) -> impl Iterator<Item = &PairVerdict> {
         self.pairs.iter().filter(|p| matches!(p.verdict, Verdict::Ambiguous { .. }))
     }
 
@@ -555,7 +556,7 @@ impl DiagnosabilityReport {
 /// the experiment's faults (two faults of the same kind on the same FRU
 /// are trivially observation-equivalent and collapse into one).
 #[must_use]
-pub fn campaign_hypotheses(exp: &ExperimentSpec<'_>) -> Vec<Hypothesis> {
+pub(crate) fn campaign_hypotheses(exp: &ExperimentSpec<'_>) -> Vec<Hypothesis> {
     let mut seen: BTreeSet<(&'static str, FruRef)> = BTreeSet::new();
     let mut out = Vec::new();
     for f in exp.faults {
@@ -621,13 +622,6 @@ pub fn full_hypotheses(exp: &ExperimentSpec<'_>) -> Vec<Hypothesis> {
         }
     }
     out
-}
-
-/// Derives the signature of a single hypothesis (exposed for tests and
-/// the soundness suite).
-#[must_use]
-pub fn signature_of(exp: &ExperimentSpec<'_>, h: &Hypothesis, rounds: u64) -> SymptomSignature {
-    Model::new(exp).signature(h, rounds)
 }
 
 /// The pairwise verdict for two hypotheses (exposed for the soundness
@@ -755,7 +749,7 @@ mod tests {
         let spec = fig10::reference_spec();
         let exp = ExperimentSpec::new(&spec);
         let h = hyp(FaultKind::DiagFrameLoss { loss_prob: 0.5 }, comp(0));
-        assert!(signature_of(&exp, &h, 4000).is_empty());
+        assert!(Model::new(&exp).signature(&h, 4000).is_empty());
         assert_eq!(pair_verdict(&exp, &h, &seu(1), 4000), Verdict::Undetectable);
     }
 
@@ -767,8 +761,8 @@ mod tests {
         exp.schedule = ScheduleSpec {
             claims: exp.schedule.claims.into_iter().filter(|&(_, n)| n != NodeId(1)).collect(),
         };
-        assert!(signature_of(&exp, &seu(1), 4000).is_empty());
-        assert!(!signature_of(&exp, &seu(2), 4000).is_empty());
+        assert!(Model::new(&exp).signature(&seu(1), 4000).is_empty());
+        assert!(!Model::new(&exp).signature(&seu(2), 4000).is_empty());
     }
 
     #[test]
@@ -779,7 +773,7 @@ mod tests {
         // still ambiguous, but now without the recurring evidence.
         let spec = fig10::reference_spec();
         let exp = ExperimentSpec::new(&spec);
-        let sig = signature_of(&exp, &seu(1), 10);
+        let sig = Model::new(&exp).signature(&seu(1), 10);
         assert!(sig.observations.iter().all(|o| o.pattern != "recurring-internal"));
         assert!(sig.observations.iter().any(|o| o.pattern == "isolated-transient"));
     }
@@ -788,13 +782,13 @@ mod tests {
     fn conviction_round_reflects_confidence_and_floor() {
         let spec = fig10::reference_spec();
         let exp = ExperimentSpec::new(&spec);
-        let sig = signature_of(&exp, &seu(1), 4000);
+        let sig = Model::new(&exp).signature(&seu(1), 4000);
         // Fastest route: isolated-transient (round 1, conf 0.4) needs
         // ceil(3.0 / 0.4) = 8 firings -> round 8; recurring-internal
         // (round 150, conf 0.8) would reach it at 150 + 4 - 1 = 153.
         assert_eq!(sig.conviction_round(3.0), Some(8));
         let h = hyp(FaultKind::QuartzDegradation { drift_ppm_per_hour: 5.0 }, comp(1));
-        let sig = signature_of(&exp, &h, 4000);
+        let sig = Model::new(&exp).signature(&h, 4000);
         // oscillator: round 1, conf 0.85 -> ceil(3/.85) = 4 firings.
         assert_eq!(sig.conviction_round(3.0), Some(4));
     }
@@ -815,7 +809,7 @@ mod tests {
         assert!(matches!(pair_verdict(&exp, &aging, &drift, 4000), Verdict::Ambiguous { .. }));
         // On a multi-DAS host the correlation disambiguates.
         let aging0 = hyp(FaultKind::CapacitorAging { bias_per_hour: 0.5 }, comp(0));
-        let s0 = signature_of(&exp, &aging0, 4000);
+        let s0 = Model::new(&exp).signature(&aging0, 4000);
         assert!(s0.observations.iter().any(|o| o.pattern == "cohost-correlation"));
     }
 

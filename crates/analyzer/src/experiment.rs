@@ -39,13 +39,13 @@ impl ScheduleSpec {
 
     /// Slots per round implied by the claims (highest index + 1).
     #[must_use]
-    pub fn slots_per_round(&self) -> u16 {
+    pub(crate) fn slots_per_round(&self) -> u16 {
         self.claims.iter().map(|(s, _)| s.saturating_add(1)).max().unwrap_or(0)
     }
 
     /// How many slots `node` owns per round.
     #[must_use]
-    pub fn slots_of(&self, node: NodeId) -> usize {
+    pub(crate) fn slots_of(&self, node: NodeId) -> usize {
         self.claims.iter().filter(|(_, n)| *n == node).count()
     }
 }
@@ -102,7 +102,7 @@ impl<'a> ExperimentSpec<'a> {
 
     /// Round length in seconds implied by the schedule and slot length.
     #[must_use]
-    pub fn round_secs(&self) -> f64 {
+    pub(crate) fn round_secs(&self) -> f64 {
         self.cluster.slot_len.as_secs_f64() * f64::from(self.schedule.slots_per_round())
     }
 }

@@ -33,11 +33,9 @@ pub mod experiment;
 pub mod report;
 
 pub use checks::analyze;
-pub use coverage::{unavailability, Dimension, PatternInfo, PATTERN_CATALOG};
 pub use diagnosability::{
-    analyze_diagnosability, campaign_hypotheses, full_hypotheses, maintenance_equivalent,
-    pair_verdict, signature_of, DiagnosabilityReport, Hypothesis, Observation, PairVerdict,
-    SymptomSignature, Verdict, WitnessStep,
+    analyze_diagnosability, full_hypotheses, pair_verdict, DiagnosabilityReport, Hypothesis,
+    Observation, PairVerdict, SymptomSignature, Verdict, WitnessStep,
 };
 pub use experiment::{ExperimentSpec, ScheduleSpec};
 pub use report::{AnalysisReport, DiagCode, Diagnostic, Severity, Subject};

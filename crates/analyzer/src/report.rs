@@ -220,7 +220,7 @@ impl DiagCode {
 
     /// The variant name, for human-readable rendering.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DiagCode::SlotCollision => "SlotCollision",
             DiagCode::UnscheduledComponent => "UnscheduledComponent",
@@ -278,55 +278,6 @@ impl DiagCode {
                 | DiagCode::HorizonTooShortForConviction
         )
     }
-
-    /// Every variant, in `DAxxx` order. The `code()`/`name()` matches are
-    /// exhaustive, so a new variant fails compilation until it is wired
-    /// there; the uniqueness test walks this list to catch numbering
-    /// collisions when it is.
-    pub const ALL: &'static [DiagCode] = &[
-        DiagCode::SlotCollision,
-        DiagCode::UnscheduledComponent,
-        DiagCode::MalformedSlotTable,
-        DiagCode::VnetBandwidthInfeasible,
-        DiagCode::DeployedBandwidthDegraded,
-        DiagCode::ConsumerUnderProvisioned,
-        DiagCode::DanglingInputPort,
-        DiagCode::TmrTriadSharedFru,
-        DiagCode::TmrTriadIncomplete,
-        DiagCode::TmrTriadSpatiallyClose,
-        DiagCode::TmrVoterCohosted,
-        DiagCode::UncoveredFaultClass,
-        DiagCode::OnaPatternUnavailable,
-        DiagCode::TrustTransitionPartial,
-        DiagCode::TrustRecoveryOutpacesDecay,
-        DiagCode::UnknownFaultTarget,
-        DiagCode::OnsetBeyondHorizon,
-        DiagCode::InvalidFaultParameter,
-        DiagCode::OutsidePaperRange,
-        DiagCode::SoftwareFaultOnSafetyCritical,
-        DiagCode::MisconfigTruthWithoutDefect,
-        DiagCode::TargetKindMismatch,
-        DiagCode::DuplicateFaultId,
-        DiagCode::DefectUnknownVnet,
-        DiagCode::InertConfigDefect,
-        DiagCode::DeployedVnetUnusable,
-        DiagCode::NonContiguousNodeIds,
-        DiagCode::TooManyComponents,
-        DiagCode::UnknownHost,
-        DiagCode::UnknownDas,
-        DiagCode::UnknownVnet,
-        DiagCode::DuplicatePort,
-        DiagCode::CriticalityMismatch,
-        DiagCode::DuplicateJob,
-        DiagCode::InvalidDiagNetConfig,
-        DiagCode::DiagCrashDominatesHorizon,
-        DiagCode::DiagDelayExceedsHorizon,
-        DiagCode::DiagBabbleUndetectable,
-        DiagCode::FaultPairIndistinguishable,
-        DiagCode::FaultClassInvisibleToOna,
-        DiagCode::HorizonTooShortForConviction,
-        DiagCode::StoreSpecMismatch,
-    ];
 }
 
 impl core::fmt::Display for DiagCode {
@@ -364,7 +315,7 @@ impl Diagnostic {
 
     /// Appends a subject.
     #[must_use]
-    pub fn with(mut self, subject: Subject) -> Self {
+    pub(crate) fn with(mut self, subject: Subject) -> Self {
         self.subjects.push(subject);
         self
     }
@@ -435,7 +386,7 @@ impl AnalysisReport {
     }
 
     /// Findings with the given code.
-    pub fn with_code(&self, code: DiagCode) -> impl Iterator<Item = &Diagnostic> {
+    pub(crate) fn with_code(&self, code: DiagCode) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(move |d| d.code == code)
     }
 
@@ -473,6 +424,55 @@ impl core::fmt::Display for AnalysisReport {
 mod tests {
     use super::*;
 
+    /// Every variant, in `DAxxx` order. The `code()`/`name()` matches are
+    /// exhaustive, so a new variant fails compilation until it is wired
+    /// there; the uniqueness test walks this list to catch numbering
+    /// collisions when it is.
+    const ALL: &[DiagCode] = &[
+        DiagCode::SlotCollision,
+        DiagCode::UnscheduledComponent,
+        DiagCode::MalformedSlotTable,
+        DiagCode::VnetBandwidthInfeasible,
+        DiagCode::DeployedBandwidthDegraded,
+        DiagCode::ConsumerUnderProvisioned,
+        DiagCode::DanglingInputPort,
+        DiagCode::TmrTriadSharedFru,
+        DiagCode::TmrTriadIncomplete,
+        DiagCode::TmrTriadSpatiallyClose,
+        DiagCode::TmrVoterCohosted,
+        DiagCode::UncoveredFaultClass,
+        DiagCode::OnaPatternUnavailable,
+        DiagCode::TrustTransitionPartial,
+        DiagCode::TrustRecoveryOutpacesDecay,
+        DiagCode::UnknownFaultTarget,
+        DiagCode::OnsetBeyondHorizon,
+        DiagCode::InvalidFaultParameter,
+        DiagCode::OutsidePaperRange,
+        DiagCode::SoftwareFaultOnSafetyCritical,
+        DiagCode::MisconfigTruthWithoutDefect,
+        DiagCode::TargetKindMismatch,
+        DiagCode::DuplicateFaultId,
+        DiagCode::DefectUnknownVnet,
+        DiagCode::InertConfigDefect,
+        DiagCode::DeployedVnetUnusable,
+        DiagCode::NonContiguousNodeIds,
+        DiagCode::TooManyComponents,
+        DiagCode::UnknownHost,
+        DiagCode::UnknownDas,
+        DiagCode::UnknownVnet,
+        DiagCode::DuplicatePort,
+        DiagCode::CriticalityMismatch,
+        DiagCode::DuplicateJob,
+        DiagCode::InvalidDiagNetConfig,
+        DiagCode::DiagCrashDominatesHorizon,
+        DiagCode::DiagDelayExceedsHorizon,
+        DiagCode::DiagBabbleUndetectable,
+        DiagCode::FaultPairIndistinguishable,
+        DiagCode::FaultClassInvisibleToOna,
+        DiagCode::HorizonTooShortForConviction,
+        DiagCode::StoreSpecMismatch,
+    ];
+
     #[test]
     fn severity_orders_error_highest() {
         assert!(Severity::Error > Severity::Warning);
@@ -481,18 +481,15 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_stable() {
-        // Walk every variant via DiagCode::ALL: no duplicate DAxxx code
+        // Walk every variant via ALL: no duplicate DAxxx code
         // strings, no duplicate names, every code well-formed.
-        let codes: std::collections::BTreeSet<&str> =
-            DiagCode::ALL.iter().map(|c| c.code()).collect();
-        assert_eq!(codes.len(), DiagCode::ALL.len(), "every DiagCode must have a unique DAxxx");
-        let names: std::collections::BTreeSet<&str> =
-            DiagCode::ALL.iter().map(|c| c.name()).collect();
-        assert_eq!(names.len(), DiagCode::ALL.len(), "every DiagCode must have a unique name");
-        let variants: std::collections::BTreeSet<DiagCode> =
-            DiagCode::ALL.iter().copied().collect();
-        assert_eq!(variants.len(), DiagCode::ALL.len(), "ALL must not repeat a variant");
-        for c in DiagCode::ALL {
+        let codes: std::collections::BTreeSet<&str> = ALL.iter().map(|c| c.code()).collect();
+        assert_eq!(codes.len(), ALL.len(), "every DiagCode must have a unique DAxxx");
+        let names: std::collections::BTreeSet<&str> = ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names.len(), ALL.len(), "every DiagCode must have a unique name");
+        let variants: std::collections::BTreeSet<DiagCode> = ALL.iter().copied().collect();
+        assert_eq!(variants.len(), ALL.len(), "ALL must not repeat a variant");
+        for c in ALL {
             let s = c.code();
             assert!(
                 s.len() == 5 && s.starts_with("DA") && s[2..].chars().all(|d| d.is_ascii_digit()),
@@ -516,7 +513,7 @@ mod tests {
 
     #[test]
     fn diagnosability_block_is_exactly_da08x() {
-        for c in DiagCode::ALL {
+        for c in ALL {
             assert_eq!(
                 c.is_diagnosability(),
                 c.code().starts_with("DA08"),

@@ -13,7 +13,7 @@ use std::str::FromStr;
 /// between digits (`1_000_000`); leading/trailing/doubled `_` and
 /// anything the target type refuses (`24x`, `1.5` for an integer) are
 /// errors. The returned message names the flag and echoes the value.
-pub fn parse_numeric<T: FromStr>(name: &str, raw: &str) -> Result<T, String> {
+pub(crate) fn parse_numeric<T: FromStr>(name: &str, raw: &str) -> Result<T, String> {
     let separators_ok = !raw.starts_with('_') && !raw.ends_with('_') && !raw.contains("__");
     if separators_ok {
         let cleaned: String = raw.chars().filter(|c| *c != '_').collect();

@@ -11,12 +11,12 @@ use decos::prelude::*;
 use decos::sim::flightrec::{NO_COMPONENT, NO_FAULT};
 
 /// Schema tag of every flight-recorder dump line.
-pub const FLIGHTREC_SCHEMA: &str = "decos-flightrec/1";
+pub(crate) const FLIGHTREC_SCHEMA: &str = "decos-flightrec/1";
 
 /// Serializes one event as a `decos-flightrec/1` JSONL line.
 /// `component` is `null` for path-level events; `fault_id` 0 means no
 /// injected fault explains the event.
-pub fn event_line(e: &TraceEvent) -> String {
+pub(crate) fn event_line(e: &TraceEvent) -> String {
     let comp =
         if e.component == NO_COMPONENT { "null".to_string() } else { e.component.to_string() };
     format!(
@@ -110,7 +110,7 @@ pub fn is_anomalous(out: &CampaignOutcome) -> bool {
 /// Dumps the outcome's recording to `path` when
 /// [`is_anomalous`] — the flight-recorder policy: keep the tape only when
 /// something went wrong. Returns whether a dump was written.
-pub fn dump_on_anomaly(out: &CampaignOutcome, path: &str) -> std::io::Result<bool> {
+pub(crate) fn dump_on_anomaly(out: &CampaignOutcome, path: &str) -> std::io::Result<bool> {
     match (&out.trace, is_anomalous(out)) {
         (Some(trace), true) => {
             write_flightrec(trace, path)?;

@@ -16,19 +16,19 @@ pub mod storecli;
 /// Documented in README.md §"Exit codes".
 pub mod exitcode {
     /// Success.
-    pub const OK: i32 = 0;
+    pub(crate) const OK: i32 = 0;
     /// Unclassified failure (I/O, panic-adjacent).
     pub const FAILURE: i32 = 1;
     /// Bad command line.
     pub const USAGE: i32 = 2;
     /// The analyzer rejected the experiment spec (including the DA090
     /// store/spec mismatch on resume).
-    pub const SPEC_REJECTED: i32 = 3;
+    pub(crate) const SPEC_REJECTED: i32 = 3;
     /// The campaign store is structurally corrupt or its I/O failed.
-    pub const STORE_CORRUPT: i32 = 4;
+    pub(crate) const STORE_CORRUPT: i32 = 4;
     /// A determinism contract was violated: a resume's replay diverged
     /// from the journal.
-    pub const DETERMINISM: i32 = 5;
+    pub(crate) const DETERMINISM: i32 = 5;
 }
 
 /// An NFF ratio for a summary line: three decimals, or `n/a` when no
@@ -45,10 +45,7 @@ pub fn fmt_nff(score: &decos::diagnosis::metrics::ActionScore) -> String {
 }
 
 pub use experiments::Effort;
-pub use flightdump::{
-    dump_on_anomaly, is_anomalous, read_flightrec, render_trace_report, write_flightrec,
-    FLIGHTREC_SCHEMA,
-};
+pub use flightdump::{is_anomalous, read_flightrec, render_trace_report, write_flightrec};
 
 #[cfg(test)]
 mod tests {

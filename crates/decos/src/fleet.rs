@@ -46,12 +46,12 @@ pub const FLEET_BLOCK: u64 = 64;
 
 /// Fleets at or below this size keep every [`VehicleOutcome`] under
 /// [`FleetRetention::Auto`].
-pub const FULL_RETENTION_MAX: u64 = 4096;
+pub(crate) const FULL_RETENTION_MAX: u64 = 4096;
 
 /// Approximate sample size retained for larger fleets: the stride is
 /// `ceil(total / RETENTION_SAMPLE_TARGET)` and every `index % stride == 0`
 /// vehicle is kept, so retention is deterministic and shard-independent.
-pub const RETENTION_SAMPLE_TARGET: u64 = 1024;
+pub(crate) const RETENTION_SAMPLE_TARGET: u64 = 1024;
 
 /// Fleet configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,7 +76,7 @@ impl Default for FleetConfig {
 /// always exact; retention only bounds the `vehicles` detail vector).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetRetention {
-    /// Keep everything up to [`FULL_RETENTION_MAX`] vehicles, then fall
+    /// Keep everything up to `FULL_RETENTION_MAX` vehicles, then fall
     /// back to the deterministic stride sample.
     #[default]
     Auto,
@@ -87,7 +87,7 @@ impl FleetRetention {
     /// `index % stride == 0` are kept. Depends only on the fleet size —
     /// never on shard count — so retained samples are identical however
     /// the fleet was executed.
-    pub fn stride_for(self, total: u64) -> u64 {
+    pub(crate) fn stride_for(self, total: u64) -> u64 {
         match self {
             FleetRetention::Auto if total <= FULL_RETENTION_MAX => 1,
             FleetRetention::Auto => total.div_ceil(RETENTION_SAMPLE_TARGET),
@@ -189,11 +189,6 @@ impl RetainedVehicles {
     /// True when nothing was retained (also true for an empty fleet).
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// True when every simulated vehicle was retained.
-    pub fn is_complete(&self) -> bool {
-        self.stride() == 1 && self.samples.len() as u64 == self.total
     }
 
     /// Iterates retained outcomes in ascending index order.
@@ -581,7 +576,7 @@ mod tests {
         let cfg = FleetConfig { vehicles: 8, rounds: 1200, accel: 10.0, seed: 77 };
         let out = run_fleet(&fig10::reference_spec(), cfg).unwrap();
         assert_eq!(out.vehicles.len(), 8);
-        assert!(out.vehicles.is_complete(), "small fleets keep everything under Auto");
+        assert_eq!(out.vehicles.stride(), 1, "small fleets keep everything under Auto");
         assert_eq!(out.vehicles.total(), 8);
         assert_eq!(out.decos.cases, 8);
         assert_eq!(out.obd.cases, 8);
@@ -732,7 +727,7 @@ mod tests {
         let out = acc.finish();
         let stride = FleetRetention::Auto.stride_for(total);
         assert_eq!(stride, 5);
-        assert!(!out.vehicles.is_complete());
+        assert!((out.vehicles.len() as u64) < total);
         assert_eq!(out.vehicles.total(), total);
         assert_eq!(out.vehicles.stride(), stride);
         assert_eq!(out.vehicles.len() as u64, total.div_ceil(stride));

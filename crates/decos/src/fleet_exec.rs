@@ -91,7 +91,7 @@ const MAP_BLOCKS_PER_SHARD: u64 = 4;
 /// index order, whichever shard finished which block first.
 ///
 /// The block size follows from `items` and `shards` (about
-/// [`MAP_BLOCKS_PER_SHARD`] blocks per shard); since every result lands
+/// `MAP_BLOCKS_PER_SHARD` blocks per shard); since every result lands
 /// at its own index, it never shows in the output.
 pub fn map_ordered<R, F>(items: u64, shards: usize, f: F) -> Vec<R>
 where

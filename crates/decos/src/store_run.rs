@@ -158,7 +158,7 @@ pub struct StoreRunStats {
 /// accel and seed — everything that shapes the per-round record stream
 /// except the horizon, which a resume may extend.
 #[must_use]
-pub fn campaign_spec_hash(c: &Campaign, params: &EngineParams) -> u64 {
+pub(crate) fn campaign_spec_hash(c: &Campaign, params: &EngineParams) -> u64 {
     let mut s = serde_json::to_string(&c.spec).expect("cluster spec serializes");
     s.push('|');
     s.push_str(&serde_json::to_string(&c.faults).expect("fault specs serialize"));
@@ -175,7 +175,7 @@ pub fn campaign_spec_hash(c: &Campaign, params: &EngineParams) -> u64 {
 /// resume may grow the fleet. Telemetry collection is included because
 /// it decides whether journaled vehicle records carry counters.
 #[must_use]
-pub fn fleet_spec_hash(
+pub(crate) fn fleet_spec_hash(
     spec: &ClusterSpec,
     cfg: &FleetConfig,
     params: &EngineParams,

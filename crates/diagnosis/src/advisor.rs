@@ -82,7 +82,7 @@ impl DiagnosticReport {
 
 /// Accumulates pattern matches into per-FRU evidence.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MaintenanceAdvisor {
+pub(crate) struct MaintenanceAdvisor {
     params: AdvisorParams,
     evidence: BTreeMap<FruRef, BTreeMap<FaultClass, f64>>,
     patterns: BTreeMap<FruRef, BTreeMap<String, u64>>,
@@ -92,16 +92,11 @@ pub struct MaintenanceAdvisor {
 }
 
 impl MaintenanceAdvisor {
-    /// Creates an advisor.
-    pub fn new(params: AdvisorParams) -> Self {
-        MaintenanceAdvisor { params, ..Default::default() }
-    }
-
     /// Creates an advisor that knows which component hosts each job, so a
     /// decided component-internal verdict consolidates the actions of its
     /// hosted jobs (replacing the ECU subsumes job-level measures that were
     /// only ever shadows of the hardware fault).
-    pub fn with_hosts(
+    pub(crate) fn with_hosts(
         params: AdvisorParams,
         job_hosts: BTreeMap<decos_platform::JobId, decos_platform::NodeId>,
     ) -> Self {
@@ -109,7 +104,7 @@ impl MaintenanceAdvisor {
     }
 
     /// Ingests one round of pattern matches.
-    pub fn ingest(&mut self, matches: &[PatternMatch]) {
+    pub(crate) fn ingest(&mut self, matches: &[PatternMatch]) {
         for m in matches {
             self.total += 1;
             *self.evidence.entry(m.fru).or_default().entry(m.class).or_insert(0.0) += m.confidence;
@@ -122,7 +117,7 @@ impl MaintenanceAdvisor {
     /// is too thin or too ambiguous. This is the conviction edge the
     /// flight recorder watches: the round this first turns `Some` is the
     /// FRU's stable-conviction round.
-    pub fn decided_class(&self, fru: FruRef) -> Option<FaultClass> {
+    pub(crate) fn decided_class(&self, fru: FruRef) -> Option<FaultClass> {
         let classes = self.evidence.get(&fru)?;
         let (best_class, best_score, total) = Self::dominant(classes)?;
         let share = if total > 0.0 { best_score / total } else { 0.0 };
@@ -139,7 +134,7 @@ impl MaintenanceAdvisor {
     }
 
     /// Builds the report against the current trust levels.
-    pub fn report(&self, trust: &FruAssessor) -> DiagnosticReport {
+    pub(crate) fn report(&self, trust: &FruAssessor) -> DiagnosticReport {
         let mut verdicts: Vec<FruVerdict> = self
             .evidence
             .iter()
@@ -210,7 +205,7 @@ mod tests {
 
     #[test]
     fn empty_advisor_reports_nothing() {
-        let adv = MaintenanceAdvisor::new(AdvisorParams::default());
+        let adv = MaintenanceAdvisor::with_hosts(AdvisorParams::default(), BTreeMap::new());
         let rep = adv.report(&FruAssessor::new(TrustParams::default()));
         assert!(rep.verdicts.is_empty());
         assert_eq!(rep.total_matches, 0);
@@ -219,7 +214,7 @@ mod tests {
 
     #[test]
     fn dominant_class_wins_and_maps_to_action() {
-        let mut adv = MaintenanceAdvisor::new(AdvisorParams::default());
+        let mut adv = MaintenanceAdvisor::with_hosts(AdvisorParams::default(), BTreeMap::new());
         let fru = FruRef::Component(NodeId(1));
         for _ in 0..10 {
             adv.ingest(&[m(fru, FaultClass::ComponentInternal, 0.8, "wearout")]);
@@ -235,7 +230,7 @@ mod tests {
 
     #[test]
     fn thin_evidence_gives_no_action() {
-        let mut adv = MaintenanceAdvisor::new(AdvisorParams::default());
+        let mut adv = MaintenanceAdvisor::with_hosts(AdvisorParams::default(), BTreeMap::new());
         let fru = FruRef::Job(JobId(3));
         adv.ingest(&[m(fru, FaultClass::JobInherentSoftware, 0.5, "software-design")]);
         let rep = adv.report(&FruAssessor::new(TrustParams::default()));
@@ -246,7 +241,10 @@ mod tests {
 
     #[test]
     fn ambiguous_evidence_gives_no_action() {
-        let mut adv = MaintenanceAdvisor::new(AdvisorParams { min_evidence: 1.0, min_share: 0.6 });
+        let mut adv = MaintenanceAdvisor::with_hosts(
+            AdvisorParams { min_evidence: 1.0, min_share: 0.6 },
+            BTreeMap::new(),
+        );
         let fru = FruRef::Component(NodeId(2));
         for _ in 0..5 {
             adv.ingest(&[
@@ -261,7 +259,7 @@ mod tests {
 
     #[test]
     fn decided_class_matches_report_thresholds() {
-        let mut adv = MaintenanceAdvisor::new(AdvisorParams::default());
+        let mut adv = MaintenanceAdvisor::with_hosts(AdvisorParams::default(), BTreeMap::new());
         let fru = FruRef::Component(NodeId(1));
         assert_eq!(adv.decided_class(fru), None, "no evidence at all");
         adv.ingest(&[m(fru, FaultClass::ComponentInternal, 0.8, "wearout")]);
@@ -276,7 +274,7 @@ mod tests {
 
     #[test]
     fn report_sorted_by_trust() {
-        let mut adv = MaintenanceAdvisor::new(AdvisorParams::default());
+        let mut adv = MaintenanceAdvisor::with_hosts(AdvisorParams::default(), BTreeMap::new());
         let bad = FruRef::Component(NodeId(1));
         let ok = FruRef::Component(NodeId(2));
         for _ in 0..10 {
@@ -285,7 +283,10 @@ mod tests {
         adv.ingest(&[m(ok, FaultClass::ComponentExternal, 0.3, "isolated-transient")]);
         let mut trust = FruAssessor::new(TrustParams::default());
         for _ in 0..100 {
-            trust.update_round(&[m(bad, FaultClass::ComponentInternal, 0.9, "wearout")]);
+            trust.update_round_weighted(
+                &[m(bad, FaultClass::ComponentInternal, 0.9, "wearout")],
+                1.0,
+            );
         }
         let rep = adv.report(&trust);
         assert_eq!(rep.verdicts[0].fru, bad, "worst trust first");

@@ -99,13 +99,8 @@ impl ObdDiagnosis {
         }
     }
 
-    /// Recorded DTCs so far.
-    pub fn dtcs(&self) -> &[Dtc] {
-        &self.dtcs
-    }
-
     /// Feeds one slot record (each ECU sees only its own observations).
-    pub fn ingest(&mut self, sim: &ClusterSim, rec: &SlotRecord) {
+    pub(crate) fn ingest(&mut self, sim: &ClusterSim, rec: &SlotRecord) {
         let owner = rec.owner.0 as usize;
         // Communication judgement per observer.
         for (i, obs) in rec.observations.iter().enumerate() {

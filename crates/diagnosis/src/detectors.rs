@@ -11,7 +11,7 @@ use decos_vnet::{PortId, VnetId};
 
 /// Thresholds of the value-domain detectors.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorParams {
+pub(crate) struct DetectorParams {
     /// Minimum depth into the drift zone (between nominal span and
     /// admissible range) before a drift symptom is raised.
     pub drift_proximity: f64,
@@ -399,7 +399,7 @@ mod tests {
             missed.iter().map(|s| s.subject).collect();
         assert!(subjects.contains(&Subject::Job(fig10::jobs::A1)));
         for s in &subjects {
-            let j = s.job().expect("missed symptoms are about jobs");
+            let Subject::Job(j) = *s else { panic!("missed symptoms are about jobs") };
             assert!(
                 [fig10::jobs::A1, fig10::jobs::A2, fig10::jobs::A3].contains(&j),
                 "missed outside DAS A: {j}"

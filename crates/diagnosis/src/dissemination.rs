@@ -18,7 +18,7 @@
 //! * **per-frame CRC** — bit corruption is detected with near-certainty and
 //!   the frame discarded (`corrupted`); the rare escapes carry mangled
 //!   content and fall through to the next layer;
-//! * **plausibility screening** ([`PlausibilityScreen`]) — frames naming
+//! * **plausibility screening** (`PlausibilityScreen`) — frames naming
 //!   unknown observers/FRUs/jobs or carrying impossible (future)
 //!   timestamps are rejected (`rejected`);
 //! * **rate screening** — an observer offering more frames per round than
@@ -72,7 +72,7 @@ pub struct DisseminationStats {
 /// per round (`n_components + n_jobs` observations per slot is a hard
 /// physical ceiling — anything beyond it is being fabricated).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlausibilityScreen {
+pub(crate) struct PlausibilityScreen {
     /// Number of components in the cluster (valid `NodeId`s are `0..n`).
     pub n_components: u16,
     /// The deployed job identities.
@@ -86,7 +86,7 @@ pub struct PlausibilityScreen {
 
 impl PlausibilityScreen {
     /// Builds the screen from the cluster's static description.
-    pub fn for_spec(spec: &ClusterSpec) -> Self {
+    pub(crate) fn for_spec(spec: &ClusterSpec) -> Self {
         let n = spec.components.len();
         let jobs: BTreeSet<JobId> = spec.jobs.iter().map(|j| j.id).collect();
         // One observation per (component, job) pair per slot bounds what a
@@ -127,7 +127,7 @@ impl PlausibilityScreen {
 
 /// The bounded symptom transport.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DiagnosticNetwork {
+pub(crate) struct DiagnosticNetwork {
     /// Symptom messages carried per round (the bandwidth share of the
     /// diagnostic virtual network).
     capacity_per_round: usize,
@@ -165,7 +165,7 @@ impl DiagnosticNetwork {
     /// or the queue cannot hold one round of frames — the same condition
     /// [`ClusterSpec::structural_errors`] reports, so misdimensioned
     /// configurations surface as analyzer diagnostics instead of panics.
-    pub fn new(capacity_per_round: usize, queue_depth: usize) -> Result<Self, SpecError> {
+    pub(crate) fn new(capacity_per_round: usize, queue_depth: usize) -> Result<Self, SpecError> {
         if capacity_per_round == 0 || queue_depth < capacity_per_round {
             return Err(SpecError::InvalidDiagNet);
         }
@@ -187,12 +187,12 @@ impl DiagnosticNetwork {
     }
 
     /// Builds the transport from a [`DiagNetSpec`].
-    pub fn from_spec(spec: &DiagNetSpec) -> Result<Self, SpecError> {
+    pub(crate) fn from_spec(spec: &DiagNetSpec) -> Result<Self, SpecError> {
         Self::new(spec.capacity_per_round as usize, spec.queue_depth as usize)
     }
 
     /// Attaches content screening (builder style).
-    pub fn with_screen(mut self, screen: PlausibilityScreen) -> Self {
+    pub(crate) fn with_screen(mut self, screen: PlausibilityScreen) -> Self {
         self.observer_counts = vec![0; screen.n_components as usize];
         self.screen = Some(screen);
         self
@@ -200,12 +200,12 @@ impl DiagnosticNetwork {
 
     /// Reseeds the transit randomness (campaign runners derive this from
     /// the campaign seed so fleet vehicles see independent loss patterns).
-    pub fn reseed(&mut self, seed: u64) {
+    pub(crate) fn reseed(&mut self, seed: u64) {
         self.rng_state = seed | 1;
     }
 
     /// Delivery statistics so far.
-    pub fn stats(&self) -> DisseminationStats {
+    pub(crate) fn stats(&self) -> DisseminationStats {
         self.stats
     }
 
@@ -213,14 +213,14 @@ impl DiagnosticNetwork {
     /// fraction of offered frames that survived transit (1.0 when nothing
     /// was in transit). Screen rejections do not lower it — the transport
     /// worked; the *content* was implausible.
-    pub fn last_round_quality(&self) -> f64 {
+    pub(crate) fn last_round_quality(&self) -> f64 {
         self.last_quality
     }
 
     /// How many frames were in transit during the most recently delivered
     /// round. A round with zero transit carries no information about the
     /// path's health — consumers should not average its (vacuous) quality.
-    pub fn last_round_transit(&self) -> u64 {
+    pub(crate) fn last_round_transit(&self) -> u64 {
         self.last_transit
     }
 
@@ -273,20 +273,11 @@ impl DiagnosticNetwork {
         }
     }
 
-    /// Offers the symptoms detected in one slot (healthy transit, no
-    /// clock). Equivalent to [`offer_disturbed`] with
-    /// [`DiagDisturbance::NONE`].
-    ///
-    /// [`offer_disturbed`]: DiagnosticNetwork::offer_disturbed
-    pub fn offer(&mut self, symptoms: &[Symptom]) {
-        self.offer_disturbed(symptoms, &DiagDisturbance::NONE, None);
-    }
-
     /// Offers the symptoms detected in one slot, subjecting each frame to
     /// the active diagnostic-path disturbance and to screening. `now` is
     /// the receiver's clock for timestamp plausibility (`None` skips that
     /// check).
-    pub fn offer_disturbed(
+    pub(crate) fn offer_disturbed(
         &mut self,
         symptoms: &[Symptom],
         d: &DiagDisturbance,
@@ -344,18 +335,6 @@ impl DiagnosticNetwork {
         }
     }
 
-    /// Delivers up to one round's bandwidth worth of symptoms to the
-    /// diagnostic DAS.
-    ///
-    /// Thin wrapper over
-    /// [`deliver_round_into`](DiagnosticNetwork::deliver_round_into) with a
-    /// fresh buffer, so the two entry points share one implementation.
-    pub fn deliver_round(&mut self) -> Vec<Symptom> {
-        let mut out = Vec::new();
-        self.deliver_round_into(&mut out);
-        out
-    }
-
     /// Delivers one round's worth of symptoms into a reused buffer
     /// (cleared first); returns how many were delivered.
     ///
@@ -363,7 +342,7 @@ impl DiagnosticNetwork {
     /// current backlog (which is what reorders them relative to fresher
     /// traffic), the per-round transit-quality score is latched, and the
     /// per-observer rate counters reset.
-    pub fn deliver_round_into(&mut self, out: &mut Vec<Symptom>) -> usize {
+    pub(crate) fn deliver_round_into(&mut self, out: &mut Vec<Symptom>) -> usize {
         // Release delayed frames that have reached their due round. The
         // line is scanned in full: the active delay can shrink over time,
         // so later entries may fall due before earlier ones.
@@ -394,11 +373,6 @@ impl DiagnosticNetwork {
         self.stats.delivered += n as u64;
         n
     }
-
-    /// Current backlog.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -408,6 +382,18 @@ mod tests {
     use decos_platform::{fig10, NodeId};
     use decos_sim::SimTime;
     use decos_timebase::LatticePoint;
+
+    /// One healthy slot's symptoms through the engine's entry point.
+    fn offer(net: &mut DiagnosticNetwork, symptoms: &[Symptom]) {
+        net.offer_disturbed(symptoms, &DiagDisturbance::NONE, None);
+    }
+
+    /// Closes one round through the engine's `deliver_round_into`.
+    fn deliver(net: &mut DiagnosticNetwork) -> Vec<Symptom> {
+        let mut out = Vec::new();
+        net.deliver_round_into(&mut out);
+        out
+    }
 
     fn sym(kind: SymptomKind) -> Symptom {
         Symptom {
@@ -433,16 +419,15 @@ mod tests {
     #[test]
     fn delivery_is_fifo_within_budget() {
         let mut net = net(2, 8);
-        net.offer(&[
-            sym(SymptomKind::Omission),
-            sym(SymptomKind::SyncLoss),
-            sym(SymptomKind::Omission),
-        ]);
-        let got = net.deliver_round();
+        offer(
+            &mut net,
+            &[sym(SymptomKind::Omission), sym(SymptomKind::SyncLoss), sym(SymptomKind::Omission)],
+        );
+        let got = deliver(&mut net);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].kind, SymptomKind::Omission);
-        assert_eq!(net.backlog(), 1);
-        assert_eq!(net.deliver_round().len(), 1);
+        assert_eq!(net.queue.len(), 1);
+        assert_eq!(deliver(&mut net).len(), 1);
         assert_eq!(net.stats().delivered, 3);
         assert_eq!(net.stats().dropped, 0);
     }
@@ -451,10 +436,10 @@ mod tests {
     fn flood_drops_low_priority_first() {
         let mut net = net(4, 4);
         // Fill with comm-error flood.
-        net.offer(&[sym(SymptomKind::Omission); 4]);
+        offer(&mut net, &[sym(SymptomKind::Omission); 4]);
         // A high-priority symptom arrives into the full queue.
-        net.offer(&[sym(SymptomKind::SyncLoss)]);
-        let got = net.deliver_round();
+        offer(&mut net, &[sym(SymptomKind::SyncLoss)]);
+        let got = deliver(&mut net);
         assert!(got.iter().any(|s| s.kind == SymptomKind::SyncLoss), "sync loss must survive");
         assert_eq!(net.stats().dropped, 1);
     }
@@ -462,9 +447,9 @@ mod tests {
     #[test]
     fn low_priority_newcomer_dropped_when_full_of_high() {
         let mut net = net(2, 2);
-        net.offer(&[sym(SymptomKind::SyncLoss), sym(SymptomKind::SyncLoss)]);
-        net.offer(&[sym(SymptomKind::Omission)]);
-        let got = net.deliver_round();
+        offer(&mut net, &[sym(SymptomKind::SyncLoss), sym(SymptomKind::SyncLoss)]);
+        offer(&mut net, &[sym(SymptomKind::Omission)]);
+        let got = deliver(&mut net);
         assert!(got.iter().all(|s| s.kind == SymptomKind::SyncLoss));
         assert_eq!(net.stats().dropped, 1);
     }
@@ -472,11 +457,11 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut net = net(2, 4);
-        net.offer(&[sym(SymptomKind::Omission); 6]);
+        offer(&mut net, &[sym(SymptomKind::Omission); 6]);
         assert_eq!(net.stats().offered, 6);
         assert_eq!(net.stats().dropped, 2);
-        net.deliver_round();
-        net.deliver_round();
+        deliver(&mut net);
+        deliver(&mut net);
         assert_eq!(net.stats().delivered, 4);
     }
 
@@ -485,7 +470,7 @@ mod tests {
         let mut net = net(8, 64);
         let d = DiagDisturbance { loss_prob: 1.0, ..DiagDisturbance::NONE };
         net.offer_disturbed(&[sym(SymptomKind::Omission); 10], &d, None);
-        assert_eq!(net.deliver_round().len(), 0);
+        assert_eq!(deliver(&mut net).len(), 0);
         assert_eq!(net.stats().dropped, 10);
         assert!(net.last_round_quality() < 1e-12);
     }
@@ -498,7 +483,7 @@ mod tests {
         let frames = vec![sym(SymptomKind::SyncLoss); 500];
         net.offer_disturbed(&frames, &d, Some(SimTime::ZERO));
         // Every frame was corrupted: none may reach the DAS intact.
-        assert_eq!(net.deliver_round().len(), 0);
+        assert_eq!(deliver(&mut net).len(), 0);
         let st = net.stats();
         assert!(st.corrupted > 400, "CRC must catch the bulk: {st:?}");
         assert!(st.rejected > 0, "CRC escapes must be screened out: {st:?}");
@@ -523,7 +508,7 @@ mod tests {
             Some(SimTime::ZERO),
         );
         assert_eq!(net.stats().rejected, 3);
-        assert_eq!(net.deliver_round().len(), 1);
+        assert_eq!(deliver(&mut net).len(), 1);
         // Screen rejections are content failures, not transport failures.
         assert!((net.last_round_quality() - 1.0).abs() < 1e-12);
     }
@@ -550,10 +535,10 @@ mod tests {
         let d = DiagDisturbance { delay_rounds: 2, ..DiagDisturbance::NONE };
         net.offer_disturbed(&[sym(SymptomKind::SyncLoss)], &d, None);
         // Fresh, undelayed traffic overtakes the delayed frame.
-        net.offer(&[sym(SymptomKind::Omission)]);
-        assert_eq!(net.deliver_round(), vec![sym(SymptomKind::Omission)]); // round 0
-        assert_eq!(net.deliver_round().len(), 0); // round 1
-        let late = net.deliver_round(); // round 2: due now
+        offer(&mut net, &[sym(SymptomKind::Omission)]);
+        assert_eq!(deliver(&mut net), vec![sym(SymptomKind::Omission)]); // round 0
+        assert_eq!(deliver(&mut net).len(), 0); // round 1
+        let late = deliver(&mut net); // round 2: due now
         assert_eq!(late.len(), 1);
         assert_eq!(late[0].kind, SymptomKind::SyncLoss);
         assert_eq!(net.stats().delayed, 1);
@@ -565,12 +550,12 @@ mod tests {
         net.reseed(7);
         let d = DiagDisturbance { loss_prob: 0.5, ..DiagDisturbance::NONE };
         net.offer_disturbed(&[sym(SymptomKind::Omission); 1000], &d, None);
-        net.deliver_round();
+        deliver(&mut net);
         let q = net.last_round_quality();
         assert!((0.4..=0.6).contains(&q), "quality must track the survival rate: {q}");
         // A quiet round reads as full quality (no evidence of transport
         // trouble), and the score is latched per round.
-        net.deliver_round();
+        deliver(&mut net);
         assert!((net.last_round_quality() - 1.0).abs() < 1e-12);
     }
 }

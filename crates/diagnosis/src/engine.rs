@@ -232,7 +232,7 @@ impl DiagnosticEngine {
     }
 
     /// Observes one slot. Call for every record, in order.
-    pub fn observe_slot(&mut self, sim: &ClusterSim, rec: &SlotRecord) {
+    pub(crate) fn observe_slot(&mut self, sim: &ClusterSim, rec: &SlotRecord) {
         self.current_round = rec.addr.round;
         self.current_slot = rec.addr.slot.0;
         self.scratch.clear();
@@ -417,16 +417,6 @@ impl DiagnosticEngine {
         self.trust.trust(fru)
     }
 
-    /// The distributed state (read access for experiments).
-    pub fn state(&self) -> &DistributedState {
-        &self.state
-    }
-
-    /// The ONA bank (read access for experiments, e.g. α values).
-    pub fn bank(&self) -> &OnaBank {
-        &self.bank
-    }
-
     /// Diagnostic-network delivery statistics.
     pub fn dissemination_stats(&self) -> DisseminationStats {
         self.network.stats()
@@ -440,11 +430,6 @@ impl DiagnosticEngine {
         } else {
             self.quality_sum / self.quality_rounds as f64
         }
-    }
-
-    /// Delivery quality of the most recently closed round.
-    pub fn last_round_quality(&self) -> f64 {
-        self.last_quality
     }
 
     /// Cold-standby failovers of the diagnostic component so far.

@@ -31,17 +31,16 @@ pub mod state;
 pub mod symptom;
 pub mod trust;
 
-pub use advisor::{AdvisorParams, DiagnosticReport, FruVerdict, MaintenanceAdvisor};
+pub use advisor::{AdvisorParams, DiagnosticReport, FruVerdict};
 pub use baseline::{Dtc, ObdDiagnosis, ObdParams, ObdReport};
-pub use detectors::{DetectorParams, SymptomDetectors};
-pub use dissemination::{DiagnosticNetwork, DisseminationStats, PlausibilityScreen};
+pub use detectors::SymptomDetectors;
+pub use dissemination::DisseminationStats;
 pub use engine::{DiagnosticEngine, EngineParams, DEGRADED_QUALITY_THRESHOLD};
 pub use metrics::{score_case, ActionScore, ConfusionMatrix, REMOVAL_COST_USD};
 pub use model::{
-    alpha_windows_to_declare, earliest_fire_round, pattern_model, patterns_for_kind, PatternModel,
-    SymptomDomain, PATTERN_MODELS,
+    earliest_fire_round, pattern_model, patterns_for_kind, PatternModel, SymptomDomain,
 };
 pub use patterns::{OnaBank, OnaParams, PatternMatch};
-pub use state::{DistributedState, PairMatrix};
+pub use state::DistributedState;
 pub use symptom::{QueueSide, Subject, Symptom, SymptomKind};
-pub use trust::{class_severity, FruAssessor, TrustParams};
+pub use trust::{class_severity, TrustParams};

@@ -37,12 +37,6 @@ impl ConfusionMatrix {
         self.counts[Self::index(truth)][p] += 1;
     }
 
-    /// Raw count cell.
-    pub fn count(&self, truth: FaultClass, predicted: Option<FaultClass>) -> u64 {
-        let p = predicted.map(Self::index).unwrap_or(6);
-        self.counts[Self::index(truth)][p]
-    }
-
     /// Merges another matrix (fleet shard aggregation). Cell-wise `u64`
     /// addition, so the merged matrix is independent of merge order.
     pub fn merge(&mut self, other: &ConfusionMatrix) {
@@ -215,7 +209,7 @@ mod tests {
         assert_eq!(m.recall(FaultClass::ComponentInternal), 0.5);
         // Predicted external twice, once correctly.
         assert_eq!(m.precision(FaultClass::ComponentExternal), 0.5);
-        assert_eq!(m.count(FaultClass::JobBorderline, None), 1);
+        assert_eq!(m.counts[ConfusionMatrix::index(FaultClass::JobBorderline)][6], 1);
         assert_eq!(m.undecided_share(), 0.25);
         assert_eq!(ConfusionMatrix::new().undecided_share(), 0.0, "empty matrix must not NaN");
         let table = m.render();
@@ -232,9 +226,17 @@ mod tests {
         b.record(FaultClass::ComponentExternal, Some(FaultClass::ComponentExternal));
         a.merge(&b);
         assert_eq!(a.total(), 3);
-        assert_eq!(a.count(FaultClass::ComponentInternal, None), 1);
-        assert_eq!(a.count(FaultClass::ComponentInternal, Some(FaultClass::ComponentInternal)), 1);
-        assert_eq!(a.count(FaultClass::ComponentExternal, Some(FaultClass::ComponentExternal)), 1);
+        assert_eq!(a.counts[ConfusionMatrix::index(FaultClass::ComponentInternal)][6], 1);
+        assert_eq!(
+            a.counts[ConfusionMatrix::index(FaultClass::ComponentInternal)]
+                [ConfusionMatrix::index(FaultClass::ComponentInternal)],
+            1
+        );
+        assert_eq!(
+            a.counts[ConfusionMatrix::index(FaultClass::ComponentExternal)]
+                [ConfusionMatrix::index(FaultClass::ComponentExternal)],
+            1
+        );
     }
 
     #[test]

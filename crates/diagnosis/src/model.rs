@@ -61,7 +61,7 @@ pub struct PatternModel {
 
 /// Static metadata for every pattern the ONA bank can emit, in Fig. 8
 /// order. Confidences mirror the literals in `patterns.rs`.
-pub const PATTERN_MODELS: &[PatternModel] = &[
+pub(crate) const PATTERN_MODELS: &[PatternModel] = &[
     PatternModel { name: "massive-transient", domain: SymptomDomain::Comm, confidence: 0.9 },
     PatternModel { name: "isolated-transient", domain: SymptomDomain::Comm, confidence: 0.4 },
     PatternModel { name: "connector", domain: SymptomDomain::Comm, confidence: 0.9 },
@@ -86,7 +86,7 @@ pub fn pattern_model(name: &str) -> Option<&'static PatternModel> {
 /// assumption that *every* window fails (α grows by exactly 1 per
 /// window, no decay is ever applied). `None` if the threshold is
 /// unreachable (non-finite).
-pub fn alpha_windows_to_declare(a: &AlphaParams) -> Option<u64> {
+pub(crate) fn alpha_windows_to_declare(a: &AlphaParams) -> Option<u64> {
     if !a.threshold.is_finite() {
         return None;
     }

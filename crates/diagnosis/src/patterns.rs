@@ -208,18 +208,6 @@ impl OnaBank {
         }
     }
 
-    /// The active parameters.
-    pub fn params(&self) -> &OnaParams {
-        &self.params
-    }
-
-    /// Evaluates all ONAs for the round that just completed.
-    pub fn evaluate_round(&mut self, now: SimTime, ds: &DistributedState) -> Vec<PatternMatch> {
-        let mut out = Vec::new();
-        self.evaluate_round_into(now, ds, &mut out);
-        out
-    }
-
     /// Evaluates all ONAs into a reused buffer (cleared first); returns the
     /// number of matches.
     pub fn evaluate_round_into(
@@ -729,6 +717,7 @@ mod tests {
         let mut bank = OnaBank::new(&sim, OnaParams::default());
         let mut matches = Vec::new();
         let mut batch = Vec::new();
+        let mut round_matches = Vec::new();
         for r in 0..rounds {
             for _ in 0..4 {
                 let rec = sim.step_slot(&mut env);
@@ -736,7 +725,8 @@ mod tests {
             }
             let now = sim.now();
             ds.ingest_round(now, std::mem::take(&mut batch));
-            matches.extend(bank.evaluate_round(now, &ds));
+            bank.evaluate_round_into(now, &ds, &mut round_matches);
+            matches.append(&mut round_matches);
             let _ = r;
         }
         matches

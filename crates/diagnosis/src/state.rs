@@ -35,8 +35,6 @@ pub struct DistributedState {
     trend_window: SimDuration,
     /// Bound on per-job value series length.
     series_cap: usize,
-    /// Total symptoms ingested.
-    total: u64,
 }
 
 impl DistributedState {
@@ -54,7 +52,6 @@ impl DistributedState {
             job_counts: BTreeMap::new(),
             trend_window,
             series_cap: 4096,
-            total: 0,
         }
     }
 
@@ -69,7 +66,7 @@ impl DistributedState {
     /// copy in a recycled history Vec. Equivalent to
     /// [`ingest_round`](DistributedState::ingest_round) but allocation-free
     /// at steady state (and always allocation-free for empty rounds).
-    pub fn ingest_round_buf(&mut self, round_start: SimTime, symptoms: &[Symptom]) {
+    pub(crate) fn ingest_round_buf(&mut self, round_start: SimTime, symptoms: &[Symptom]) {
         self.tally(symptoms);
         let mut v = self.spare.pop().unwrap_or_default();
         v.extend_from_slice(symptoms);
@@ -89,7 +86,6 @@ impl DistributedState {
     /// Updates the long-horizon accumulators with one round's symptoms.
     fn tally(&mut self, symptoms: &[Symptom]) {
         for s in symptoms {
-            self.total += 1;
             match s.subject {
                 Subject::Component(n) => {
                     self.comps.bump(n, s.kind.label());
@@ -115,11 +111,6 @@ impl DistributedState {
         }
     }
 
-    /// Total symptoms ingested over the campaign.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Cold-standby failover: drops the short-term correlation history
     /// except the newest `keep_rounds` rounds.
     ///
@@ -128,7 +119,7 @@ impl DistributedState {
     /// bounded resync protocol replays to it. The long-horizon
     /// accumulators (rate windows, label counts, value series) model the
     /// checkpointed maintenance database and survive.
-    pub fn forget_short_term(&mut self, keep_rounds: usize) {
+    pub(crate) fn forget_short_term(&mut self, keep_rounds: usize) {
         while self.recent.len() > keep_rounds {
             if let Some((_, mut v)) = self.recent.pop_front() {
                 v.clear();
@@ -138,14 +129,14 @@ impl DistributedState {
     }
 
     /// Iterates the symptoms of the last `rounds` rounds.
-    pub fn recent_symptoms(&self, rounds: usize) -> impl Iterator<Item = &Symptom> {
+    pub(crate) fn recent_symptoms(&self, rounds: usize) -> impl Iterator<Item = &Symptom> {
         let skip = self.recent.len().saturating_sub(rounds);
         self.recent.iter().skip(skip).flat_map(|(_, v)| v.iter())
     }
 
     /// Comm-error counts per (observer, subject) pair over the last
     /// `rounds` rounds, split by omission vs corruption kind.
-    pub fn pair_matrix(&self, rounds: usize) -> PairMatrix {
+    pub(crate) fn pair_matrix(&self, rounds: usize) -> PairMatrix {
         let mut m = PairMatrix::default();
         for s in self.recent_symptoms(rounds) {
             if let Subject::Component(subj) = s.subject {
@@ -162,43 +153,33 @@ impl DistributedState {
 
     /// Long-horizon comm-error rate trend (slope of events/hour) about a
     /// subject component; `None` with fewer than two windows of history.
-    pub fn subject_err_trend(&self, n: NodeId) -> Option<f64> {
+    pub(crate) fn subject_err_trend(&self, n: NodeId) -> Option<f64> {
         self.comps.subject(n).and_then(RateWindows::trend_slope)
-    }
-
-    /// Total comm errors recorded about a subject component.
-    pub fn subject_err_total(&self, n: NodeId) -> u64 {
-        self.comps.subject(n).map(RateWindows::total).unwrap_or(0)
     }
 
     /// Per-window comm-error counts about a subject (the wearout trend
     /// series of experiment E6/E7).
-    pub fn subject_err_windows(&self, n: NodeId) -> Option<&[u64]> {
+    pub(crate) fn subject_err_windows(&self, n: NodeId) -> Option<&[u64]> {
         self.comps.subject(n).map(RateWindows::counts)
     }
 
     /// Count of a symptom label for a component subject.
-    pub fn comp_count(&self, n: NodeId, label: &'static str) -> u64 {
+    pub(crate) fn comp_count(&self, n: NodeId, label: &'static str) -> u64 {
         self.comps.count(n, label)
     }
 
     /// Count of a symptom label for a job subject.
-    pub fn job_count(&self, j: JobId, label: &'static str) -> u64 {
+    pub(crate) fn job_count(&self, j: JobId, label: &'static str) -> u64 {
         self.job_counts.get(&j).and_then(|m| m.get(label)).copied().unwrap_or(0)
     }
 
     /// All jobs with any recorded symptom.
-    pub fn symptomatic_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
+    pub(crate) fn symptomatic_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
         self.job_counts.keys().copied()
     }
 
-    /// All components with any recorded symptom, in ascending node order.
-    pub fn symptomatic_components(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.comps.symptomatic()
-    }
-
     /// The recorded value-symptom series of a job.
-    pub fn job_value_series(&self, j: JobId) -> Option<&ValueSeries> {
+    pub(crate) fn job_value_series(&self, j: JobId) -> Option<&ValueSeries> {
         self.job_value_series.get(&j)
     }
 }
@@ -208,7 +189,7 @@ impl DistributedState {
 /// or a drift proximity, plus running least-squares sums of all points
 /// and of the violations alone.
 #[derive(Debug, Clone, Default)]
-pub struct ValueSeries {
+pub(crate) struct ValueSeries {
     points: VecDeque<(SimTime, f64, bool)>,
     all: SlopeSums,
     violations: SlopeSums,
@@ -238,7 +219,7 @@ impl ValueSeries {
     }
 
     /// The points, oldest first.
-    pub fn points(&self) -> &VecDeque<(SimTime, f64, bool)> {
+    pub(crate) fn points(&self) -> &VecDeque<(SimTime, f64, bool)> {
         &self.points
     }
 
@@ -350,14 +331,10 @@ impl SlopeSums {
 /// Every column is a flat vector indexed by [`NodeId`] and grown on
 /// demand, so the hot tally path is an index plus a short linear scan of
 /// the component's label counts instead of two `BTreeMap` descents per
-/// symptom. The `symptomatic` flag column records which components have
-/// ever been a symptom *subject* (the former `comp_counts` key set);
-/// observer-side rate windows are tracked separately because a component
-/// can observe errors without ever being blamed for one.
+/// symptom. Observer-side rate windows are tracked separately because a
+/// component can observe errors without ever being blamed for one.
 #[derive(Default)]
 struct ComponentColumns {
-    /// Has this component ever been the subject of a symptom?
-    symptomatic: Vec<bool>,
     /// Symptom-label counts per component (few distinct labels — linear
     /// scan beats a map).
     counts: Vec<Vec<(&'static str, u64)>>,
@@ -369,8 +346,7 @@ struct ComponentColumns {
 
 impl ComponentColumns {
     fn ensure(&mut self, i: usize) {
-        if i >= self.symptomatic.len() {
-            self.symptomatic.resize(i + 1, false);
+        if i >= self.counts.len() {
             self.counts.resize_with(i + 1, Vec::new);
             self.subject_err.resize_with(i + 1, || None);
             self.observer_err.resize_with(i + 1, || None);
@@ -380,7 +356,6 @@ impl ComponentColumns {
     fn bump(&mut self, n: NodeId, label: &'static str) {
         let i = n.0 as usize;
         self.ensure(i);
-        self.symptomatic[i] = true;
         let col = &mut self.counts[i];
         match col.iter_mut().find(|(l, _)| *l == label) {
             Some((_, c)) => *c += 1,
@@ -411,15 +386,11 @@ impl ComponentColumns {
             .map(|(_, c)| *c)
             .unwrap_or(0)
     }
-
-    fn symptomatic(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.symptomatic.iter().enumerate().filter(|(_, &s)| s).map(|(i, _)| NodeId(i as u16))
-    }
 }
 
 /// Comm-error matrix over (observer, subject) pairs in a window.
 #[derive(Debug, Clone, Default)]
-pub struct PairMatrix {
+pub(crate) struct PairMatrix {
     /// (observer, subject) → (omission-like count, corruption count).
     pub pairs: BTreeMap<(NodeId, NodeId), (u64, u64)>,
 }
@@ -434,43 +405,17 @@ impl PairMatrix {
         }
     }
 
-    /// Total errors in the window.
-    pub fn total(&self) -> u64 {
-        self.pairs.values().map(|(o, c)| o + c).sum()
-    }
-
     /// Distinct observers that complained about `subject`.
-    pub fn col_breadth(&self, subject: NodeId) -> usize {
+    pub(crate) fn col_breadth(&self, subject: NodeId) -> usize {
         self.pairs.keys().filter(|(_, s)| *s == subject).count()
     }
 
-    /// Distinct subjects that `observer` complained about.
-    pub fn row_breadth(&self, observer: NodeId) -> usize {
-        self.pairs.keys().filter(|(o, _)| *o == observer).count()
-    }
-
     /// Errors about `subject`: (omission-like, corruption).
-    pub fn col_counts(&self, subject: NodeId) -> (u64, u64) {
+    pub(crate) fn col_counts(&self, subject: NodeId) -> (u64, u64) {
         self.pairs
             .iter()
             .filter(|((_, s), _)| *s == subject)
             .fold((0, 0), |acc, (_, (o, c))| (acc.0 + o, acc.1 + c))
-    }
-
-    /// Errors raised by `observer`: (omission-like, corruption).
-    pub fn row_counts(&self, observer: NodeId) -> (u64, u64) {
-        self.pairs
-            .iter()
-            .filter(|((o, _), _)| *o == observer)
-            .fold((0, 0), |acc, (_, (om, c))| (acc.0 + om, acc.1 + c))
-    }
-
-    /// Components touched by errors in either role.
-    pub fn touched(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.pairs.keys().flat_map(|(o, s)| [*o, *s]).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 }
 
@@ -510,11 +455,9 @@ mod tests {
                 ),
             ],
         );
-        assert_eq!(ds.total(), 3);
         assert_eq!(ds.comp_count(NodeId(2), "omission"), 2);
         assert_eq!(ds.job_count(JobId(5), "value-violation"), 1);
-        assert_eq!(ds.subject_err_total(NodeId(2)), 2);
-        assert_eq!(ds.symptomatic_components().collect::<Vec<_>>(), vec![NodeId(2)]);
+        assert_eq!(ds.subject_err_windows(NodeId(2)), Some(&[2][..]));
         assert_eq!(ds.symptomatic_jobs().collect::<Vec<_>>(), vec![JobId(5)]);
     }
 
@@ -528,7 +471,11 @@ mod tests {
             );
         }
         assert_eq!(ds.recent_symptoms(100).count(), 3, "history bounded to horizon");
-        assert_eq!(ds.total(), 10, "long-horizon counters keep everything");
+        assert_eq!(
+            ds.comp_count(NodeId(1), "omission"),
+            10,
+            "long-horizon counters keep everything"
+        );
     }
 
     #[test]
@@ -542,8 +489,12 @@ mod tests {
         }
         ds.forget_short_term(2);
         assert_eq!(ds.recent_symptoms(100).count(), 2, "only the resynced rounds survive");
-        assert_eq!(ds.total(), 10, "the checkpointed accumulators survive the crash");
-        assert_eq!(ds.subject_err_total(NodeId(1)), 10);
+        assert_eq!(
+            ds.comp_count(NodeId(1), "omission"),
+            10,
+            "the checkpointed accumulators survive the crash"
+        );
+        assert_eq!(ds.subject_err_windows(NodeId(1)).map(|w| w.iter().sum::<u64>()), Some(10));
     }
 
     #[test]
@@ -558,12 +509,15 @@ mod tests {
             ],
         );
         let m = ds.pair_matrix(10);
-        assert_eq!(m.total(), 3);
         assert_eq!(m.col_breadth(NodeId(2)), 2);
-        assert_eq!(m.row_breadth(NodeId(2)), 1);
         assert_eq!(m.col_counts(NodeId(2)), (1, 1));
-        assert_eq!(m.row_counts(NodeId(2)), (1, 0));
-        assert_eq!(m.touched(), vec![NodeId(0), NodeId(1), NodeId(2)]);
+        // The whole matrix: totals, rows and touched components follow.
+        let pairs = BTreeMap::from([
+            ((NodeId(0), NodeId(2)), (1, 0)),
+            ((NodeId(1), NodeId(2)), (0, 1)),
+            ((NodeId(2), NodeId(0)), (1, 0)),
+        ]);
+        assert_eq!(m.pairs, pairs);
     }
 
     #[test]

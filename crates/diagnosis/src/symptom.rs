@@ -30,24 +30,6 @@ pub enum Subject {
     Job(JobId),
 }
 
-impl Subject {
-    /// The component involved, if the subject is one.
-    pub fn component(&self) -> Option<NodeId> {
-        match self {
-            Subject::Component(n) => Some(*n),
-            Subject::Job(_) => None,
-        }
-    }
-
-    /// The job involved, if the subject is one.
-    pub fn job(&self) -> Option<JobId> {
-        match self {
-            Subject::Job(j) => Some(*j),
-            Subject::Component(_) => None,
-        }
-    }
-}
-
 /// Queue side for overflow symptoms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QueueSide {
@@ -114,7 +96,7 @@ pub enum SymptomKind {
 impl SymptomKind {
     /// Whether this symptom indicates a communication-level error against
     /// the subject component (the inputs to the spatial analysis).
-    pub fn is_comm_error(&self) -> bool {
+    pub(crate) fn is_comm_error(&self) -> bool {
         matches!(
             self,
             SymptomKind::Omission | SymptomKind::InvalidCrc | SymptomKind::TimingViolation { .. }
@@ -122,7 +104,7 @@ impl SymptomKind {
     }
 
     /// Short stable label for reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             SymptomKind::Omission => "omission",
             SymptomKind::InvalidCrc => "invalid-crc",
@@ -156,14 +138,6 @@ pub struct Symptom {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn subject_accessors() {
-        assert_eq!(Subject::Component(NodeId(2)).component(), Some(NodeId(2)));
-        assert_eq!(Subject::Component(NodeId(2)).job(), None);
-        assert_eq!(Subject::Job(JobId(3)).job(), Some(JobId(3)));
-        assert_eq!(Subject::Job(JobId(3)).component(), None);
-    }
 
     #[test]
     fn comm_error_classification() {

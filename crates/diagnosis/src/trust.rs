@@ -24,7 +24,7 @@
 
 use crate::patterns::PatternMatch;
 use decos_faults::{FaultClass, FruRef};
-use decos_platform::{JobId, NodeId};
+use decos_platform::JobId;
 use serde::{Deserialize, Serialize};
 
 /// Trust dynamics parameters.
@@ -65,14 +65,12 @@ pub fn class_severity(class: FaultClass) -> f64 {
 /// The per-FRU trust assessor.
 ///
 /// Trust is stored struct-of-arrays: component trust lives in a flat
-/// vector indexed by [`NodeId`] (with a parallel touched-flag column) and
-/// job trust in a [`JobId`]-sorted vector, so the per-round recovery
-/// sweep walks contiguous memory instead of chasing tree nodes. Iteration
-/// order of [`tracked`](FruAssessor::tracked) — components ascending,
-/// then jobs ascending — matches [`FruRef`]'s derived `Ord`, i.e. the
-/// order the former `BTreeMap<FruRef, f64>` storage produced.
+/// vector indexed by [`NodeId`](decos_platform::NodeId) (with a parallel
+/// touched-flag column) and job trust in a [`JobId`]-sorted vector, so the
+/// per-round recovery sweep walks contiguous memory instead of chasing
+/// tree nodes.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct FruAssessor {
+pub(crate) struct FruAssessor {
     params: TrustParams,
     /// Component trust by node index; meaningful only where the matching
     /// `comp_tracked` flag is set.
@@ -88,7 +86,7 @@ pub struct FruAssessor {
 
 impl FruAssessor {
     /// Creates an assessor; unknown FRUs implicitly start at trust 1.
-    pub fn new(params: TrustParams) -> Self {
+    pub(crate) fn new(params: TrustParams) -> Self {
         FruAssessor {
             params,
             comp_trust: Vec::new(),
@@ -126,7 +124,7 @@ impl FruAssessor {
     }
 
     /// The current trust level of a FRU.
-    pub fn trust(&self, fru: FruRef) -> f64 {
+    pub(crate) fn trust(&self, fru: FruRef) -> f64 {
         match fru {
             FruRef::Component(n) => {
                 let i = n.0 as usize;
@@ -144,27 +142,6 @@ impl FruAssessor {
         }
     }
 
-    /// All FRUs whose trust has ever been touched, in [`FruRef`] order.
-    pub fn tracked(&self) -> impl Iterator<Item = (FruRef, f64)> + '_ {
-        let comps = self
-            .comp_trust
-            .iter()
-            .zip(self.comp_tracked.iter())
-            .enumerate()
-            .filter(|(_, (_, &tracked))| tracked)
-            .map(|(i, (t, _))| (FruRef::Component(NodeId(i as u16)), *t));
-        let jobs = self.job_trust.iter().map(|&(j, t)| (FruRef::Job(j), t));
-        comps.chain(jobs)
-    }
-
-    /// Applies one round of pattern matches, then lets every tracked FRU
-    /// recover slightly. Assumes a healthy diagnostic path (delivery
-    /// quality 1); campaign drivers use
-    /// [`update_round_weighted`](FruAssessor::update_round_weighted).
-    pub fn update_round(&mut self, matches: &[PatternMatch]) {
-        self.update_round_weighted(matches, 1.0);
-    }
-
     /// Applies one round of pattern matches under a given delivery
     /// quality.
     ///
@@ -174,7 +151,7 @@ impl FruAssessor {
     /// actionable. Above the threshold, decay applies as usual (the
     /// engine already scales match confidence by quality) and recovery is
     /// scaled by quality: partial evidence earns partial recovery.
-    pub fn update_round_weighted(&mut self, matches: &[PatternMatch], quality: f64) {
+    pub(crate) fn update_round_weighted(&mut self, matches: &[PatternMatch], quality: f64) {
         let q = quality.clamp(0.0, 1.0);
         if q < self.params.freeze_quality {
             self.frozen_rounds += 1;
@@ -199,7 +176,7 @@ impl FruAssessor {
     }
 
     /// Rounds discarded by the delivery-quality freeze.
-    pub fn frozen_rounds(&self) -> u64 {
+    pub(crate) fn frozen_rounds(&self) -> u64 {
         self.frozen_rounds
     }
 }
@@ -230,7 +207,7 @@ mod tests {
     fn internal_evidence_ratchets_trust_down() {
         let mut a = FruAssessor::new(TrustParams::default());
         for _ in 0..200 {
-            a.update_round(&[m(FaultClass::ComponentInternal, 0.9)]);
+            a.update_round_weighted(&[m(FaultClass::ComponentInternal, 0.9)], 1.0);
         }
         assert!(a.trust(FruRef::Component(NodeId(1))) < 0.05);
     }
@@ -240,13 +217,13 @@ mod tests {
         let mut a = FruAssessor::new(TrustParams::default());
         // A burst of external-fault evidence…
         for _ in 0..50 {
-            a.update_round(&[m(FaultClass::ComponentExternal, 0.9)]);
+            a.update_round_weighted(&[m(FaultClass::ComponentExternal, 0.9)], 1.0);
         }
         let after_burst = a.trust(FruRef::Component(NodeId(1)));
         assert!(after_burst > 0.8, "external evidence barely moves trust: {after_burst}");
         // …followed by quiet rounds: trust recovers toward 1.
         for _ in 0..2000 {
-            a.update_round(&[]);
+            a.update_round_weighted(&[], 1.0);
         }
         let recovered = a.trust(FruRef::Component(NodeId(1)));
         assert!(recovered > 0.95, "trajectory B must recover: {recovered}");
@@ -258,9 +235,9 @@ mod tests {
         // Sparse but recurring internal evidence: one match every 20 rounds.
         for i in 0..4000 {
             if i % 20 == 0 {
-                a.update_round(&[m(FaultClass::ComponentInternal, 0.8)]);
+                a.update_round_weighted(&[m(FaultClass::ComponentInternal, 0.8)], 1.0);
             } else {
-                a.update_round(&[]);
+                a.update_round_weighted(&[], 1.0);
             }
         }
         assert!(
@@ -275,7 +252,7 @@ mod tests {
         let mut a = FruAssessor::new(TrustParams::default());
         // Establish degraded trust with good evidence flow.
         for _ in 0..100 {
-            a.update_round(&[m(FaultClass::ComponentInternal, 0.9)]);
+            a.update_round_weighted(&[m(FaultClass::ComponentInternal, 0.9)], 1.0);
         }
         let degraded = a.trust(FruRef::Component(NodeId(1)));
         assert!(degraded < 0.5);
@@ -298,7 +275,7 @@ mod tests {
         let run = |q: f64| {
             let mut a = FruAssessor::new(TrustParams::default());
             for _ in 0..50 {
-                a.update_round(&[m(FaultClass::ComponentInternal, 0.9)]);
+                a.update_round_weighted(&[m(FaultClass::ComponentInternal, 0.9)], 1.0);
             }
             for _ in 0..1000 {
                 a.update_round_weighted(&[], q);
@@ -311,10 +288,8 @@ mod tests {
     #[test]
     fn tracked_lists_touched_frus() {
         let mut a = FruAssessor::new(TrustParams::default());
-        a.update_round(&[m(FaultClass::ComponentInternal, 0.5)]);
-        let tracked: Vec<(FruRef, f64)> = a.tracked().collect();
-        assert_eq!(tracked.len(), 1);
-        assert_eq!(tracked[0].0, FruRef::Component(NodeId(1)));
-        assert!(tracked[0].1 < 1.0);
+        a.update_round_weighted(&[m(FaultClass::ComponentInternal, 0.5)], 1.0);
+        assert_eq!(a.comp_tracked, [false, true]);
+        assert!(a.trust(FruRef::Component(NodeId(1))) < 1.0);
     }
 }

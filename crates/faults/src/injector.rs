@@ -114,11 +114,6 @@ impl DiagDisturbance {
         forged_per_round: 0,
         crashed: false,
     };
-
-    /// Whether the diagnostic path is completely healthy.
-    pub fn is_none(&self) -> bool {
-        *self == Self::NONE
-    }
 }
 
 impl Default for DiagDisturbance {
@@ -206,7 +201,7 @@ impl FaultEnvironment {
     /// `job_hosts` maps each job to its hosting component; `slot_len` the
     /// TDMA slot length (Bernoulli discretization step); `accel` the rate
     /// acceleration factor (1.0 = the paper's real-time rates).
-    pub fn new(
+    pub(crate) fn new(
         faults: Vec<FaultSpec>,
         positions: Vec<Position>,
         job_hosts: std::collections::BTreeMap<JobId, NodeId>,

@@ -31,13 +31,13 @@ use decos_vnet::{PortId, VnetConfig, VnetId};
 pub mod jobs {
     use super::JobId;
     /// FCS replica 1 (LRM 0).
-    pub const F1: JobId = JobId(1);
+    pub(crate) const F1: JobId = JobId(1);
     /// FCS replica 2 (LRM 1).
-    pub const F2: JobId = JobId(2);
+    pub(crate) const F2: JobId = JobId(2);
     /// FCS replica 3 (LRM 2).
-    pub const F3: JobId = JobId(3);
+    pub(crate) const F3: JobId = JobId(3);
     /// FCS voter (LRM 3).
-    pub const FV: JobId = JobId(4);
+    pub(crate) const FV: JobId = JobId(4);
     /// Air-data publisher (LRM 4).
     pub const AIR: JobId = JobId(10);
     /// Air-data consumer/controller (LRM 3).
@@ -49,68 +49,68 @@ pub mod jobs {
     /// NAV controller consuming the gateway output (LRM 6).
     pub const NAV_C: JobId = JobId(21);
     /// Cabin event senders (LRMs 5–7).
-    pub const CAB1: JobId = JobId(30);
+    pub(crate) const CAB1: JobId = JobId(30);
     /// Cabin sender 2.
-    pub const CAB2: JobId = JobId(31);
+    pub(crate) const CAB2: JobId = JobId(31);
     /// Cabin sender 3.
-    pub const CAB3: JobId = JobId(32);
+    pub(crate) const CAB3: JobId = JobId(32);
     /// Cabin consumer (LRM 4).
-    pub const CAB_RX: JobId = JobId(33);
+    pub(crate) const CAB_RX: JobId = JobId(33);
 }
 
 /// Port identities.
 pub mod ports {
     use super::PortId;
     /// FCS replica outputs.
-    pub const F1: PortId = PortId(1);
+    pub(crate) const F1: PortId = PortId(1);
     /// Replica 2.
-    pub const F2: PortId = PortId(2);
+    pub(crate) const F2: PortId = PortId(2);
     /// Replica 3.
-    pub const F3: PortId = PortId(3);
+    pub(crate) const F3: PortId = PortId(3);
     /// Voted output.
-    pub const FV: PortId = PortId(4);
+    pub(crate) const FV: PortId = PortId(4);
     /// Air-data value.
-    pub const AIR: PortId = PortId(10);
+    pub(crate) const AIR: PortId = PortId(10);
     /// Controller outputs.
-    pub const AIR_C1: PortId = PortId(11);
+    pub(crate) const AIR_C1: PortId = PortId(11);
     /// Controller 2 output.
-    pub const AIR_C2: PortId = PortId(12);
+    pub(crate) const AIR_C2: PortId = PortId(12);
     /// Gateway republication into NAV.
-    pub const GATEWAY: PortId = PortId(20);
+    pub(crate) const GATEWAY: PortId = PortId(20);
     /// NAV controller output.
-    pub const NAV_C: PortId = PortId(21);
+    pub(crate) const NAV_C: PortId = PortId(21);
     /// Cabin sender ports.
-    pub const CAB1: PortId = PortId(30);
+    pub(crate) const CAB1: PortId = PortId(30);
     /// Cabin sender 2.
-    pub const CAB2: PortId = PortId(31);
+    pub(crate) const CAB2: PortId = PortId(31);
     /// Cabin sender 3.
-    pub const CAB3: PortId = PortId(32);
+    pub(crate) const CAB3: PortId = PortId(32);
 }
 
 /// Virtual networks.
 pub mod vnets {
     use super::VnetId;
     /// Flight-control state network.
-    pub const FCS: VnetId = VnetId(0);
+    pub(crate) const FCS: VnetId = VnetId(0);
     /// Air-data state network.
-    pub const AIR: VnetId = VnetId(1);
+    pub(crate) const AIR: VnetId = VnetId(1);
     /// Navigation state network.
-    pub const NAV: VnetId = VnetId(2);
+    pub(crate) const NAV: VnetId = VnetId(2);
     /// Cabin event network.
-    pub const CAB: VnetId = VnetId(3);
+    pub(crate) const CAB: VnetId = VnetId(3);
 }
 
 /// DAS identities.
 pub mod dases {
     use super::DasId;
     /// Flight control (SC).
-    pub const FCS: DasId = DasId(0);
+    pub(crate) const FCS: DasId = DasId(0);
     /// Air data (NSC).
-    pub const AIR: DasId = DasId(1);
+    pub(crate) const AIR: DasId = DasId(1);
     /// Navigation (NSC).
-    pub const NAV: DasId = DasId(2);
+    pub(crate) const NAV: DasId = DasId(2);
     /// Cabin systems (NSC).
-    pub const CAB: DasId = DasId(3);
+    pub(crate) const CAB: DasId = DasId(3);
 }
 
 /// Builds the avionics cluster specification (8 LRMs, 14 jobs, 4 DASs).

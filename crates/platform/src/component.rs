@@ -68,7 +68,7 @@ impl ComponentState {
     /// participates in; `cluster_size` — number of components in the
     /// cluster (membership vector width); `precision_ns` — the cluster
     /// precision for the sync monitor.
-    pub fn new(
+    pub(crate) fn new(
         spec: ComponentSpec,
         vnets: &[VnetConfig],
         hosted: Vec<JobId>,
@@ -76,7 +76,7 @@ impl ComponentState {
         membership_params: MembershipParams,
         precision_ns: u64,
     ) -> Self {
-        let clock = LocalClock::new(spec.drift_ppm, 0.0);
+        let clock = LocalClock::new(spec.drift_ppm);
         let endpoints =
             vnets.iter().map(|cfg| (cfg.id, VnetEndpoint::new(*cfg))).collect::<BTreeMap<_, _>>();
         ComponentState {
@@ -91,23 +91,13 @@ impl ComponentState {
         }
     }
 
-    /// Static description.
-    pub fn spec(&self) -> &ComponentSpec {
-        &self.spec
-    }
-
     /// Network identity.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.spec.node
     }
 
-    /// Mounting position.
-    pub fn position(&self) -> Position {
-        self.spec.position
-    }
-
     /// Hosted jobs.
-    pub fn hosted(&self) -> &[JobId] {
+    pub(crate) fn hosted(&self) -> &[JobId] {
         &self.hosted
     }
 
@@ -136,7 +126,7 @@ impl ComponentState {
     /// state synchronization (clears endpoints, resyncs the clock monitor)
     /// and returns `true` once, on completion.
     #[inline]
-    pub fn poll_restart(&mut self, now: SimTime) -> bool {
+    pub(crate) fn poll_restart(&mut self, now: SimTime) -> bool {
         if let Power::Restarting { until } = self.power {
             if now >= until {
                 for ep in self.endpoints.values_mut() {
@@ -153,7 +143,7 @@ impl ComponentState {
 
     /// Initiates a restart lasting `dur` (recovery from an external
     /// transient fault, §III-C).
-    pub fn begin_restart(&mut self, now: SimTime, dur: SimDuration) {
+    pub(crate) fn begin_restart(&mut self, now: SimTime, dur: SimDuration) {
         if matches!(self.power, Power::Dead) {
             return;
         }
@@ -162,7 +152,7 @@ impl ComponentState {
     }
 
     /// Kills the component permanently (permanent internal hardware fault).
-    pub fn kill(&mut self, now: SimTime) {
+    pub(crate) fn kill(&mut self, now: SimTime) {
         self.power = Power::Dead;
         self.clock.kill(now);
     }
@@ -173,7 +163,7 @@ impl ComponentState {
     }
 
     /// Synchronization status as of the last resync round.
-    pub fn sync_status(&self) -> SyncStatus {
+    pub(crate) fn sync_status(&self) -> SyncStatus {
         self.sync.status()
     }
 }

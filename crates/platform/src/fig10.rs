@@ -32,9 +32,9 @@ pub mod jobs {
     /// TMR replica 2 (component 1).
     pub const S2: JobId = JobId(2);
     /// TMR replica 3 (component 2).
-    pub const S3: JobId = JobId(3);
+    pub(crate) const S3: JobId = JobId(3);
     /// TMR voter (component 3).
-    pub const VOTER: JobId = JobId(4);
+    pub(crate) const VOTER: JobId = JobId(4);
     /// DAS A sensor publisher (component 0).
     pub const A1: JobId = JobId(10);
     /// DAS A controller (component 3).
@@ -55,30 +55,30 @@ pub mod ports {
     /// Replica output ports.
     pub const S1: PortId = PortId(1);
     /// Replica 2 output.
-    pub const S2: PortId = PortId(2);
+    pub(crate) const S2: PortId = PortId(2);
     /// Replica 3 output.
-    pub const S3: PortId = PortId(3);
+    pub(crate) const S3: PortId = PortId(3);
     /// Voter output.
-    pub const VOTED: PortId = PortId(4);
+    pub(crate) const VOTED: PortId = PortId(4);
     /// A1 state output.
     pub const A1: PortId = PortId(10);
     /// A2 command output.
-    pub const A2: PortId = PortId(11);
+    pub(crate) const A2: PortId = PortId(11);
     /// A3 command output.
-    pub const A3: PortId = PortId(12);
+    pub(crate) const A3: PortId = PortId(12);
     /// C1 event output.
-    pub const C1: PortId = PortId(20);
+    pub(crate) const C1: PortId = PortId(20);
     /// C2 event output.
-    pub const C2: PortId = PortId(21);
+    pub(crate) const C2: PortId = PortId(21);
 }
 
 /// Virtual networks of the reference cluster.
 pub mod vnets {
     use super::VnetId;
     /// Safety-critical state network of DAS S.
-    pub const S: VnetId = VnetId(0);
+    pub(crate) const S: VnetId = VnetId(0);
     /// State network of DAS A.
-    pub const A: VnetId = VnetId(1);
+    pub(crate) const A: VnetId = VnetId(1);
     /// Event network of DAS C.
     pub const C: VnetId = VnetId(2);
 }
@@ -87,25 +87,25 @@ pub mod vnets {
 pub mod dases {
     use super::DasId;
     /// Safety-critical TMR DAS.
-    pub const S: DasId = DasId(0);
+    pub(crate) const S: DasId = DasId(0);
     /// State-based control DAS.
-    pub const A: DasId = DasId(1);
+    pub(crate) const A: DasId = DasId(1);
     /// Event-based DAS.
-    pub const C: DasId = DasId(2);
+    pub(crate) const C: DasId = DasId(2);
 }
 
 /// The physical quantity the TMR replicas measure.
-pub fn tmr_signal() -> SignalModel {
+pub(crate) fn tmr_signal() -> SignalModel {
     SignalModel::Sine { amplitude: 1.0, period_s: 10.0, bias: 0.0 }
 }
 
 /// The physical quantity `A1` publishes.
-pub fn das_a_signal() -> SignalModel {
+pub(crate) fn das_a_signal() -> SignalModel {
     SignalModel::Sawtooth { lo: 0.0, hi: 10.0, period_s: 60.0 }
 }
 
 /// Mean emission rate of the DAS C event senders, Hz.
-pub const EVENT_RATE_HZ: f64 = 250.0;
+pub(crate) const EVENT_RATE_HZ: f64 = 250.0;
 
 /// Builds the Fig. 10 reference cluster specification.
 ///

@@ -11,7 +11,7 @@
 
 use crate::ids::{Criticality, DasId, JobId, NodeId};
 use crate::tmr::{vote, DivergenceRecord, VoteError};
-use crate::transducer::{Actuator, Sensor, SensorFault, SignalModel};
+use crate::transducer::{Sensor, SensorFault, SignalModel};
 use decos_sim::rng::Poisson;
 use decos_sim::time::{SimDuration, SimTime};
 use decos_vnet::{Message, PortId, VnetEndpoint, VnetId};
@@ -34,8 +34,8 @@ pub enum JobBehavior {
         /// Nominal measurement noise (std dev).
         noise_std: f64,
     },
-    /// Closed-loop controller: consumes a state variable, commands its
-    /// actuator and publishes the command.
+    /// Closed-loop controller: consumes a state variable and publishes its
+    /// actuator command.
     Controller {
         /// Network the input state arrives on.
         vnet_in: VnetId,
@@ -133,7 +133,7 @@ impl JobBehavior {
     }
 
     /// Virtual networks this behaviour uses (for endpoint creation).
-    pub fn vnets(&self) -> Vec<VnetId> {
+    pub(crate) fn vnets(&self) -> Vec<VnetId> {
         match self {
             JobBehavior::SensorPublisher { vnet, .. }
             | JobBehavior::EventSender { vnet, .. }
@@ -196,7 +196,7 @@ pub struct JobSpec {
 }
 
 /// Per-dispatch context handed to the job runtime.
-pub struct DispatchCtx<'a> {
+pub(crate) struct DispatchCtx<'a> {
     /// Current instant (start of the hosting component's slot).
     pub now: SimTime,
     /// Length of one TDMA round (the dispatch period).
@@ -226,11 +226,8 @@ pub struct JobRuntime {
     spec: JobSpec,
     seq: u64,
     sensor: Option<Sensor>,
-    actuator: Actuator,
     divergence: DivergenceRecord,
     counters: JobCounters,
-    /// A halted job produces nothing (crashed partition).
-    halted: bool,
     /// An event sender's per-round arrival distribution, built at the
     /// first dispatch, with the round length it was built for.
     arrivals: Option<(SimDuration, Poisson)>,
@@ -238,7 +235,7 @@ pub struct JobRuntime {
 
 impl JobRuntime {
     /// Instantiates the runtime for a job spec.
-    pub fn new(spec: JobSpec) -> Self {
+    pub(crate) fn new(spec: JobSpec) -> Self {
         let sensor = match &spec.behavior {
             JobBehavior::SensorPublisher { signal, noise_std, .. }
             | JobBehavior::TmrReplica { signal, noise_std, .. } => {
@@ -250,10 +247,8 @@ impl JobRuntime {
             spec,
             seq: 0,
             sensor,
-            actuator: Actuator::new(),
             divergence: DivergenceRecord::new(),
             counters: JobCounters::default(),
-            halted: false,
             arrivals: None,
         }
     }
@@ -275,11 +270,6 @@ impl JobRuntime {
         }
     }
 
-    /// The actuator record.
-    pub fn actuator(&self) -> &Actuator {
-        &self.actuator
-    }
-
     /// Divergence record (voter behaviours).
     pub fn divergence(&self) -> &DivergenceRecord {
         &self.divergence
@@ -290,45 +280,22 @@ impl JobRuntime {
         &self.counters
     }
 
-    /// Halts the job (software crash manifestation).
-    pub fn halt(&mut self) {
-        self.halted = true;
-    }
-
-    /// Restarts a halted job (software update / partition restart).
-    pub fn restart(&mut self) {
-        self.halted = false;
-    }
-
-    /// Whether the job is halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Executes one dispatch: consumes inputs, produces output messages.
+    /// Executes one dispatch: consumes inputs and appends the produced
+    /// output messages to the caller-owned `out`, allocating only if `out`
+    /// must grow. Returns the number of messages appended.
     ///
-    /// The produced messages are returned (not yet submitted to the
-    /// endpoint) so the caller can apply the environment's output filter —
-    /// the hook through which software design faults manifest — before
-    /// submission.
-    pub fn dispatch(&mut self, ctx: &mut DispatchCtx<'_>) -> Vec<Message> {
-        let mut out = Vec::new();
-        self.dispatch_into(ctx, &mut out);
-        out
-    }
-
-    /// [`dispatch`](JobRuntime::dispatch) appending into a caller-owned
-    /// buffer — the zero-allocation form used by the slot pipeline. Returns
-    /// the number of messages appended.
-    pub fn dispatch_into(&mut self, ctx: &mut DispatchCtx<'_>, out: &mut Vec<Message>) -> usize {
-        if self.halted {
-            return 0;
-        }
+    /// The messages are not yet submitted to the endpoint, so the caller
+    /// can apply the environment's output filter — the hook through which
+    /// software design faults manifest — before submission.
+    pub(crate) fn dispatch_into(
+        &mut self,
+        ctx: &mut DispatchCtx<'_>,
+        out: &mut Vec<Message>,
+    ) -> usize {
         let start = out.len();
         // Split borrows: match the behaviour in place while mutating the
         // runtime state fields (no clone of the behaviour handle).
-        let JobRuntime { spec, seq, sensor, actuator, divergence, counters, halted: _, arrivals } =
-            self;
+        let JobRuntime { spec, seq, sensor, divergence, counters, arrivals } = self;
         counters.dispatches += 1;
         let mut next_seq = || {
             *seq += 1;
@@ -358,7 +325,6 @@ impl JobRuntime {
                 match input {
                     Some(m) => {
                         let cmd = (gain * (setpoint - m.value)).clamp(out_bounds.0, out_bounds.1);
-                        actuator.command(ctx.now, cmd);
                         out.push(Message {
                             src: *port,
                             seq: next_seq(),
@@ -423,7 +389,6 @@ impl JobRuntime {
                 divergence.observe(&outcome);
                 match outcome {
                     Ok(r) => {
-                        actuator.command(ctx.now, r.output);
                         out.push(Message {
                             src: *port,
                             seq: next_seq(),
@@ -456,6 +421,13 @@ mod tests {
         (eps, SeedSource::new(77).stream("job", 0))
     }
 
+    /// One dispatch through the slot pipeline's `dispatch_into`.
+    fn dispatch(j: &mut JobRuntime, ctx: &mut DispatchCtx<'_>) -> Vec<Message> {
+        let mut out = Vec::new();
+        j.dispatch_into(ctx, &mut out);
+        out
+    }
+
     fn spec(behavior: JobBehavior) -> JobSpec {
         JobSpec {
             id: JobId(1),
@@ -476,12 +448,15 @@ mod tests {
             signal: SignalModel::Constant(4.0),
             noise_std: 0.0,
         }));
-        let out = j.dispatch(&mut DispatchCtx {
-            now: SimTime::from_millis(5),
-            round: SimDuration::from_millis(4),
-            endpoints: &mut eps,
-            rng: &mut rng,
-        });
+        let out = dispatch(
+            &mut j,
+            &mut DispatchCtx {
+                now: SimTime::from_millis(5),
+                round: SimDuration::from_millis(4),
+                endpoints: &mut eps,
+                rng: &mut rng,
+            },
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, 4.0);
         assert_eq!(out[0].src, PortId(10));
@@ -499,12 +474,15 @@ mod tests {
             noise_std: 0.0,
         }));
         j.set_sensor_fault(SensorFault::Dead);
-        let out = j.dispatch(&mut DispatchCtx {
-            now: SimTime::ZERO,
-            round: SimDuration::from_millis(4),
-            endpoints: &mut eps,
-            rng: &mut rng,
-        });
+        let out = dispatch(
+            &mut j,
+            &mut DispatchCtx {
+                now: SimTime::ZERO,
+                round: SimDuration::from_millis(4),
+                endpoints: &mut eps,
+                rng: &mut rng,
+            },
+        );
         assert!(out.is_empty());
     }
 
@@ -527,15 +505,17 @@ mod tests {
             gain: 2.0,
             out_bounds: (-100.0, 100.0),
         }));
-        let out = j.dispatch(&mut DispatchCtx {
-            now: SimTime::from_millis(1),
-            round: SimDuration::from_millis(4),
-            endpoints: &mut eps,
-            rng: &mut rng,
-        });
+        let out = dispatch(
+            &mut j,
+            &mut DispatchCtx {
+                now: SimTime::from_millis(1),
+                round: SimDuration::from_millis(4),
+                endpoints: &mut eps,
+                rng: &mut rng,
+            },
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, 6.0); // 2 * (5 - 2)
-        assert_eq!(j.actuator().last().unwrap().1, 6.0);
     }
 
     #[test]
@@ -556,12 +536,15 @@ mod tests {
             gain: 1.0,
             out_bounds: (-10.0, 10.0),
         }));
-        let out = j.dispatch(&mut DispatchCtx {
-            now: SimTime::ZERO,
-            round: SimDuration::from_millis(4),
-            endpoints: &mut eps,
-            rng: &mut rng,
-        });
+        let out = dispatch(
+            &mut j,
+            &mut DispatchCtx {
+                now: SimTime::ZERO,
+                round: SimDuration::from_millis(4),
+                endpoints: &mut eps,
+                rng: &mut rng,
+            },
+        );
         assert_eq!(out[0].value, 10.0);
     }
 
@@ -577,12 +560,15 @@ mod tests {
             gain: 1.0,
             out_bounds: (-1.0, 1.0),
         }));
-        let out = j.dispatch(&mut DispatchCtx {
-            now: SimTime::ZERO,
-            round: SimDuration::from_millis(4),
-            endpoints: &mut eps,
-            rng: &mut rng,
-        });
+        let out = dispatch(
+            &mut j,
+            &mut DispatchCtx {
+                now: SimTime::ZERO,
+                round: SimDuration::from_millis(4),
+                endpoints: &mut eps,
+                rng: &mut rng,
+            },
+        );
         assert!(out.is_empty());
         assert_eq!(j.counters().input_misses, 1);
     }
@@ -599,12 +585,15 @@ mod tests {
         let rounds = 2_000u64;
         let mut total = 0usize;
         for r in 0..rounds {
-            let out = j.dispatch(&mut DispatchCtx {
-                now: SimTime::from_millis(4 * r),
-                round: SimDuration::from_millis(4),
-                endpoints: &mut eps,
-                rng: &mut rng,
-            });
+            let out = dispatch(
+                &mut j,
+                &mut DispatchCtx {
+                    now: SimTime::from_millis(4 * r),
+                    round: SimDuration::from_millis(4),
+                    endpoints: &mut eps,
+                    rng: &mut rng,
+                },
+            );
             total += out.len();
         }
         // Expect 500 Hz * 4 ms = 2 per round on average.
@@ -635,9 +624,9 @@ mod tests {
             endpoints: &mut eps,
             rng: &mut rng,
         };
-        j.dispatch(&mut c);
+        dispatch(&mut j, &mut c);
         assert_eq!(j.counters().consumed, 4);
-        j.dispatch(&mut c);
+        dispatch(&mut j, &mut c);
         assert_eq!(j.counters().consumed, 8);
     }
 
@@ -661,12 +650,15 @@ mod tests {
             epsilon: 0.1,
             max_age: SimDuration::from_millis(100),
         }));
-        let out = j.dispatch(&mut DispatchCtx {
-            now: SimTime::from_millis(2),
-            round: SimDuration::from_millis(4),
-            endpoints: &mut eps,
-            rng: &mut rng,
-        });
+        let out = dispatch(
+            &mut j,
+            &mut DispatchCtx {
+                now: SimTime::from_millis(2),
+                round: SimDuration::from_millis(4),
+                endpoints: &mut eps,
+                rng: &mut rng,
+            },
+        );
         assert_eq!(out.len(), 1);
         assert!((out[0].value - 1.01).abs() < 1e-9);
         assert_eq!(j.divergence().count(1), 1);
@@ -694,37 +686,17 @@ mod tests {
             epsilon: 0.1,
             max_age: SimDuration::from_millis(100),
         }));
-        let out = j.dispatch(&mut DispatchCtx {
-            now: SimTime::from_secs(10),
-            round: SimDuration::from_millis(4),
-            endpoints: &mut eps,
-            rng: &mut rng,
-        });
+        let out = dispatch(
+            &mut j,
+            &mut DispatchCtx {
+                now: SimTime::from_secs(10),
+                round: SimDuration::from_millis(4),
+                endpoints: &mut eps,
+                rng: &mut rng,
+            },
+        );
         assert_eq!(out[0].value, 2.0);
         assert_eq!(j.divergence().count(0), 0, "staleness is comm-level, not divergence");
-    }
-
-    #[test]
-    fn halted_job_is_silent() {
-        let (mut eps, mut rng) = ctx_parts();
-        let mut j = JobRuntime::new(spec(JobBehavior::SensorPublisher {
-            vnet: VnetId(1),
-            port: PortId(10),
-            signal: SignalModel::Constant(4.0),
-            noise_std: 0.0,
-        }));
-        j.halt();
-        assert!(j.is_halted());
-        let out = j.dispatch(&mut DispatchCtx {
-            now: SimTime::ZERO,
-            round: SimDuration::from_millis(4),
-            endpoints: &mut eps,
-            rng: &mut rng,
-        });
-        assert!(out.is_empty());
-        assert_eq!(j.counters().dispatches, 0);
-        j.restart();
-        assert!(!j.is_halted());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * [`ids`] — identities of the functional structure (components, DASs,
 //!   jobs) and physical mounting positions;
-//! * [`transducer`] — sensors/actuators with their failure modes (job
+//! * [`transducer`] — sensors with their failure modes (job
 //!   inherent faults);
 //! * [`job`] — job behaviours and runtimes (the software FRUs);
 //! * [`tmr`] — triple-modular-redundancy voting and divergence records;
@@ -41,8 +41,8 @@ pub use cluster::{
 pub use component::{ComponentSpec, ComponentState, Power};
 pub use env::{ComponentDirective, Environment, NullEnvironment, TxDisturbance};
 pub use ids::{Criticality, DasId, JobId, NodeId, Position};
-pub use job::{DispatchCtx, JobBehavior, JobCounters, JobRuntime, JobSpec};
-pub use lif::{derive_lif, PortLif, RateLif};
+pub use job::{JobBehavior, JobCounters, JobRuntime, JobSpec};
+pub use lif::{PortLif, RateLif};
 pub use observer::{SlotMetrics, SlotObserver};
 pub use tmr::{vote, DivergenceRecord, VoteError, VoteResult};
-pub use transducer::{Actuator, Sensor, SensorFault, SignalModel};
+pub use transducer::{Sensor, SensorFault, SignalModel};

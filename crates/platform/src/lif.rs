@@ -77,18 +77,6 @@ impl PortLif {
         }
     }
 
-    /// Margin-relative position of `v` inside the range: 0 at the centre,
-    /// 1 at the boundary, > 1 outside. The "verge of becoming incorrect"
-    /// indicator.
-    pub fn edge_proximity(&self, v: f64) -> f64 {
-        if !v.is_finite() {
-            return f64::INFINITY;
-        }
-        let centre = (self.value_max + self.value_min) / 2.0;
-        let half = ((self.value_max - self.value_min) / 2.0).max(f64::MIN_POSITIVE);
-        (v - centre).abs() / half
-    }
-
     /// Depth of `v` into the drift zone between the nominal span and the
     /// admissible range: `None` when `v` is nominal or already violating,
     /// `Some(d)` with `d ∈ (0, 1]` when `v` is legal-but-abnormal. A
@@ -115,7 +103,7 @@ impl PortLif {
 ///
 /// Voter ports are resolved in a second pass (their range is the union of
 /// the replica ranges they vote over).
-pub fn derive_lif(jobs: &[JobSpec]) -> Vec<PortLif> {
+pub(crate) fn derive_lif(jobs: &[JobSpec]) -> Vec<PortLif> {
     let mut out: Vec<PortLif> = Vec::new();
     // First pass: everything except voters.
     for j in jobs {
@@ -400,10 +388,6 @@ mod tests {
         assert!((l.deviation(12.0) - 0.2).abs() < 1e-12);
         assert!((l.deviation(-5.0) - 0.5).abs() < 1e-12);
         assert_eq!(l.deviation(f64::INFINITY), f64::INFINITY);
-        assert!((l.edge_proximity(5.0) - 0.0).abs() < 1e-12);
-        assert!((l.edge_proximity(10.0) - 1.0).abs() < 1e-12);
-        assert!((l.edge_proximity(0.0) - 1.0).abs() < 1e-12);
-        assert!(l.edge_proximity(12.5) > 1.0);
         // Drift zone: (8, 10] above, [0, 2) below.
         assert_eq!(l.drift_depth(5.0), None, "nominal");
         assert_eq!(l.drift_depth(11.0), None, "violating");

@@ -95,19 +95,17 @@ pub fn vote(values: [Option<f64>; 3], epsilon: f64) -> Result<VoteResult, VoteEr
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DivergenceRecord {
     counts: [u64; 3],
-    votes: u64,
     no_majority: u64,
 }
 
 impl DivergenceRecord {
     /// Creates an empty record.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Feeds one vote outcome.
-    pub fn observe(&mut self, outcome: &Result<VoteResult, VoteError>) {
-        self.votes += 1;
+    pub(crate) fn observe(&mut self, outcome: &Result<VoteResult, VoteError>) {
         match outcome {
             Ok(VoteResult { outlier: Some(i), .. }) => self.counts[*i] += 1,
             Ok(_) => {}
@@ -120,24 +118,9 @@ impl DivergenceRecord {
         self.counts[i]
     }
 
-    /// Total votes observed.
-    pub fn votes(&self) -> u64 {
-        self.votes
-    }
-
     /// Votes without a majority.
     pub fn no_majority(&self) -> u64 {
         self.no_majority
-    }
-
-    /// The replica with the most divergences, if any divergence occurred.
-    pub fn worst_replica(&self) -> Option<(usize, u64)> {
-        let (i, &c) = self.counts.iter().enumerate().max_by_key(|(_, &c)| c)?;
-        if c == 0 {
-            None
-        } else {
-            Some((i, c))
-        }
     }
 }
 
@@ -211,14 +194,14 @@ mod tests {
         d.observe(&vote([Some(1.0), Some(9.0), Some(1.0)], EPS));
         d.observe(&vote([Some(1.0), Some(1.0), Some(1.0)], EPS));
         d.observe(&vote([Some(0.0), Some(1.0), Some(2.0)], EPS));
-        assert_eq!(d.votes(), 4);
         assert_eq!(d.count(1), 2);
         assert_eq!(d.no_majority(), 1);
-        assert_eq!(d.worst_replica(), Some((1, 2)));
+        assert_eq!((d.count(0), d.count(2)), (0, 0));
     }
 
     #[test]
     fn divergence_record_empty() {
-        assert!(DivergenceRecord::new().worst_replica().is_none());
+        let d = DivergenceRecord::new();
+        assert_eq!((d.count(0), d.count(1), d.count(2), d.no_majority()), (0, 0, 0, 0));
     }
 }

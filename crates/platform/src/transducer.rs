@@ -1,5 +1,5 @@
-//! Sensors and actuators — the linkage between the computer system and the
-//! controlled object (§IV-B.1b).
+//! Sensors — the linkage between the computer system and the controlled
+//! object (§IV-B.1b).
 //!
 //! In the DECOS architecture every job has *exclusive* access to its
 //! transducers; a transducer fault is therefore attributable to exactly one
@@ -39,7 +39,7 @@ pub enum SignalModel {
 
 impl SignalModel {
     /// True value of the physical quantity at `t`.
-    pub fn value(&self, t: SimTime) -> f64 {
+    pub(crate) fn value(&self, t: SimTime) -> f64 {
         match *self {
             SignalModel::Constant(v) => v,
             SignalModel::Sine { amplitude, period_s, bias } => {
@@ -53,7 +53,7 @@ impl SignalModel {
     }
 
     /// Conservative bounds of the signal (for LIF value-range derivation).
-    pub fn bounds(&self) -> (f64, f64) {
+    pub(crate) fn bounds(&self) -> (f64, f64) {
         match *self {
             SignalModel::Constant(v) => (v, v),
             SignalModel::Sine { amplitude, bias, .. } => {
@@ -99,13 +99,8 @@ pub struct Sensor {
 
 impl Sensor {
     /// Creates a healthy sensor for `signal` with nominal noise.
-    pub fn new(signal: SignalModel, noise_std: f64) -> Self {
+    pub(crate) fn new(signal: SignalModel, noise_std: f64) -> Self {
         Sensor { signal, noise_std, fault: SensorFault::None }
-    }
-
-    /// The observed signal model.
-    pub fn signal(&self) -> &SignalModel {
-        &self.signal
     }
 
     /// Currently injected fault.
@@ -114,12 +109,12 @@ impl Sensor {
     }
 
     /// Injects (or clears) a fault.
-    pub fn set_fault(&mut self, fault: SensorFault) {
+    pub(crate) fn set_fault(&mut self, fault: SensorFault) {
         self.fault = fault;
     }
 
     /// Samples the sensor at `t`. Returns `None` if the sensor is dead.
-    pub fn read(&self, t: SimTime, rng: &mut SmallRng) -> Option<f64> {
+    pub(crate) fn read(&self, t: SimTime, rng: &mut SmallRng) -> Option<f64> {
         let truth = self.signal.value(t);
         let nominal = if self.noise_std > 0.0 { rng.normal(truth, self.noise_std) } else { truth };
         match self.fault {
@@ -132,37 +127,6 @@ impl Sensor {
             SensorFault::Noise { std_dev } => Some(rng.normal(nominal, std_dev)),
             SensorFault::Dead => None,
         }
-    }
-}
-
-/// An actuator bound to one job: records the last commanded value so tests
-/// and experiments can observe the end-to-end effect of faults.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Actuator {
-    last: Option<(SimTime, f64)>,
-    commands: u64,
-}
-
-impl Actuator {
-    /// Creates an idle actuator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Applies a command at `t`.
-    pub fn command(&mut self, t: SimTime, value: f64) {
-        self.last = Some((t, value));
-        self.commands += 1;
-    }
-
-    /// Last commanded value, if any.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.last
-    }
-
-    /// Total commands applied.
-    pub fn commands(&self) -> u64 {
-        self.commands
     }
 }
 
@@ -240,15 +204,5 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|_| s.read(SimTime::ZERO, &mut r).unwrap()).collect();
         let var = xs.iter().map(|x| x * x).sum::<f64>() / n as f64;
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn actuator_records_commands() {
-        let mut a = Actuator::new();
-        assert!(a.last().is_none());
-        a.command(SimTime::from_millis(5), 0.7);
-        a.command(SimTime::from_millis(9), -0.2);
-        assert_eq!(a.last(), Some((SimTime::from_millis(9), -0.2)));
-        assert_eq!(a.commands(), 2);
     }
 }

@@ -48,8 +48,6 @@ pub enum AlphaVerdict {
 pub struct AlphaCount {
     params: AlphaParams,
     alpha: f64,
-    intervals: u64,
-    failures: u64,
     /// Latched once the threshold is crossed (declaration is sticky, as in
     /// the original formulation: the unit is handed to fault treatment).
     declared: bool,
@@ -60,22 +58,12 @@ impl AlphaCount {
     pub fn new(params: AlphaParams) -> Self {
         assert!((0.0..1.0).contains(&params.decay), "decay must be in [0,1)");
         assert!(params.threshold > 0.0);
-        AlphaCount { params, alpha: 0.0, intervals: 0, failures: 0, declared: false }
+        AlphaCount { params, alpha: 0.0, declared: false }
     }
 
     /// Current α value.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Total judgement intervals observed.
-    pub fn intervals(&self) -> u64 {
-        self.intervals
-    }
-
-    /// Total failing intervals observed.
-    pub fn failures(&self) -> u64 {
-        self.failures
     }
 
     /// Whether the threshold has (ever) been crossed.
@@ -85,9 +73,7 @@ impl AlphaCount {
 
     /// Feeds one judgement interval; returns the current verdict.
     pub fn observe(&mut self, failed: bool) -> AlphaVerdict {
-        self.intervals += 1;
         if failed {
-            self.failures += 1;
             self.alpha += 1.0;
         } else {
             self.alpha *= self.params.decay;
@@ -99,18 +85,12 @@ impl AlphaCount {
     }
 
     /// The current verdict.
-    pub fn verdict(&self) -> AlphaVerdict {
+    pub(crate) fn verdict(&self) -> AlphaVerdict {
         if self.declared {
             AlphaVerdict::Recurring
         } else {
             AlphaVerdict::Benign
         }
-    }
-
-    /// Resets the evidence (after repair/replacement of the FRU).
-    pub fn reset(&mut self) {
-        self.alpha = 0.0;
-        self.declared = false;
     }
 }
 
@@ -162,19 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_declaration() {
-        let mut a = ac(0.5, 2.0);
-        a.observe(true);
-        a.observe(true);
-        assert!(a.is_declared());
-        a.reset();
-        assert_eq!(a.verdict(), AlphaVerdict::Benign);
-        assert_eq!(a.alpha(), 0.0);
-        // Counters persist (lifetime bookkeeping).
-        assert_eq!(a.failures(), 2);
-    }
-
-    #[test]
     fn zero_decay_needs_consecutive_failures() {
         let mut a = ac(0.0, 2.0);
         a.observe(true);
@@ -183,16 +150,6 @@ mod tests {
         assert_eq!(a.verdict(), AlphaVerdict::Benign);
         a.observe(true);
         assert_eq!(a.verdict(), AlphaVerdict::Recurring);
-    }
-
-    #[test]
-    fn counters_track() {
-        let mut a = ac(0.9, 100.0);
-        for i in 0..10 {
-            a.observe(i < 3);
-        }
-        assert_eq!(a.intervals(), 10);
-        assert_eq!(a.failures(), 3);
     }
 
     #[test]

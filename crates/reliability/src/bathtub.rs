@@ -91,22 +91,6 @@ impl BathtubModel {
         }
         best
     }
-
-    /// Analytic population hazard at `t` hours.
-    ///
-    /// Useful-life and wearout risks act on every unit, so their hazards
-    /// add directly. The infant process only acts on the weak
-    /// subpopulation, which *depletes*: its population-level contribution
-    /// is `w·f_I(t) / ((1−w) + w·S_I(t))` — once the weak units have died,
-    /// the survivors no longer carry infant risk (this is why infant
-    /// mortality "tends to affect only a subpopulation", \[27\]).
-    pub fn hazard(&self, t_hours: f64) -> f64 {
-        let w = self.weak_fraction;
-        let s_i = 1.0 - self.infant.cdf(t_hours);
-        let f_i = self.infant.hazard(t_hours) * s_i;
-        let infant_pop = if w > 0.0 { w * f_i / ((1.0 - w) + w * s_i) } else { 0.0 };
-        infant_pop + self.useful.hazard(t_hours) + self.wearout.hazard(t_hours)
-    }
 }
 
 /// Empirical hazard estimate from unit lifetimes.
@@ -147,26 +131,15 @@ mod tests {
     }
 
     #[test]
-    fn analytic_hazard_is_bathtub_shaped() {
-        let m = BathtubModel::automotive_ecu();
-        let y = 365.25 * 24.0;
-        let early = m.hazard(0.05 * y);
-        let mid = m.hazard(5.0 * y);
-        let late = m.hazard(20.0 * y);
-        assert!(early > mid, "infant phase must exceed useful life ({early} vs {mid})");
-        assert!(late > mid * 100.0, "wearout must dominate ({late} vs {mid})");
-    }
-
-    #[test]
     fn useful_life_plateau_matches_field_rate() {
         let m = BathtubModel::automotive_ecu();
         let y = 365.25 * 24.0;
-        // At 5 years: infant contribution negligible, wearout not yet.
-        let per_year = m.hazard(5.0 * y) * y;
-        assert!(
-            (per_year - 5e-5).abs() < 2.5e-5,
-            "plateau {per_year}/year should be near 5e-5 (50 per 1e6)"
-        );
+        // 50 failures per 10⁶ ECUs per year.
+        assert!((m.useful.rate_per_hour * y - 5e-5).abs() < 1e-12);
+        // At 5 years the weak units are gone and wearout has not begun, so
+        // the useful-life rate is the plateau.
+        assert!(m.infant.cdf(5.0 * y) > 0.999, "infant phase must be over");
+        assert!(m.wearout.cdf(5.0 * y) < 1e-4, "wearout must not have begun");
     }
 
     #[test]

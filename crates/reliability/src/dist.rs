@@ -1,9 +1,9 @@
 //! Lifetime distributions: exponential and Weibull.
 //!
 //! Implemented locally (inverse-CDF sampling) instead of pulling in
-//! `rand_distr`: the two distributions and their hazard functions are a few
-//! lines each, and owning them lets the property tests pin the exact
-//! sampling semantics the fleet experiments depend on.
+//! `rand_distr`: the two distributions are a few lines each, and owning them
+//! lets the property tests pin the exact sampling semantics the fleet
+//! experiments depend on.
 
 use rand::rngs::SmallRng;
 use rand::RngExt as _;
@@ -25,15 +25,10 @@ impl Exponential {
     }
 
     /// Samples a lifetime in hours.
-    pub fn sample_hours(&self, rng: &mut SmallRng) -> f64 {
+    pub(crate) fn sample_hours(&self, rng: &mut SmallRng) -> f64 {
         // 1 - U ∈ (0, 1]: ln never sees zero.
         let u = 1.0 - rng.random::<f64>();
         -u.ln() / self.rate_per_hour
-    }
-
-    /// Hazard function (constant).
-    pub fn hazard(&self, _t_hours: f64) -> f64 {
-        self.rate_per_hour
     }
 
     /// Cumulative distribution function.
@@ -43,11 +38,6 @@ impl Exponential {
         } else {
             1.0 - (-self.rate_per_hour * t_hours).exp()
         }
-    }
-
-    /// Mean lifetime in hours.
-    pub fn mean_hours(&self) -> f64 {
-        1.0 / self.rate_per_hour
     }
 }
 
@@ -79,22 +69,6 @@ impl Weibull {
         self.scale_hours * (-u.ln()).powf(1.0 / self.shape)
     }
 
-    /// Hazard function `(k/λ)·(t/λ)^(k−1)`.
-    pub fn hazard(&self, t_hours: f64) -> f64 {
-        if t_hours < 0.0 {
-            return 0.0;
-        }
-        if t_hours == 0.0 {
-            // k<1: infinite at 0; k=1: λ⁻¹; k>1: 0.
-            return match self.shape.partial_cmp(&1.0).expect("finite") {
-                core::cmp::Ordering::Less => f64::INFINITY,
-                core::cmp::Ordering::Equal => 1.0 / self.scale_hours,
-                core::cmp::Ordering::Greater => 0.0,
-            };
-        }
-        (self.shape / self.scale_hours) * (t_hours / self.scale_hours).powf(self.shape - 1.0)
-    }
-
     /// Cumulative distribution function.
     pub fn cdf(&self, t_hours: f64) -> f64 {
         if t_hours <= 0.0 {
@@ -102,44 +76,6 @@ impl Weibull {
         } else {
             1.0 - (-(t_hours / self.scale_hours).powf(self.shape)).exp()
         }
-    }
-
-    /// Mean lifetime `λ·Γ(1 + 1/k)` in hours.
-    pub fn mean_hours(&self) -> f64 {
-        self.scale_hours * gamma(1.0 + 1.0 / self.shape)
-    }
-}
-
-/// Gamma function via the Lanczos approximation (g = 7, n = 9).
-///
-/// Needed only for Weibull means; accuracy ~1e-13 over the parameter ranges
-/// used here, verified against known values in the tests.
-pub fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    // Published Lanczos coefficients, kept verbatim (beyond f64 precision).
-    #[allow(clippy::excessive_precision, clippy::inconsistent_digit_grouping)]
-    const C: [f64; 9] = [
-        0.999_999_999_999_809_93,
-        676.520_368_121_885_1,
-        -1259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        core::f64::consts::PI / ((core::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = C[0];
-        let t = x + G + 0.5;
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * core::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
     }
 }
 
@@ -153,22 +89,12 @@ mod tests {
     }
 
     #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-12);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-12);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-9);
-        assert!((gamma(0.5) - core::f64::consts::PI.sqrt()).abs() < 1e-12);
-        assert!((gamma(1.5) - 0.886_226_925_452_758).abs() < 1e-12);
-    }
-
-    #[test]
     fn exponential_mean_matches() {
         let d = Exponential::new(0.01); // mean 100 h
         let mut r = rng(0);
         let n = 100_000;
         let m = (0..n).map(|_| d.sample_hours(&mut r)).sum::<f64>() / n as f64;
         assert!((m - 100.0).abs() < 1.5, "mean {m}");
-        assert_eq!(d.mean_hours(), 100.0);
     }
 
     #[test]
@@ -176,8 +102,10 @@ mod tests {
         let d = Exponential::new(0.5);
         assert_eq!(d.cdf(0.0), 0.0);
         assert!((d.cdf(2.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-        assert_eq!(d.hazard(0.0), 0.5);
-        assert_eq!(d.hazard(100.0), 0.5);
+        // Constant hazard is memorylessness: surviving to 3 h leaves the
+        // same chance of failing in the next hour as at t = 0.
+        let next_hour_at = |t: f64| (d.cdf(t + 1.0) - d.cdf(t)) / (1.0 - d.cdf(t));
+        assert!((next_hour_at(3.0) - next_hour_at(0.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -186,19 +114,18 @@ mod tests {
         let e = Exponential::new(0.01);
         for t in [0.0, 1.0, 50.0, 400.0] {
             assert!((w.cdf(t) - e.cdf(t)).abs() < 1e-12, "t={t}");
-            assert!((w.hazard(t) - e.hazard(t)).abs() < 1e-12, "t={t}");
         }
     }
 
     #[test]
     fn weibull_hazard_shapes() {
+        // Conditional failure probability over the next 10 h, given survival
+        // to `t`: the hazard integrated over a short window.
+        let window = |w: Weibull, t: f64| (w.cdf(t + 10.0) - w.cdf(t)) / (1.0 - w.cdf(t));
         let infant = Weibull::new(0.5, 1000.0);
-        assert!(infant.hazard(1.0) > infant.hazard(100.0), "k<1 hazard must decrease");
-        assert_eq!(infant.hazard(0.0), f64::INFINITY);
-
+        assert!(window(infant, 1.0) > window(infant, 100.0), "k<1 hazard must decrease");
         let wearout = Weibull::new(3.0, 1000.0);
-        assert!(wearout.hazard(100.0) < wearout.hazard(500.0), "k>1 hazard must increase");
-        assert_eq!(wearout.hazard(0.0), 0.0);
+        assert!(window(wearout, 100.0) < window(wearout, 500.0), "k>1 hazard must increase");
     }
 
     #[test]
@@ -207,7 +134,8 @@ mod tests {
         let mut r = rng(1);
         let n = 100_000;
         let m = (0..n).map(|_| w.sample_hours(&mut r)).sum::<f64>() / n as f64;
-        let expect = w.mean_hours(); // 500 * Γ(1.5) ≈ 443.1
+        // λ·Γ(1 + 1/k) = 500·Γ(1.5) = 500·√π/2 ≈ 443.1.
+        let expect = 500.0 * core::f64::consts::PI.sqrt() / 2.0;
         assert!((m - expect).abs() / expect < 0.01, "mean {m} vs {expect}");
     }
 

@@ -5,7 +5,10 @@
 //!
 //! * permanent hardware failures: ≈ 100 FIT ("about 1000 years"),
 //! * transient hardware failures: ≈ 100 000 FIT ("about 1 year"),
-//! * useful-life field rate: 50 failures per 10⁶ ECUs per year \[16\].
+//! * useful-life field rate: 50 failures per 10⁶ ECUs per year \[16\], the
+//!   useful-life rate of [`BathtubModel::automotive_ecu`].
+//!
+//! [`BathtubModel::automotive_ecu`]: crate::bathtub::BathtubModel::automotive_ecu
 
 use decos_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -20,26 +23,16 @@ pub const PERMANENT_HW_FIT: FitRate = FitRate(100.0);
 /// The paper's assumed transient hardware failure rate (§III-E).
 pub const TRANSIENT_HW_FIT: FitRate = FitRate(100_000.0);
 
-/// Field rate reported by Pauli/Meyna \[16\]: 50 failures per 10⁶ ECUs per
-/// year, expressed in FIT.
-pub const USEFUL_LIFE_FIELD_FIT: FitRate = FitRate(50.0 / 1e6 * 1e9 / (365.25 * 24.0));
-
 impl FitRate {
     /// Failure rate per device-hour.
     #[inline]
-    pub fn per_hour(&self) -> f64 {
+    pub(crate) fn per_hour(&self) -> f64 {
         self.0 / 1e9
-    }
-
-    /// Failure rate per device-year.
-    #[inline]
-    pub fn per_year(&self) -> f64 {
-        self.per_hour() * 365.25 * 24.0
     }
 
     /// Mean time to failure, in hours (infinite for a zero rate).
     #[inline]
-    pub fn mttf_hours(&self) -> f64 {
+    pub(crate) fn mttf_hours(&self) -> f64 {
         if self.0 <= 0.0 {
             f64::INFINITY
         } else {
@@ -59,25 +52,6 @@ impl FitRate {
     pub fn failure_probability(&self, d: SimDuration) -> f64 {
         let lt = self.per_hour() * d.as_hours_f64();
         1.0 - (-lt).exp()
-    }
-
-    /// Expected number of failures within `d` (Poisson mean).
-    #[inline]
-    pub fn expected_failures(&self, d: SimDuration) -> f64 {
-        self.per_hour() * d.as_hours_f64()
-    }
-
-    /// Constructs a rate from a mean time between failures in hours.
-    #[inline]
-    pub fn from_mttf_hours(h: f64) -> FitRate {
-        assert!(h > 0.0);
-        FitRate(1e9 / h)
-    }
-
-    /// Scales the rate by `k` (environmental stress factor, Pecht trend).
-    #[inline]
-    pub fn scaled(&self, k: f64) -> FitRate {
-        FitRate(self.0 * k)
     }
 }
 
@@ -101,16 +75,10 @@ mod tests {
     }
 
     #[test]
-    fn field_rate_constant() {
-        // 50 per 10⁶ per year ⇒ per-year rate of 5e-5.
-        assert!((USEFUL_LIFE_FIELD_FIT.per_year() - 5e-5).abs() < 1e-12);
-    }
-
-    #[test]
     fn conversions_roundtrip() {
         let r = FitRate(1234.5);
-        let back = FitRate::from_mttf_hours(r.mttf_hours());
-        assert!((back.0 - r.0).abs() < 1e-6);
+        assert!((r.mttf_hours() * r.per_hour() - 1.0).abs() < 1e-12);
+        assert!((r.mttf_years() * 365.25 * 24.0 - r.mttf_hours()).abs() < 1e-6);
     }
 
     #[test]
@@ -118,7 +86,6 @@ mod tests {
         let r = FitRate(1000.0); // 1e-6 per hour
         let p = r.failure_probability(SimDuration::from_hours(10));
         assert!((p - 1e-5).abs() < 1e-9);
-        assert!((r.expected_failures(SimDuration::from_hours(10)) - 1e-5).abs() < 1e-12);
     }
 
     #[test]
@@ -134,10 +101,5 @@ mod tests {
         let r = FitRate(0.0);
         assert_eq!(r.mttf_hours(), f64::INFINITY);
         assert_eq!(r.failure_probability(SimDuration::from_hours(100)), 0.0);
-    }
-
-    #[test]
-    fn scaling() {
-        assert_eq!(FitRate(100.0).scaled(2.5).0, 250.0);
     }
 }

@@ -16,7 +16,7 @@
 //! * a fixed-capacity ring keeps the last events (flight-recorder style:
 //!   old events are overwritten, `dropped` counts the loss) so anomaly
 //!   dumps snapshot the end of the run without unbounded memory;
-//! * a streaming [`LifecycleTracker`] folds events *as they are recorded*
+//! * a streaming `LifecycleTracker` folds events *as they are recorded*
 //!   into per-fault [`FaultRecord`]s — ring overflow can therefore never
 //!   lose lifecycle metrics;
 //! * [`FaultLifecycle::from_events`] replays a serialized trace through
@@ -97,7 +97,7 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// All kinds, registry order (the `decos-flightrec/1` vocabulary).
-    pub const ALL: [TraceEventKind; 15] = [
+    pub(crate) const ALL: [TraceEventKind; 15] = [
         TraceEventKind::FaultInjected,
         TraceEventKind::FaultCleared,
         TraceEventKind::SymptomRaised,
@@ -214,7 +214,7 @@ impl FaultEntry {
 /// fold runs streaming inside the [`FlightRecorder`] (so ring overflow
 /// cannot lose metrics) and batch in [`FaultLifecycle::from_events`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LifecycleTracker {
+pub(crate) struct LifecycleTracker {
     table: Vec<FaultEntry>,
     wrong_fru_convictions: u64,
 }
@@ -234,7 +234,7 @@ impl LifecycleTracker {
 
     /// Folds one stamped event. Attribution (the `fault_id` stamp) has
     /// already happened at record time; the fold only consumes it.
-    pub fn observe(&mut self, e: &TraceEvent) {
+    pub(crate) fn observe(&mut self, e: &TraceEvent) {
         match e.kind {
             TraceEventKind::FaultInjected => {
                 if e.fault_id != NO_FAULT && self.entry_mut(e.fault_id).is_none() {
@@ -319,7 +319,7 @@ impl LifecycleTracker {
     }
 
     /// Snapshot of the folded per-fault lifecycle.
-    pub fn lifecycle(&self) -> FaultLifecycle {
+    pub(crate) fn lifecycle(&self) -> FaultLifecycle {
         FaultLifecycle {
             records: self.table.iter().map(|e| e.to_record()).collect(),
             wrong_fru_convictions: self.wrong_fru_convictions,
@@ -476,12 +476,12 @@ impl FlightRecorder {
     }
 
     /// Events the ring overwrote (flight-recorder loss).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.seq - self.ring.len() as u64
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         let (newer, older) = self.ring.split_at(self.head.min(self.ring.len()));
         older.iter().chain(newer.iter())
     }
@@ -554,13 +554,6 @@ impl FaultRecord {
     /// Whether the advisor convicted this fault's FRU.
     pub fn convicted(&self) -> bool {
         self.first_conviction_round.is_some()
-    }
-
-    /// A fault that manifested but was never convicted (correct for
-    /// external/transient classes, a miss for internal ones — the
-    /// classifier scoring decides which; the recorder only reports).
-    pub fn missed(&self) -> bool {
-        self.injected_round.is_some() && !self.convicted()
     }
 }
 
@@ -755,7 +748,7 @@ mod tests {
         assert_eq!(f.ona_latency(), Some(3));
         assert_eq!(f.convict_latency(), Some(40));
         assert_eq!(f.conviction_class, Some(1));
-        assert!(f.convicted() && !f.missed());
+        assert!(f.convicted());
         assert_eq!(lc.wrong_fru_convictions, 1);
         assert_eq!(lc.faults_injected(), 1);
         assert_eq!(lc.faults_detected(), 1);
@@ -771,7 +764,6 @@ mod tests {
         let lc = r.lifecycle();
         let f = lc.record_of(1).unwrap();
         assert_eq!(f.injected_round, None);
-        assert!(!f.missed(), "a fault that never manifested is not a miss");
         assert_eq!(lc.faults_injected(), 0);
     }
 

@@ -14,14 +14,12 @@ pub struct Running {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Running {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        Running { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+        Running { n: 0, mean: 0.0, m2: 0.0 }
     }
 
     /// Feeds one observation.
@@ -31,8 +29,6 @@ impl Running {
         let d = x - self.mean;
         self.mean += d / self.n as f64;
         self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -61,24 +57,6 @@ impl Running {
         }
     }
 
-    /// Sample standard deviation.
-    #[inline]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` if empty).
-    #[inline]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` if empty).
-    #[inline]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// Merges another accumulator into this one (parallel reduction).
     pub fn merge(&mut self, other: &Running) {
         if other.n == 0 {
@@ -95,8 +73,6 @@ impl Running {
         self.n = n;
         self.mean = mean;
         self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -150,12 +126,6 @@ impl Histogram {
     /// Total observations, including out-of-range.
     pub fn total(&self) -> u64 {
         self.underflow + self.overflow + self.bins.iter().sum::<u64>()
-    }
-
-    /// Midpoint of bin `k`.
-    pub fn bin_center(&self, k: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (k as f64 + 0.5)
     }
 }
 
@@ -223,11 +193,6 @@ impl RateWindows {
         self.counts[idx] += 1;
     }
 
-    /// The window length.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// Counts per completed-or-started window, in order.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -246,11 +211,6 @@ impl RateWindows {
         let pts: Vec<(f64, f64)> = rates.iter().enumerate().map(|(i, &r)| (i as f64, r)).collect();
         ols_slope(&pts)
     }
-
-    /// Total recorded events.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -266,8 +226,6 @@ mod tests {
         assert_eq!(r.count(), 8);
         assert!((r.mean() - 5.0).abs() < 1e-12);
         assert!((r.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(r.min(), 2.0);
-        assert_eq!(r.max(), 9.0);
     }
 
     #[test]
@@ -310,7 +268,6 @@ mod tests {
         assert_eq!(h.counts()[5], 1);
         assert_eq!(h.counts()[9], 1);
         assert_eq!(h.total(), 7);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -339,7 +296,6 @@ mod tests {
         rw.record(SimTime::from_secs(10));
         rw.record(SimTime::from_secs(25));
         assert_eq!(rw.counts(), &[2, 1, 1]);
-        assert_eq!(rw.total(), 4);
         let rph = rw.rates_per_hour();
         assert!((rph[0] - 2.0 / (10.0 / 3600.0)).abs() < 1e-9);
     }

@@ -107,7 +107,7 @@ impl Counter {
     ];
 
     /// Number of registered counters.
-    pub const COUNT: usize = Self::ALL.len();
+    pub(crate) const COUNT: usize = Self::ALL.len();
 
     /// Stable registry name.
     pub fn name(self) -> &'static str {
@@ -162,11 +162,11 @@ pub enum Gauge {
 
 impl Gauge {
     /// All gauges, registry order.
-    pub const ALL: [Gauge; 4] =
+    pub(crate) const ALL: [Gauge; 4] =
         [Gauge::DeliveryQuality, Gauge::NffRatio, Gauge::DetectLatency, Gauge::ConvictLatency];
 
     /// Number of registered gauges.
-    pub const COUNT: usize = Self::ALL.len();
+    pub(crate) const COUNT: usize = Self::ALL.len();
 
     /// Stable registry name.
     pub fn name(self) -> &'static str {
@@ -201,26 +201,14 @@ impl CounterSet {
         CounterSet { vals: [0; Counter::COUNT] }
     }
 
-    /// Adds to one counter.
-    pub fn add(&mut self, c: Counter, n: u64) {
-        self.vals[c.index()] += n;
-    }
-
     /// Overwrites one counter.
     pub fn set(&mut self, c: Counter, n: u64) {
         self.vals[c.index()] = n;
     }
 
     /// Reads one counter.
-    pub fn get(&self, c: Counter) -> u64 {
+    pub(crate) fn get(&self, c: Counter) -> u64 {
         self.vals[c.index()]
-    }
-
-    /// Element-wise sum (fleet aggregation).
-    pub fn merge(&mut self, other: &CounterSet) {
-        for (a, b) in self.vals.iter_mut().zip(&other.vals) {
-            *a += b;
-        }
     }
 }
 
@@ -248,7 +236,7 @@ impl GaugeSet {
     }
 
     /// Reads one gauge.
-    pub fn get(&self, g: Gauge) -> f64 {
+    pub(crate) fn get(&self, g: Gauge) -> f64 {
         self.vals[g.index()]
     }
 }
@@ -299,11 +287,6 @@ impl TelemetrySnapshot {
     /// Value of one counter by registry name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|c| c.name == name).map(|c| c.value)
-    }
-
-    /// Value of one gauge by registry name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
     /// The snapshot as one canonical string: counters and gauges,
@@ -358,14 +341,12 @@ mod tests {
     #[test]
     fn snapshot_fingerprint_covers_counters_and_gauges_only() {
         let mut counters = CounterSet::new();
-        counters.add(Counter::SymptomsOffered, 41);
-        counters.add(Counter::SymptomsOffered, 1);
+        counters.set(Counter::SymptomsOffered, 42);
         let mut gauges = GaugeSet::new();
         gauges.set(Gauge::DeliveryQuality, 0.75);
 
         let a = TelemetrySnapshot::assemble(&counters, &gauges);
         assert_eq!(a.counter("symptoms_offered"), Some(42));
-        assert_eq!(a.gauge("delivery_quality"), Some(0.75));
         let fp = a.counter_fingerprint();
         assert!(fp.contains("symptoms_offered=42;"));
         assert!(fp.contains("delivery_quality=0.75;"));
@@ -388,7 +369,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("vehicles"), Some(2));
         assert_eq!(a.counter("slots_simulated"), Some(200));
-        assert_eq!(a.gauge("nff_ratio"), Some(0.25), "gauges are not summed");
+        assert!(a.counter_fingerprint().contains("nff_ratio=0.25;"), "gauges are not summed");
     }
 
     #[test]

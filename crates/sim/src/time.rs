@@ -86,12 +86,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked addition of a duration; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
     /// Rounds this instant *down* to a multiple of `granule`.
     ///
     /// This is the primitive from which the sparse-time action lattice is
@@ -119,8 +113,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from nanoseconds.
     #[inline]
@@ -177,25 +169,6 @@ impl SimDuration {
     #[inline]
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / 3.6e12
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies by a non-negative float, rounding to nanoseconds and
-    /// saturating at [`SimDuration::MAX`].
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        assert!(k.is_finite() && k >= 0.0, "scale must be finite and non-negative");
-        let v = self.0 as f64 * k;
-        if v >= u64::MAX as f64 {
-            SimDuration::MAX
-        } else {
-            SimDuration(v.round() as u64)
-        }
     }
 }
 
@@ -364,12 +337,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(2).to_string(), "2us");
         assert_eq!(SimDuration::from_nanos(2).to_string(), "2ns");
         assert_eq!(SimDuration::ZERO.to_string(), "0ns");
-    }
-
-    #[test]
-    fn mul_f64_rounds_and_saturates() {
-        assert_eq!(SimDuration::from_nanos(10).mul_f64(1.26), SimDuration::from_nanos(13));
-        assert_eq!(SimDuration::MAX.mul_f64(2.0), SimDuration::MAX);
     }
 
     #[test]

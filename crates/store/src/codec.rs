@@ -87,7 +87,7 @@ pub struct RoundDelta {
 
 impl RoundDelta {
     /// Appends the fixed-width encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(ROUND_DELTA_LEN);
         out.push(VERSION);
         for v in [
@@ -126,7 +126,7 @@ impl RoundDelta {
         out
     }
 
-    /// Decodes a payload produced by [`RoundDelta::encode_into`].
+    /// Decodes a payload produced by `RoundDelta::encode_into`.
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         if bytes.len() < ROUND_DELTA_LEN {
             return Err(CodecError::Truncated);

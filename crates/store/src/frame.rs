@@ -21,15 +21,15 @@
 //! the right size.
 
 /// Resynchronization marker opening every record.
-pub const MAGIC: [u8; 4] = *b"DCJ1";
+pub(crate) const MAGIC: [u8; 4] = *b"DCJ1";
 /// Fixed header size: magic + kind + round + seq + len.
-pub const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
+pub(crate) const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 /// Trailing CRC size.
-pub const TRAILER_LEN: usize = 4;
+pub(crate) const TRAILER_LEN: usize = 4;
 /// Upper bound on payload length the scan will accept. Journal payloads
 /// are a few hundred bytes; anything past this is a corrupt length field,
 /// not a record.
-pub const MAX_PAYLOAD: u32 = 1 << 24;
+pub(crate) const MAX_PAYLOAD: u32 = 1 << 24;
 
 /// Full framed size of a record with an `n`-byte payload.
 #[must_use]
@@ -68,7 +68,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Appends one framed record to `out`.
 ///
 /// # Panics
-/// Panics if `payload` exceeds [`MAX_PAYLOAD`] — journal payloads are
+/// Panics if `payload` exceeds `MAX_PAYLOAD` — journal payloads are
 /// small by design and an oversized one is a caller bug, not a runtime
 /// condition.
 pub fn encode_record(kind: u8, round: u64, seq: u64, payload: &[u8], out: &mut Vec<u8>) {
@@ -87,11 +87,11 @@ pub fn encode_record(kind: u8, round: u64, seq: u64, payload: &[u8], out: &mut V
 /// Why the scan stopped before the end of the journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TornReason {
-    /// Fewer than [`HEADER_LEN`] bytes remained — a torn header.
+    /// Fewer than `HEADER_LEN` bytes remained — a torn header.
     TruncatedHeader,
     /// The magic marker is wrong — garbage or a bit-flipped header.
     BadMagic,
-    /// The length field exceeds [`MAX_PAYLOAD`] — a corrupt length.
+    /// The length field exceeds `MAX_PAYLOAD` — a corrupt length.
     OversizedLength,
     /// The payload + CRC extend past the end of the file — a torn body.
     TruncatedBody,

@@ -15,7 +15,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::rc::Rc;
 
 /// The I/O surface a [`crate::Store`] runs on.
@@ -59,12 +59,6 @@ impl FsIo {
         let root = root.into();
         fs::create_dir_all(&root)?;
         Ok(FsIo { root, appenders: HashMap::new() })
-    }
-
-    /// The root directory.
-    #[must_use]
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn resolve(&self, path: &str) -> PathBuf {
@@ -178,7 +172,6 @@ struct FaultState {
     plan: FaultPlan,
     appended: u64,
     crashed: bool,
-    syncs: u64,
 }
 
 /// In-memory fault-injecting [`StoreIo`]. Cloning shares the underlying
@@ -233,18 +226,6 @@ impl FaultIo {
     #[must_use]
     pub fn crashed(&self) -> bool {
         self.inner.borrow().crashed
-    }
-
-    /// Total bytes persisted by appends.
-    #[must_use]
-    pub fn appended(&self) -> u64 {
-        self.inner.borrow().appended
-    }
-
-    /// Number of sync calls observed.
-    #[must_use]
-    pub fn syncs(&self) -> u64 {
-        self.inner.borrow().syncs
     }
 
     /// Clears the crash flag and budgets — "restart the process" on the
@@ -314,11 +295,9 @@ impl StoreIo for FaultIo {
 
     fn sync(&mut self, path: &str) -> io::Result<()> {
         let _ = path;
-        let mut s = self.inner.borrow_mut();
-        if s.crashed {
+        if self.inner.borrow().crashed {
             return Err(Self::dead());
         }
-        s.syncs += 1;
         Ok(())
     }
 

@@ -31,6 +31,6 @@ pub use codec::{CodecError, RoundDelta, ROUND_DELTA_KIND, VEHICLE_KIND};
 pub use frame::{scan, ScanOutcome, ScanRecord, TornReason};
 pub use io::{FaultIo, FaultPlan, FsIo, StoreIo};
 pub use store::{
-    fnv1a, fnv1a_extend, Manifest, Store, StoreError, StoreStats, JOURNAL_FILE, MANIFEST_FILE,
-    QUARANTINE_DIR, SNAP_DIR, STORE_SCHEMA,
+    fnv1a, fnv1a_extend, Manifest, Store, StoreError, StoreStats, JOURNAL_FILE, QUARANTINE_DIR,
+    SNAP_DIR, STORE_SCHEMA,
 };

@@ -23,7 +23,7 @@ use std::io;
 /// Store format identifier pinned in the manifest.
 pub const STORE_SCHEMA: &str = "decos-store/1";
 /// Manifest file name under the store root.
-pub const MANIFEST_FILE: &str = "MANIFEST.json";
+pub(crate) const MANIFEST_FILE: &str = "MANIFEST.json";
 /// Journal file name under the store root.
 pub const JOURNAL_FILE: &str = "journal.log";
 /// Snapshot directory under the store root.

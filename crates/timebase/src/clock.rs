@@ -4,7 +4,7 @@
 //! The simulator models a local clock as a deterministic transformation of
 //! omniscient physical time ([`SimTime`]): a systematic *drift* (rate
 //! deviation, in parts per million), an accumulated *correction* applied by
-//! the clock-synchronization service, and optional read *jitter*.
+//! the clock-synchronization service.
 //!
 //! Quartz defects (§IV-A.1c of the paper: low supply voltage, thermal
 //! cycling, mechanical shock) manifest as excess drift; once the drift
@@ -12,14 +12,12 @@
 //! resynchronization interval, the component loses synchronization — an
 //! observable symptom for the diagnostic subsystem.
 
-use decos_sim::rng::SampleExt;
 use decos_sim::time::SimTime;
-use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 
 /// Health state of the oscillator driving a local clock.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum OscillatorState {
+pub(crate) enum OscillatorState {
     /// Nominal behaviour: drift within the specified bound.
     Nominal,
     /// Degraded oscillator: additional drift in ppm (e.g. a quartz affected
@@ -38,9 +36,6 @@ pub struct LocalClock {
     /// Systematic rate deviation from perfect time, in ppm. Typical
     /// automotive-grade quartz: ±(10..100) ppm.
     drift_ppm: f64,
-    /// Standard deviation of read jitter in nanoseconds (models digitization
-    /// and sampling noise of the time readout).
-    jitter_ns: f64,
     /// Net correction accumulated from clock synchronization, nanoseconds.
     correction_ns: i64,
     /// Oscillator health.
@@ -54,23 +49,12 @@ pub struct LocalClock {
 ///
 /// Local time is signed: early in a run, a negative correction may push the
 /// reading before the local epoch.
-pub type LocalNanos = i64;
+pub(crate) type LocalNanos = i64;
 
 impl LocalClock {
-    /// Creates a clock with the given systematic drift and read jitter.
-    pub fn new(drift_ppm: f64, jitter_ns: f64) -> Self {
-        LocalClock {
-            drift_ppm,
-            jitter_ns,
-            correction_ns: 0,
-            state: OscillatorState::Nominal,
-            died_at: None,
-        }
-    }
-
-    /// A perfect clock (zero drift, zero jitter) — useful in tests.
-    pub fn perfect() -> Self {
-        LocalClock::new(0.0, 0.0)
+    /// Creates a clock with the given systematic drift.
+    pub fn new(drift_ppm: f64) -> Self {
+        LocalClock { drift_ppm, correction_ns: 0, state: OscillatorState::Nominal, died_at: None }
     }
 
     /// The currently effective drift in ppm, including degradation.
@@ -80,11 +64,6 @@ impl LocalClock {
             OscillatorState::Degraded { extra_drift_ppm } => self.drift_ppm + extra_drift_ppm,
             OscillatorState::Dead => 0.0,
         }
-    }
-
-    /// Current oscillator health.
-    pub fn state(&self) -> OscillatorState {
-        self.state
     }
 
     /// Injects oscillator degradation (quartz fault manifestation).
@@ -111,7 +90,7 @@ impl LocalClock {
         matches!(self.state, OscillatorState::Dead)
     }
 
-    /// Reads local time at physical instant `now`, without jitter.
+    /// Reads local time at physical instant `now`.
     ///
     /// The drift contribution is computed as an *offset* (`t · d·10⁻⁶`)
     /// rather than a scale factor so that `f64` rounding stays at the
@@ -124,12 +103,6 @@ impl LocalClock {
         let base = t.as_nanos() as i64;
         let drift_off = (t.as_nanos() as f64 * self.effective_drift_ppm() * 1e-6) as i64;
         base + drift_off + self.correction_ns
-    }
-
-    /// Reads local time with sampling jitter drawn from `rng`.
-    pub fn read_jittered(&self, now: SimTime, rng: &mut SmallRng) -> LocalNanos {
-        let jitter = if self.jitter_ns > 0.0 { rng.normal(0.0, self.jitter_ns) as i64 } else { 0 };
-        self.read(now) + jitter
     }
 
     /// Applies a synchronization correction (positive = advance the clock).
@@ -159,11 +132,10 @@ impl LocalClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decos_sim::SeedSource;
 
     #[test]
     fn perfect_clock_tracks_physical_time() {
-        let c = LocalClock::perfect();
+        let c = LocalClock::new(0.0);
         for s in [0u64, 1, 1000, 86_400] {
             let t = SimTime::from_secs(s);
             assert_eq!(c.read(t), t.as_nanos() as i64);
@@ -173,18 +145,18 @@ mod tests {
 
     #[test]
     fn drift_accumulates_linearly() {
-        let c = LocalClock::new(100.0, 0.0); // +100 ppm
+        let c = LocalClock::new(100.0); // +100 ppm
         let t = SimTime::from_secs(10);
         // 100 ppm over 10 s = 1 ms fast.
         assert_eq!(c.deviation_ns(t), 1_000_000);
-        let slow = LocalClock::new(-50.0, 0.0);
+        let slow = LocalClock::new(-50.0);
         assert_eq!(slow.deviation_ns(t), -500_000);
     }
 
     #[test]
     fn drift_precision_over_years() {
         // 100 ppm over 15 years: offset fits f64 with ns-level precision.
-        let c = LocalClock::new(100.0, 0.0);
+        let c = LocalClock::new(100.0);
         let t = SimTime::from_secs(15 * 365 * 24 * 3600);
         let expect = (t.as_nanos() as f64 * 100e-6) as i64;
         assert_eq!(c.deviation_ns(t), expect);
@@ -193,7 +165,7 @@ mod tests {
 
     #[test]
     fn correction_shifts_reading() {
-        let mut c = LocalClock::new(0.0, 0.0);
+        let mut c = LocalClock::new(0.0);
         c.apply_correction(-2_500);
         assert_eq!(c.deviation_ns(SimTime::from_secs(1)), -2_500);
         c.apply_correction(2_500);
@@ -205,7 +177,7 @@ mod tests {
 
     #[test]
     fn degradation_increases_drift() {
-        let mut c = LocalClock::new(20.0, 0.0);
+        let mut c = LocalClock::new(20.0);
         c.degrade(480.0);
         assert_eq!(c.effective_drift_ppm(), 500.0);
         let t = SimTime::from_secs(1);
@@ -216,7 +188,7 @@ mod tests {
 
     #[test]
     fn dead_clock_freezes() {
-        let mut c = LocalClock::new(0.0, 0.0);
+        let mut c = LocalClock::new(0.0);
         c.kill(SimTime::from_secs(5));
         assert!(c.is_dead());
         let frozen = c.read(SimTime::from_secs(5));
@@ -224,19 +196,5 @@ mod tests {
         // Death is final; restore must not resurrect.
         c.restore();
         assert!(c.is_dead());
-    }
-
-    #[test]
-    fn jitter_is_zero_mean() {
-        let seeds = SeedSource::new(11);
-        let mut rng = seeds.stream("clock-jitter", 0);
-        let c = LocalClock::new(0.0, 100.0);
-        let t = SimTime::from_secs(1);
-        let n = 20_000;
-        let mean: f64 = (0..n)
-            .map(|_| (c.read_jittered(t, &mut rng) - t.as_nanos() as i64) as f64)
-            .sum::<f64>()
-            / n as f64;
-        assert!(mean.abs() < 5.0, "jitter mean {mean} not ~0");
     }
 }

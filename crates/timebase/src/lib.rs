@@ -14,7 +14,7 @@ pub mod clock;
 pub mod sparse;
 pub mod sync;
 
-pub use clock::{LocalClock, LocalNanos, OscillatorState};
+pub use clock::LocalClock;
 pub use sparse::{ActionLattice, LatticePoint, SparseOrder};
 pub use sync::{
     fta_round, fta_round_in_place, fta_round_sorted, precision_bound_ns, SyncMonitor, SyncRound,

@@ -25,7 +25,7 @@ impl LatticePoint {
     }
 
     /// Saturating distance in granules between two lattice points.
-    pub fn distance(self, other: LatticePoint) -> u64 {
+    pub(crate) fn distance(self, other: LatticePoint) -> u64 {
         self.0.abs_diff(other.0)
     }
 }
@@ -59,11 +59,6 @@ impl ActionLattice {
         ActionLattice { granule }
     }
 
-    /// The lattice granule.
-    pub fn granule(&self) -> SimDuration {
-        self.granule
-    }
-
     /// Maps a physical instant to its lattice point.
     pub fn point(&self, t: SimTime) -> LatticePoint {
         LatticePoint(t.as_nanos() / self.granule.as_nanos())
@@ -91,11 +86,6 @@ impl ActionLattice {
     /// massive-transient fault pattern, Fig. 8).
     pub fn within_delta(&self, a: SimTime, b: SimTime, delta: u64) -> bool {
         self.point(a).distance(self.point(b)) <= delta
-    }
-
-    /// Number of lattice points in a duration (rounded down).
-    pub fn points_in(&self, d: SimDuration) -> u64 {
-        d / self.granule
     }
 }
 
@@ -138,13 +128,6 @@ mod tests {
         // Zero delta: only the same granule correlates.
         assert!(l.within_delta(a, SimTime::from_millis(9), 0));
         assert!(!l.within_delta(a, SimTime::from_millis(10), 0));
-    }
-
-    #[test]
-    fn points_in_duration() {
-        let l = lat_ms(10);
-        assert_eq!(l.points_in(SimDuration::from_millis(95)), 9);
-        assert_eq!(l.points_in(SimDuration::from_millis(100)), 10);
     }
 
     #[test]

@@ -163,11 +163,6 @@ impl SyncMonitor {
         SyncMonitor { precision_ns, status: SyncStatus::Synchronized, lost_count: 0 }
     }
 
-    /// The configured precision window in nanoseconds.
-    pub fn precision_ns(&self) -> u64 {
-        self.precision_ns
-    }
-
     /// Current status.
     pub fn status(&self) -> SyncStatus {
         self.status

@@ -14,7 +14,7 @@ proptest! {
         drift in -200.0f64..200.0,
         t_s in 1u64..100_000,
     ) {
-        let c = LocalClock::new(drift, 0.0);
+        let c = LocalClock::new(drift);
         let t = SimTime::from_secs(t_s);
         let dev = c.deviation_ns(t) as f64;
         let expected = t.as_nanos() as f64 * drift * 1e-6;
@@ -27,7 +27,7 @@ proptest! {
         corr in proptest::collection::vec(-1_000_000i64..1_000_000, 0..20),
         t_s in 0u64..1_000,
     ) {
-        let mut c = LocalClock::new(0.0, 0.0);
+        let mut c = LocalClock::new(0.0);
         for &d in &corr {
             c.apply_correction(d);
         }
@@ -41,7 +41,7 @@ proptest! {
         later_s in 0u64..10_000,
         drift in -100.0f64..100.0,
     ) {
-        let mut c = LocalClock::new(drift, 0.0);
+        let mut c = LocalClock::new(drift);
         let death = SimTime::from_secs(death_s);
         c.kill(death);
         let frozen = c.read(death);

@@ -12,7 +12,7 @@
 //! components, or a marginal connector at one receiver's stub).
 
 use crate::frame::{Frame, NodeId, SlotObservation};
-use crate::guardian::{BusGuardian, GuardianMode, GuardianVerdict};
+use crate::guardian::GuardianMode;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 
@@ -31,11 +31,6 @@ pub struct TxAttempt {
 }
 
 impl TxAttempt {
-    /// A nominal transmission of `frame`.
-    pub fn nominal(frame: Frame) -> Self {
-        TxAttempt { frame: Some(frame), offset_ns: 0, source_corrupt_bits: 0 }
-    }
-
     /// A silent slot (no transmission attempt).
     pub fn silent() -> Self {
         TxAttempt { frame: None, offset_ns: 0, source_corrupt_bits: 0 }
@@ -53,17 +48,6 @@ pub struct TxSignal<'a> {
     pub offset_ns: i64,
     /// Bits corrupted at the source, applied before transmission.
     pub source_corrupt_bits: u32,
-}
-
-impl<'a> TxSignal<'a> {
-    /// Views an owned [`TxAttempt`] as a borrowed signal.
-    pub fn from_attempt(tx: &'a TxAttempt) -> Self {
-        TxSignal {
-            frame: tx.frame.as_ref(),
-            offset_ns: tx.offset_ns,
-            source_corrupt_bits: tx.source_corrupt_bits,
-        }
-    }
 }
 
 /// Allocation-free slot judgment, the [`SlotObservation`] counterpart used
@@ -92,13 +76,6 @@ pub enum SlotVerdict {
     },
 }
 
-impl SlotVerdict {
-    /// Whether the slot delivered usable data.
-    pub fn is_correct(&self) -> bool {
-        matches!(self, SlotVerdict::Correct | SlotVerdict::CorrectLocal(_))
-    }
-}
-
 /// Reusable buffers for [`BroadcastBus::resolve_slot_into`]. After warm-up
 /// a steady-state resolution performs no heap allocation: the wire frame,
 /// the verdict vector and the pool of receiver-local frame copies all keep
@@ -117,16 +94,6 @@ pub struct ResolveScratch {
 }
 
 impl ResolveScratch {
-    /// Fresh, empty scratch (all buffers warm up on first use).
-    pub fn new() -> Self {
-        ResolveScratch::default()
-    }
-
-    /// Number of `locals` entries written by the last resolution.
-    pub fn locals_used(&self) -> usize {
-        self.locals_used
-    }
-
     /// The payload a receiver with the given verdict should decode, if any.
     pub fn delivered_payload(&self, verdict: SlotVerdict) -> Option<&[u8]> {
         match verdict {
@@ -175,23 +142,12 @@ impl Default for ChannelParams {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BroadcastBus {
     params: ChannelParams,
-    guardian: BusGuardian,
 }
 
 impl BroadcastBus {
     /// Creates a bus with the given parameters.
     pub fn new(params: ChannelParams) -> Self {
-        BroadcastBus { params, guardian: BusGuardian::new() }
-    }
-
-    /// Channel parameters.
-    pub fn params(&self) -> &ChannelParams {
-        &self.params
-    }
-
-    /// Guardian intervention counters (diagnostic interface state).
-    pub fn guardian(&self) -> &BusGuardian {
-        &self.guardian
+        BroadcastBus { params }
     }
 
     /// Resolves one slot: what does each of the `receivers.len()` receivers
@@ -201,7 +157,7 @@ impl BroadcastBus {
     /// (omit or not, how many bits) were already made by the injection
     /// engine and arrive here as data.
     pub fn resolve_slot(
-        &mut self,
+        &self,
         tx: &TxAttempt,
         receivers: &[RxDisturbance],
         rng: &mut SmallRng,
@@ -218,12 +174,8 @@ impl BroadcastBus {
         }
 
         // 3. Guardian judges the send instant.
-        let verdict = self.guardian.judge(self.params.guardian, true, tx.offset_ns);
-        match verdict {
-            GuardianVerdict::CutForeignSlot | GuardianVerdict::CutOffTiming { .. } => {
-                return vec![SlotObservation::Omission; receivers.len()];
-            }
-            GuardianVerdict::Pass => {}
+        if !self.params.guardian.admits(tx.offset_ns) {
+            return vec![SlotObservation::Omission; receivers.len()];
         }
 
         // 4. Per-receiver path effects.
@@ -258,9 +210,8 @@ impl BroadcastBus {
     /// same inputs (source corruption first, then receiver-local corruption
     /// in receiver order, with omitted receivers drawing nothing), so a
     /// simulation switching between the two paths stays bit-identical.
-    /// Guardian intervention counters advance identically as well.
     pub fn resolve_slot_into(
-        &mut self,
+        &self,
         tx: TxSignal<'_>,
         receivers: &[RxDisturbance],
         rng: &mut SmallRng,
@@ -282,13 +233,9 @@ impl BroadcastBus {
         }
 
         // 3. Guardian judges the send instant.
-        let verdict = self.guardian.judge(self.params.guardian, true, tx.offset_ns);
-        match verdict {
-            GuardianVerdict::CutForeignSlot | GuardianVerdict::CutOffTiming { .. } => {
-                scratch.verdicts.resize(receivers.len(), SlotVerdict::Omission);
-                return;
-            }
-            GuardianVerdict::Pass => {}
+        if !self.params.guardian.admits(tx.offset_ns) {
+            scratch.verdicts.resize(receivers.len(), SlotVerdict::Omission);
+            return;
         }
 
         // 4. Per-receiver path effects. Undisturbed receivers all see the
@@ -330,23 +277,6 @@ impl BroadcastBus {
             scratch.verdicts.push(v);
         }
     }
-
-    /// Judges a transmission attempted *outside* the sender's slot (babbling
-    /// idiot). With an enforcing guardian this never reaches the channel;
-    /// without one, receivers would observe interference — modelled as
-    /// corrupting the legitimate slot into CRC failures. Returns whether the
-    /// babble reached the channel.
-    pub fn babble(&mut self) -> bool {
-        matches!(self.guardian.judge(self.params.guardian, false, 0), GuardianVerdict::Pass)
-    }
-}
-
-/// Helper to resolve what a set of receivers should observe for a fully
-/// nominal slot — used by tests and by fast-path simulation when no fault is
-/// active (the common case; skipping the generic path keeps long fleet runs
-/// cheap, cf. the perf guidance on fast paths).
-pub fn nominal_observation(frame: &Frame, receivers: usize) -> Vec<SlotObservation> {
-    vec![SlotObservation::Correct(frame.clone()); receivers]
 }
 
 #[cfg(test)]
@@ -364,25 +294,28 @@ mod tests {
         SeedSource::new(42).stream("bus", 0)
     }
 
+    fn nominal() -> TxAttempt {
+        TxAttempt { frame: Some(frame()), offset_ns: 0, source_corrupt_bits: 0 }
+    }
+
     #[test]
     fn nominal_slot_delivers_to_all() {
-        let mut bus = BroadcastBus::new(ChannelParams::default());
-        let obs =
-            bus.resolve_slot(&TxAttempt::nominal(frame()), &[RxDisturbance::NONE; 3], &mut rng());
+        let bus = BroadcastBus::new(ChannelParams::default());
+        let obs = bus.resolve_slot(&nominal(), &[RxDisturbance::NONE; 3], &mut rng());
         assert_eq!(obs.len(), 3);
         assert!(obs.iter().all(|o| o.is_correct()));
     }
 
     #[test]
     fn silent_sender_is_omission_everywhere() {
-        let mut bus = BroadcastBus::new(ChannelParams::default());
+        let bus = BroadcastBus::new(ChannelParams::default());
         let obs = bus.resolve_slot(&TxAttempt::silent(), &[RxDisturbance::NONE; 4], &mut rng());
         assert!(obs.iter().all(|o| *o == SlotObservation::Omission));
     }
 
     #[test]
     fn source_corruption_fails_crc_for_all() {
-        let mut bus = BroadcastBus::new(ChannelParams::default());
+        let bus = BroadcastBus::new(ChannelParams::default());
         let tx = TxAttempt { frame: Some(frame()), offset_ns: 0, source_corrupt_bits: 3 };
         let obs = bus.resolve_slot(&tx, &[RxDisturbance::NONE; 2], &mut rng());
         for o in obs {
@@ -392,35 +325,34 @@ mod tests {
 
     #[test]
     fn receiver_local_corruption_is_local() {
-        let mut bus = BroadcastBus::new(ChannelParams::default());
+        let bus = BroadcastBus::new(ChannelParams::default());
         let rx = [RxDisturbance::NONE, RxDisturbance { omit: false, corrupt_bits: 2 }];
-        let obs = bus.resolve_slot(&TxAttempt::nominal(frame()), &rx, &mut rng());
+        let obs = bus.resolve_slot(&nominal(), &rx, &mut rng());
         assert!(obs[0].is_correct());
         assert!(matches!(obs[1], SlotObservation::InvalidCrc { .. }));
     }
 
     #[test]
     fn receiver_local_omission_is_local() {
-        let mut bus = BroadcastBus::new(ChannelParams::default());
+        let bus = BroadcastBus::new(ChannelParams::default());
         let rx = [RxDisturbance { omit: true, corrupt_bits: 0 }, RxDisturbance::NONE];
-        let obs = bus.resolve_slot(&TxAttempt::nominal(frame()), &rx, &mut rng());
+        let obs = bus.resolve_slot(&nominal(), &rx, &mut rng());
         assert_eq!(obs[0], SlotObservation::Omission);
         assert!(obs[1].is_correct());
     }
 
     #[test]
     fn guardian_converts_gross_timing_failure_into_omission() {
-        let mut bus = BroadcastBus::new(ChannelParams::default());
+        let bus = BroadcastBus::new(ChannelParams::default());
         let tx = TxAttempt { frame: Some(frame()), offset_ns: 50_000, source_corrupt_bits: 0 };
         let obs = bus.resolve_slot(&tx, &[RxDisturbance::NONE; 2], &mut rng());
         assert!(obs.iter().all(|o| *o == SlotObservation::Omission));
-        assert_eq!(bus.guardian().cut_timing(), 1);
     }
 
     #[test]
     fn without_guardian_receivers_see_timing_violation() {
         let params = ChannelParams { guardian: GuardianMode::None, rx_window_half_ns: 10_000 };
-        let mut bus = BroadcastBus::new(params);
+        let bus = BroadcastBus::new(params);
         let tx = TxAttempt { frame: Some(frame()), offset_ns: 50_000, source_corrupt_bits: 0 };
         let obs = bus.resolve_slot(&tx, &[RxDisturbance::NONE; 1], &mut rng());
         assert!(matches!(obs[0], SlotObservation::TimingViolation { offset_ns: 50_000, .. }));
@@ -428,22 +360,10 @@ mod tests {
 
     #[test]
     fn small_offsets_within_window_are_correct() {
-        let mut bus = BroadcastBus::new(ChannelParams::default());
+        let bus = BroadcastBus::new(ChannelParams::default());
         let tx = TxAttempt { frame: Some(frame()), offset_ns: 5_000, source_corrupt_bits: 0 };
         let obs = bus.resolve_slot(&tx, &[RxDisturbance::NONE; 1], &mut rng());
         assert!(obs[0].is_correct());
-    }
-
-    #[test]
-    fn babble_blocked_by_guardian_but_not_without() {
-        let mut guarded = BroadcastBus::new(ChannelParams::default());
-        assert!(!guarded.babble());
-        assert_eq!(guarded.guardian().cut_foreign(), 1);
-        let mut open = BroadcastBus::new(ChannelParams {
-            guardian: GuardianMode::None,
-            rx_window_half_ns: 10_000,
-        });
-        assert!(open.babble());
     }
 
     /// Maps a reused-buffer verdict back to the owned observation it must
@@ -460,8 +380,8 @@ mod tests {
             }
             SlotVerdict::TimingViolation { offset_ns: o } => {
                 assert_eq!(o, offset_ns);
-                let frame = if scratch.locals_used() > 0 {
-                    scratch.locals[scratch.locals_used() - 1].clone()
+                let frame = if scratch.locals_used > 0 {
+                    scratch.locals[scratch.locals_used - 1].clone()
                 } else {
                     scratch.wire.clone()
                 };
@@ -473,14 +393,14 @@ mod tests {
     #[test]
     fn resolve_slot_into_matches_resolve_slot() {
         let cases: Vec<(TxAttempt, Vec<RxDisturbance>)> = vec![
-            (TxAttempt::nominal(frame()), vec![RxDisturbance::NONE; 4]),
+            (nominal(), vec![RxDisturbance::NONE; 4]),
             (TxAttempt::silent(), vec![RxDisturbance::NONE; 4]),
             (
                 TxAttempt { frame: Some(frame()), offset_ns: 0, source_corrupt_bits: 3 },
                 vec![RxDisturbance::NONE; 3],
             ),
             (
-                TxAttempt::nominal(frame()),
+                nominal(),
                 vec![
                     RxDisturbance::NONE,
                     RxDisturbance { omit: true, corrupt_bits: 0 },
@@ -499,12 +419,16 @@ mod tests {
         ];
         // One scratch reused across every case, proving stale state never
         // leaks between resolutions.
-        let mut scratch = ResolveScratch::new();
+        let mut scratch = ResolveScratch::default();
         for (tx, rxs) in &cases {
-            let mut bus_a = BroadcastBus::new(ChannelParams::default());
-            let mut bus_b = bus_a.clone();
-            let expected = bus_a.resolve_slot(tx, rxs, &mut rng());
-            bus_b.resolve_slot_into(TxSignal::from_attempt(tx), rxs, &mut rng(), &mut scratch);
+            let bus = BroadcastBus::new(ChannelParams::default());
+            let expected = bus.resolve_slot(tx, rxs, &mut rng());
+            let signal = TxSignal {
+                frame: tx.frame.as_ref(),
+                offset_ns: tx.offset_ns,
+                source_corrupt_bits: tx.source_corrupt_bits,
+            };
+            bus.resolve_slot_into(signal, rxs, &mut rng(), &mut scratch);
             assert_eq!(scratch.verdicts.len(), expected.len());
             for (v, e) in scratch.verdicts.iter().zip(&expected) {
                 // TimingViolation frame recovery in `materialize` only works
@@ -512,16 +436,6 @@ mod tests {
                 // above keeps it that way.
                 assert_eq!(&materialize(&scratch, *v, tx.offset_ns), e);
             }
-            assert_eq!(bus_b.guardian().cut_timing(), bus_a.guardian().cut_timing());
-            assert_eq!(bus_b.guardian().cut_foreign(), bus_a.guardian().cut_foreign());
         }
-    }
-
-    #[test]
-    fn nominal_helper_matches_resolution() {
-        let mut bus = BroadcastBus::new(ChannelParams::default());
-        let via_bus =
-            bus.resolve_slot(&TxAttempt::nominal(frame()), &[RxDisturbance::NONE; 3], &mut rng());
-        assert_eq!(nominal_observation(&frame(), 3), via_bus);
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::crc::Crc32;
 use crate::schedule::SlotIndex;
-use decos_sim::rng::SampleExt;
 use rand::rngs::SmallRng;
 use rand::RngExt as _;
 use serde::{Deserialize, Serialize};
@@ -64,7 +63,7 @@ impl Frame {
     /// [`reset_for`]: Frame::reset_for
     /// [`copy_from`]: Frame::copy_from
     /// [`seal`]: Frame::seal
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Frame { sender: NodeId(0), round: 0, slot: SlotIndex(0), payload: Vec::new(), crc: 0 }
     }
 
@@ -81,7 +80,7 @@ impl Frame {
     /// Becomes a copy of `src` without giving up this frame's payload
     /// buffer (the reusing counterpart of `clone_from` with an explicit
     /// contract: capacity is retained).
-    pub fn copy_from(&mut self, src: &Frame) {
+    pub(crate) fn copy_from(&mut self, src: &Frame) {
         self.sender = src.sender;
         self.round = src.round;
         self.slot = src.slot;
@@ -115,17 +114,6 @@ impl Frame {
             flipped += 1;
         }
         flipped
-    }
-
-    /// Corrupts the CRC itself (models corruption of the trailer on the
-    /// channel).
-    pub fn corrupt_crc(&mut self) {
-        self.crc ^= 0xA5A5_A5A5;
-    }
-
-    /// Total length on the wire in bytes (header 12 + payload + CRC 4).
-    pub fn wire_len(&self) -> usize {
-        12 + self.payload.len() + 4
     }
 }
 
@@ -170,13 +158,6 @@ impl SlotObservation {
     pub fn is_correct(&self) -> bool {
         matches!(self, SlotObservation::Correct(_))
     }
-}
-
-/// Convenience used by tests and the fault-injection engine: sample how many
-/// bits an EMI burst flips in a frame (≥ 2 — massive transients flip
-/// multiple bits per Fig. 8).
-pub fn emi_bit_flips(rng: &mut SmallRng) -> u32 {
-    2 + (rng.uniform(0.0, 6.0) as u32)
 }
 
 #[cfg(test)]
@@ -228,13 +209,8 @@ mod tests {
     #[test]
     fn crc_corruption_detected() {
         let mut f = frame();
-        f.corrupt_crc();
+        f.crc ^= 0xA5A5_A5A5;
         assert!(!f.is_valid());
-    }
-
-    #[test]
-    fn wire_len_accounts_for_header_and_trailer() {
-        assert_eq!(frame().wire_len(), 12 + 6 + 4);
     }
 
     #[test]
@@ -263,15 +239,5 @@ mod tests {
         dst.copy_from(&frame());
         assert_eq!(dst, frame());
         assert!(dst.is_valid());
-    }
-
-    #[test]
-    fn emi_flips_at_least_two_bits() {
-        let seeds = SeedSource::new(9);
-        let mut rng = seeds.stream("emi-bits", 0);
-        for _ in 0..1000 {
-            let n = emi_bit_flips(&mut rng);
-            assert!((2..=7).contains(&n));
-        }
     }
 }

@@ -5,13 +5,12 @@
 //! the two classic temporal failure modes of a faulty node into harmless,
 //! *observable* omissions:
 //!
-//! * **babbling idiot** — transmitting outside the own slot: always blocked;
+//! * **babbling idiot** — transmitting outside the own slot: always blocked
+//!   (no fault in the model transmits outside its slot, so only the next
+//!   mode is simulated);
 //! * **slightly-off-specification timing** — transmitting inside the own
 //!   slot but offset by more than the agreed window: blocked (local guardian
 //!   with an independent clock) or let through to be judged by receivers.
-//!
-//! The guardian keeps local counters of its interventions; these are part
-//! of the component's interface state and feed the diagnostic subsystem.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,63 +30,16 @@ pub enum GuardianMode {
     },
 }
 
-/// Verdict of the guardian for one attempted transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GuardianVerdict {
-    /// Transmission proceeds onto the channel.
-    Pass,
-    /// Transmission blocked: attempted outside the sender's own slot.
-    CutForeignSlot,
-    /// Transmission blocked: within the own slot but outside the window.
-    CutOffTiming {
-        /// The offending offset in nanoseconds.
-        offset_ns: i64,
-    },
-}
-
-/// A bus guardian instance guarding one component's transmit path.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BusGuardian {
-    cut_foreign: u64,
-    cut_timing: u64,
-}
-
-impl BusGuardian {
-    /// Creates a guardian with zeroed intervention counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Judges a transmission attempt.
-    ///
-    /// `own_slot` — whether the attempt happens during a slot assigned to
-    /// the guarded component; `offset_ns` — deviation of the actual send
-    /// instant from the nominal slot start.
-    pub fn judge(&mut self, mode: GuardianMode, own_slot: bool, offset_ns: i64) -> GuardianVerdict {
-        match mode {
-            GuardianMode::None => GuardianVerdict::Pass,
+impl GuardianMode {
+    /// Whether a transmission in the sender's own slot, `offset_ns` off the
+    /// nominal slot start, passes the guardian onto the channel.
+    pub(crate) fn admits(self, offset_ns: i64) -> bool {
+        match self {
+            GuardianMode::None => true,
             GuardianMode::Enforcing { window_half_ns } => {
-                if !own_slot {
-                    self.cut_foreign += 1;
-                    GuardianVerdict::CutForeignSlot
-                } else if offset_ns.unsigned_abs() > window_half_ns {
-                    self.cut_timing += 1;
-                    GuardianVerdict::CutOffTiming { offset_ns }
-                } else {
-                    GuardianVerdict::Pass
-                }
+                offset_ns.unsigned_abs() <= window_half_ns
             }
         }
-    }
-
-    /// Number of blocked foreign-slot (babbling) attempts.
-    pub fn cut_foreign(&self) -> u64 {
-        self.cut_foreign
-    }
-
-    /// Number of blocked off-timing attempts.
-    pub fn cut_timing(&self) -> u64 {
-        self.cut_timing
     }
 }
 
@@ -99,32 +51,19 @@ mod tests {
 
     #[test]
     fn passes_nominal_transmissions() {
-        let mut g = BusGuardian::new();
-        assert_eq!(g.judge(ENF, true, 0), GuardianVerdict::Pass);
-        assert_eq!(g.judge(ENF, true, 999), GuardianVerdict::Pass);
-        assert_eq!(g.judge(ENF, true, -1_000), GuardianVerdict::Pass);
-        assert_eq!(g.cut_foreign() + g.cut_timing(), 0);
-    }
-
-    #[test]
-    fn blocks_babbling_idiot() {
-        let mut g = BusGuardian::new();
-        assert_eq!(g.judge(ENF, false, 0), GuardianVerdict::CutForeignSlot);
-        assert_eq!(g.cut_foreign(), 1);
+        assert!(ENF.admits(0));
+        assert!(ENF.admits(999));
+        assert!(ENF.admits(-1_000));
     }
 
     #[test]
     fn blocks_off_timing() {
-        let mut g = BusGuardian::new();
-        assert_eq!(g.judge(ENF, true, 1_001), GuardianVerdict::CutOffTiming { offset_ns: 1_001 });
-        assert_eq!(g.judge(ENF, true, -5_000), GuardianVerdict::CutOffTiming { offset_ns: -5_000 });
-        assert_eq!(g.cut_timing(), 2);
+        assert!(!ENF.admits(1_001));
+        assert!(!ENF.admits(-5_000));
     }
 
     #[test]
     fn disabled_guardian_passes_everything() {
-        let mut g = BusGuardian::new();
-        assert_eq!(g.judge(GuardianMode::None, false, 1 << 40), GuardianVerdict::Pass);
-        assert_eq!(g.cut_foreign(), 0);
+        assert!(GuardianMode::None.admits(1 << 40));
     }
 }

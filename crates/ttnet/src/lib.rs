@@ -27,6 +27,6 @@ pub use bus::{
     BroadcastBus, ChannelParams, ResolveScratch, RxDisturbance, SlotVerdict, TxAttempt, TxSignal,
 };
 pub use frame::{Frame, NodeId, SlotObservation};
-pub use guardian::{BusGuardian, GuardianMode, GuardianVerdict};
+pub use guardian::GuardianMode;
 pub use membership::{MembershipChange, MembershipParams, MembershipService, MembershipVector};
 pub use schedule::{PlannedSlot, RoundPlan, SlotAddress, SlotIndex, TdmaSchedule};

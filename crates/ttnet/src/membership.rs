@@ -22,11 +22,8 @@ use serde::{Deserialize, Serialize};
 pub struct MembershipVector(u64);
 
 impl MembershipVector {
-    /// The empty vector.
-    pub const EMPTY: MembershipVector = MembershipVector(0);
-
     /// Vector with nodes `0..n` present.
-    pub fn full(n: u16) -> Self {
+    pub(crate) fn full(n: u16) -> Self {
         assert!(n <= 64, "membership vector limited to 64 nodes");
         if n == 64 {
             MembershipVector(u64::MAX)
@@ -42,35 +39,15 @@ impl MembershipVector {
     }
 
     /// Adds a member.
-    pub fn insert(&mut self, node: NodeId) {
+    pub(crate) fn insert(&mut self, node: NodeId) {
         debug_assert!(node.0 < 64);
         self.0 |= 1 << node.0;
     }
 
     /// Removes a member.
-    pub fn remove(&mut self, node: NodeId) {
+    pub(crate) fn remove(&mut self, node: NodeId) {
         debug_assert!(node.0 < 64);
         self.0 &= !(1 << node.0);
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> u32 {
-        self.0.count_ones()
-    }
-
-    /// Whether no node is a member.
-    pub fn is_empty(&self) -> bool {
-        self.0 == 0
-    }
-
-    /// Raw bits (for logging / comparison).
-    pub fn bits(&self) -> u64 {
-        self.0
-    }
-
-    /// Iterator over member ids.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..64u16).filter(|&i| self.0 & (1 << i) != 0).map(NodeId)
     }
 }
 
@@ -180,18 +157,14 @@ mod tests {
     #[test]
     fn vector_basics() {
         let mut v = MembershipVector::full(4);
-        assert_eq!(v.len(), 4);
         assert!(v.contains(NodeId(3)));
         assert!(!v.contains(NodeId(4)));
         v.remove(NodeId(2));
-        assert_eq!(v.len(), 3);
         assert!(!v.contains(NodeId(2)));
         v.insert(NodeId(2));
         assert!(v.contains(NodeId(2)));
-        assert_eq!(MembershipVector::full(64).len(), 64);
-        assert!(MembershipVector::EMPTY.is_empty());
-        let members: Vec<NodeId> = MembershipVector::full(3).iter().collect();
-        assert_eq!(members, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert!(MembershipVector::full(64).contains(NodeId(63)));
+        assert!(!MembershipVector::default().contains(NodeId(0)));
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl TdmaSchedule {
                 deadline_offset_ns: (i as u64 + 1) * slot_len_ns,
             })
             .collect();
-        RoundPlan { slots, slot_len_ns, round_len_ns: self.round_len().as_nanos() }
+        RoundPlan { slots, round_len_ns: self.round_len().as_nanos() }
     }
 
     /// The slot address active at instant `t`.
@@ -132,7 +132,7 @@ impl TdmaSchedule {
     }
 
     /// The slot address following `addr`.
-    pub fn next(&self, addr: SlotAddress) -> SlotAddress {
+    pub(crate) fn next(&self, addr: SlotAddress) -> SlotAddress {
         if (addr.slot.0 as usize) + 1 < self.owners.len() {
             SlotAddress { round: addr.round, slot: SlotIndex(addr.slot.0 + 1) }
         } else {
@@ -175,7 +175,6 @@ pub struct PlannedSlot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundPlan {
     slots: Vec<PlannedSlot>,
-    slot_len_ns: u64,
     round_len_ns: u64,
 }
 
@@ -183,16 +182,6 @@ impl RoundPlan {
     /// The planned slots of one round, in transmission order.
     pub fn slots(&self) -> &[PlannedSlot] {
         &self.slots
-    }
-
-    /// Slot length in ns.
-    pub fn slot_len_ns(&self) -> u64 {
-        self.slot_len_ns
-    }
-
-    /// Round length in ns.
-    pub fn round_len_ns(&self) -> u64 {
-        self.round_len_ns
     }
 
     /// Nominal start instant of round `round`.
@@ -233,8 +222,7 @@ mod tests {
         let s = sched();
         let plan = s.round_plan();
         assert_eq!(plan.slots().len(), 4);
-        assert_eq!(plan.slot_len_ns(), s.slot_len().as_nanos());
-        assert_eq!(plan.round_len_ns(), s.round_len().as_nanos());
+        assert_eq!(plan.round_len_ns, s.round_len().as_nanos());
         for round in [0u64, 1, 7] {
             for (k, p) in plan.slots().iter().enumerate() {
                 let addr = SlotAddress { round, slot: SlotIndex(k as u16) };

@@ -86,7 +86,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = SeedSource::new(seed).stream("prop-bus", 0);
-        let mut bus = BroadcastBus::new(ChannelParams::default());
+        let bus = BroadcastBus::new(ChannelParams::default());
         let frame = Frame::new(NodeId(0), 0, SlotIndex(0), vec![1, 2, 3, 4]);
         let tx = if silent {
             TxAttempt::silent()
@@ -110,7 +110,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = SeedSource::new(seed).stream("prop-bus2", 0);
-        let mut bus = BroadcastBus::new(ChannelParams {
+        let bus = BroadcastBus::new(ChannelParams {
             guardian: GuardianMode::None,
             rx_window_half_ns: 10_000,
         });

@@ -56,7 +56,7 @@ pub fn decode_segment(seg: &[u8]) -> Result<Vec<Message>, DecodeError> {
 /// without building a vector. Length validation happens up front, so
 /// `sink` is never called on a segment that errors. Returns the message
 /// count.
-pub fn decode_segment_with(
+pub(crate) fn decode_segment_with(
     seg: &[u8],
     mut sink: impl FnMut(Message),
 ) -> Result<usize, DecodeError> {

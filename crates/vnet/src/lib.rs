@@ -21,4 +21,4 @@ pub mod port;
 pub use codec::{decode_segment, encode_segment, segment_message_capacity, DecodeError};
 pub use config::{ConfigDefect, VnetConfig, VnetId};
 pub use network::VnetEndpoint;
-pub use port::{EventPort, Message, PortId, PortKind, PushOutcome, StatePort, MESSAGE_WIRE_BYTES};
+pub use port::{EventPort, Message, PortId, PortKind, PushOutcome, MESSAGE_WIRE_BYTES};

@@ -15,7 +15,6 @@
 use crate::codec::{decode_segment_with, encode_segment, segment_message_capacity, DecodeError};
 use crate::config::VnetConfig;
 use crate::port::{EventPort, Message, PortId, PortKind, PushOutcome, StatePort};
-use decos_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Per-(component, virtual network) runtime state.
@@ -89,11 +88,6 @@ impl VnetEndpoint {
             rx_overflow_total: 0,
             rx_accepted_total: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &VnetConfig {
-        &self.cfg
     }
 
     /// Submits an outbound message from a local job.
@@ -218,15 +212,6 @@ impl VnetEndpoint {
         get(&self.rx_state, src).and_then(|p| p.read())
     }
 
-    /// Staleness of the state value from `src` at `now`.
-    pub fn state_staleness(
-        &self,
-        src: PortId,
-        now: SimTime,
-    ) -> Option<decos_sim::time::SimDuration> {
-        get(&self.rx_state, src).and_then(|p| p.staleness(now))
-    }
-
     /// Pops up to `n` queued event messages from source port `src`.
     pub fn receive_events(&mut self, src: PortId, n: usize) -> Vec<Message> {
         get_mut(&mut self.rx_queues, src).map(|q| q.pop_up_to(n)).unwrap_or_default()
@@ -282,6 +267,7 @@ mod tests {
     use super::*;
     use crate::config::VnetId;
     use crate::port::MESSAGE_WIRE_BYTES;
+    use decos_sim::time::SimTime;
 
     fn msg(src: u32, seq: u64, value: f64) -> Message {
         Message { src: PortId(src), seq, sent_at: SimTime::from_millis(seq), value }
@@ -373,14 +359,6 @@ mod tests {
         let mut rx = event_ep(64, 8, 8);
         assert!(rx.deliver_segment(&[5]).is_err());
         assert_eq!(rx.decode_errors(), 1);
-    }
-
-    #[test]
-    fn state_staleness_tracked() {
-        let mut rx = state_ep(64);
-        rx.deliver_message(msg(1, 1, 0.5));
-        let st = rx.state_staleness(PortId(1), SimTime::from_millis(3)).unwrap();
-        assert_eq!(st, decos_sim::time::SimDuration::from_millis(2));
     }
 
     #[test]

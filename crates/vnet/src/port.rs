@@ -56,36 +56,19 @@ pub const MESSAGE_WIRE_BYTES: usize = 4 + 8 + 8 + 8;
 
 /// A state port: holds the most recent message.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct StatePort {
+pub(crate) struct StatePort {
     current: Option<Message>,
-    updates: u64,
 }
 
 impl StatePort {
-    /// Creates an empty state port.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Installs a new state value (overwrite semantics).
-    pub fn update(&mut self, msg: Message) {
+    pub(crate) fn update(&mut self, msg: Message) {
         self.current = Some(msg);
-        self.updates += 1;
     }
 
     /// The current state value, if any update arrived yet.
-    pub fn read(&self) -> Option<&Message> {
+    pub(crate) fn read(&self) -> Option<&Message> {
         self.current.as_ref()
-    }
-
-    /// Age of the current value at `now`; `None` if never updated.
-    pub fn staleness(&self, now: SimTime) -> Option<decos_sim::time::SimDuration> {
-        self.current.map(|m| now.saturating_since(m.sent_at))
-    }
-
-    /// Total updates received.
-    pub fn updates(&self) -> u64 {
-        self.updates
     }
 }
 
@@ -118,11 +101,6 @@ impl EventPort {
         EventPort { depth, queue: VecDeque::with_capacity(depth), accepted: 0, overflows: 0 }
     }
 
-    /// Configured depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Current fill level.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -153,7 +131,7 @@ impl EventPort {
     }
 
     /// Dequeues up to `n` messages.
-    pub fn pop_up_to(&mut self, n: usize) -> Vec<Message> {
+    pub(crate) fn pop_up_to(&mut self, n: usize) -> Vec<Message> {
         let mut out = Vec::new();
         self.pop_up_to_into(n, &mut out);
         out
@@ -161,7 +139,7 @@ impl EventPort {
 
     /// Dequeues up to `n` messages into `out`, appending. Returns how many
     /// were moved; allocates only if `out` must grow.
-    pub fn pop_up_to_into(&mut self, n: usize, out: &mut Vec<Message>) -> usize {
+    pub(crate) fn pop_up_to_into(&mut self, n: usize, out: &mut Vec<Message>) -> usize {
         let k = n.min(self.queue.len());
         out.extend(self.queue.drain(..k));
         k
@@ -169,7 +147,7 @@ impl EventPort {
 
     /// Dequeues and discards up to `n` messages, returning how many were
     /// dropped — for consumers that only need the count.
-    pub fn discard_up_to(&mut self, n: usize) -> usize {
+    pub(crate) fn discard_up_to(&mut self, n: usize) -> usize {
         let k = n.min(self.queue.len());
         self.queue.drain(..k);
         k
@@ -185,18 +163,11 @@ impl EventPort {
     pub fn overflows(&self) -> u64 {
         self.overflows
     }
-
-    /// Resets counters (component restart with state synchronization).
-    pub fn reset_counters(&mut self) {
-        self.accepted = 0;
-        self.overflows = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decos_sim::time::SimDuration;
 
     fn msg(seq: u64, t_ms: u64) -> Message {
         Message { src: PortId(1), seq, sent_at: SimTime::from_millis(t_ms), value: seq as f64 }
@@ -204,22 +175,11 @@ mod tests {
 
     #[test]
     fn state_port_overwrites() {
-        let mut p = StatePort::new();
+        let mut p = StatePort::default();
         assert!(p.read().is_none());
         p.update(msg(1, 10));
         p.update(msg(2, 20));
         assert_eq!(p.read().unwrap().seq, 2);
-        assert_eq!(p.updates(), 2);
-    }
-
-    #[test]
-    fn state_port_staleness() {
-        let mut p = StatePort::new();
-        assert!(p.staleness(SimTime::from_millis(5)).is_none());
-        p.update(msg(1, 10));
-        assert_eq!(p.staleness(SimTime::from_millis(25)), Some(SimDuration::from_millis(15)));
-        // Clock skew cannot yield negative staleness.
-        assert_eq!(p.staleness(SimTime::from_millis(5)), Some(SimDuration::ZERO));
     }
 
     #[test]
@@ -258,16 +218,6 @@ mod tests {
         let rest = p.pop_up_to(10);
         assert_eq!(rest.len(), 2);
         assert!(p.is_empty());
-    }
-
-    #[test]
-    fn counters_reset() {
-        let mut p = EventPort::new(1);
-        p.push(msg(1, 1));
-        p.push(msg(2, 2));
-        assert_eq!((p.accepted(), p.overflows()), (1, 1));
-        p.reset_counters();
-        assert_eq!((p.accepted(), p.overflows()), (0, 0));
     }
 
     #[test]

@@ -38,7 +38,7 @@ proptest! {
         t1_ms in 0u64..100_000,
         dt_ms in 0u64..100_000,
     ) {
-        let c = LocalClock::new(drift, 0.0);
+        let c = LocalClock::new(drift);
         let a = c.read(SimTime::from_millis(t1_ms));
         let b = c.read(SimTime::from_millis(t1_ms + dt_ms));
         prop_assert!(b >= a, "drifted clock went backwards: {a} -> {b}");

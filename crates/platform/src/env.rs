@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`Environment::tx_disturbance`] | component silence / timing failures / source corruption (component internal & external faults) |
 //! | [`Environment::rx_disturbance`] | receiver-local omissions & bit flips (connector borderline faults, spatially local EMI) |
-//! | [`Environment::pre_dispatch`] | sensor/actuator faults, job crashes (job inherent) |
+//! | [`Environment::pre_dispatch`] | sensor faults (job inherent) |
 //! | [`Environment::filter_outputs`] | software design faults — Bohr/Heisenbugs perturbing values, dropping or delaying sends (job inherent) |
 //! | [`Environment::extra_drift_ppm`] | quartz degradation (component internal) |
 
@@ -101,7 +101,7 @@ pub trait Environment {
         RxDisturbance::NONE
     }
 
-    /// Hook before a job dispatch: inject sensor faults, halt/restart jobs.
+    /// Hook before a job dispatch: inject sensor faults.
     fn pre_dispatch(&mut self, _now: SimTime, _job: &mut JobRuntime) {}
 
     /// Hook over a job's produced messages: software design faults mutate,

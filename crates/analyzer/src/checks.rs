@@ -8,9 +8,9 @@
 //! ground truth — produces warnings at most, otherwise fault-injection
 //! experiments could never run.
 
-use crate::coverage::{unavailability, PATTERN_CATALOG};
 use crate::experiment::ExperimentSpec;
 use crate::report::{AnalysisReport, DiagCode, Diagnostic, Severity, Subject};
+use decos_diagnosis::{reach, PATTERN_MODELS};
 use decos_faults::{FaultClass, FaultKind, FaultSpec, FruRef};
 use decos_platform::{ClusterSpec, Criticality, JobBehavior, JobSpec, SpecError};
 use decos_vnet::VnetConfig;
@@ -591,18 +591,17 @@ fn check_tmr(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
     }
 }
 
-/// ONA coverage: every taxonomy class must map to ≥ 1 available pattern.
+/// ONA coverage: every taxonomy class must map to ≥ 1 catalogue pattern
+/// that can fire within the horizon.
 fn check_coverage(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
     let injected: BTreeSet<FaultClass> = exp.faults.iter().map(FaultSpec::class).collect();
     for class in FaultClass::ALL {
-        let patterns: Vec<_> = PATTERN_CATALOG.iter().filter(|p| p.class == class).collect();
         let mut reasons = Vec::new();
         let mut covered = false;
-        for p in &patterns {
-            match unavailability(p, &exp.ona, exp.rounds) {
-                None => covered = true,
-                Some(reason) => {
-                    reasons.push(format!("{}: {reason}", p.name));
+        for p in PATTERN_MODELS.iter().filter(|p| p.class == class) {
+            match reach(p, &exp.ona, exp.rounds) {
+                Ok(_) => covered = true,
+                Err(reason) => {
                     r.push(
                         Diagnostic::new(
                             DiagCode::OnaPatternUnavailable,
@@ -611,6 +610,7 @@ fn check_coverage(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
                         )
                         .with(Subject::Class(class)),
                     );
+                    reasons.push(format!("{}: {reason}", p.name));
                 }
             }
         }
@@ -623,14 +623,7 @@ fn check_coverage(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
                 Diagnostic::new(
                     DiagCode::UncoveredFaultClass,
                     sev,
-                    format!(
-                        "no enabled ONA pattern can indicate {class} ({})",
-                        if reasons.is_empty() {
-                            "the catalog has no pattern for it".to_string()
-                        } else {
-                            reasons.join("; ")
-                        }
-                    ),
+                    format!("no enabled ONA pattern can indicate {class} ({})", reasons.join("; ")),
                 )
                 .with(Subject::Class(class))
                 .suggest("re-enable or re-parameterize a pattern covering this class"),

@@ -33,12 +33,10 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use decos_diagnosis::model;
-use decos_diagnosis::SymptomDomain;
+use decos_diagnosis::{model, PatternModel, SymptomDomain};
 use decos_faults::{FaultClass, FaultKind, FruRef};
 use decos_platform::{NodeId, Position};
 
-use crate::coverage::{unavailability, PATTERN_CATALOG};
 use crate::experiment::ExperimentSpec;
 
 /// A fault hypothesis: one concrete kind on one FRU.
@@ -240,6 +238,14 @@ impl<'a> Model<'a> {
         }
     }
 
+    /// Whether `host` runs jobs of at least two DASs (the co-host
+    /// correlation's precondition).
+    fn hosts_several_dases(&self, host: NodeId) -> bool {
+        let dases: BTreeSet<_> =
+            self.exp.cluster.jobs.iter().filter(|j| j.host == host).map(|j| j.das).collect();
+        dases.len() >= 2
+    }
+
     /// First TDMA slot owned by the component behind `fru` (for witness
     /// rendering; 0 when unresolvable).
     fn slot_of(&self, fru: FruRef) -> u16 {
@@ -278,42 +284,28 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// Whether the pattern can fire at all under the ONA parameters and
-    /// horizon. `connector-rx` is the rx-side backing evidence of the
-    /// connector pattern and shares its (absent) gating.
-    fn pattern_available(&self, pattern: &'static str, n: u64) -> bool {
-        let gate = if pattern == "connector-rx" { "connector" } else { pattern };
-        let Some(info) = PATTERN_CATALOG.iter().find(|p| p.name == gate) else {
-            return false;
-        };
-        if unavailability(info, &self.exp.ona, n).is_some() {
-            return false;
-        }
-        model::earliest_fire_round(pattern, &self.exp.ona).is_some_and(|r| r <= n || n == 0)
+    /// The catalogue row of `pattern` and the earliest round it can fire
+    /// within the horizon `n`, or `None` when it cannot.
+    fn reach(&self, pattern: &str, n: u64) -> Option<(&'static PatternModel, u64)> {
+        let m = model::pattern_model(pattern)?;
+        model::reach(m, &self.exp.ona, n).ok().map(|round| (m, round))
     }
 
     /// Derives the n-round symptom signature of `h`.
     fn signature(&self, h: &Hypothesis, n: u64) -> SymptomSignature {
         let mut obs: Vec<Observation> = Vec::new();
-        let mut push = |pattern: &'static str, subjects: Vec<FruRef>| {
-            let Some(m) = model::pattern_model(pattern) else { return };
-            let Some(earliest) = model::earliest_fire_round(pattern, &self.exp.ona) else {
-                return;
-            };
-            obs.push(Observation {
-                pattern,
-                subjects,
-                earliest_round: earliest,
-                confidence: m.confidence,
-            });
-        };
         let footprint = self.footprint(h);
         for &pattern in model::patterns_for_kind(&h.kind) {
-            if !self.pattern_available(pattern, n) {
-                continue;
-            }
-            let domain = model::pattern_model(pattern).map(|m| m.domain);
-            match (pattern, domain) {
+            let Some((m, earliest)) = self.reach(pattern, n) else { continue };
+            let mut push = |subjects: Vec<FruRef>| {
+                obs.push(Observation {
+                    pattern,
+                    subjects,
+                    earliest_round: earliest,
+                    confidence: m.confidence,
+                });
+            };
+            match (pattern, m.domain) {
                 // Zone-attributed: one observation naming the whole
                 // affected zone, requiring at least two observable
                 // members for the spatial correlation.
@@ -324,14 +316,14 @@ impl<'a> Model<'a> {
                         .map(|&c| FruRef::Component(c))
                         .collect();
                     if zone.len() >= 2 {
-                        push(pattern, zone);
+                        push(zone);
                     }
                 }
                 // Per-component comm/sync evidence: one observation per
                 // observable footprint member.
-                (_, Some(SymptomDomain::Comm | SymptomDomain::Sync)) => {
+                (_, SymptomDomain::Comm | SymptomDomain::Sync) => {
                     for &c in footprint.iter().filter(|&&c| self.comm_observable(c)) {
-                        push(pattern, vec![FruRef::Component(c)]);
+                        push(vec![FruRef::Component(c)]);
                     }
                 }
                 // Co-host correlation: attributes the hosting component,
@@ -339,35 +331,27 @@ impl<'a> Model<'a> {
                 // those outputs are published, i.e. the host transmits).
                 ("cohost-correlation", _) => {
                     if let FruRef::Component(host) = h.fru {
-                        let dases: BTreeSet<_> = self
-                            .exp
-                            .cluster
-                            .jobs
-                            .iter()
-                            .filter(|j| j.host == host)
-                            .map(|j| j.das)
-                            .collect();
-                        if dases.len() >= 2 && self.comm_observable(host) {
-                            push(pattern, vec![FruRef::Component(host)]);
+                        if self.hosts_several_dases(host) && self.comm_observable(host) {
+                            push(vec![FruRef::Component(host)]);
                         }
                     }
                 }
                 // Queue-side evidence is detected locally at the
                 // affected job's host; no transmission slot required.
-                (_, Some(SymptomDomain::Queue)) => {
+                (_, SymptomDomain::Queue) => {
                     if let FruRef::Job(j) = h.fru {
-                        push(pattern, vec![FruRef::Job(j)]);
+                        push(vec![FruRef::Job(j)]);
                     }
                 }
                 // Job-value evidence: observable where the outputs are
                 // published, so the hosting component must transmit.
-                (_, Some(SymptomDomain::JobValue)) => match h.fru {
+                (_, SymptomDomain::JobValue) => match h.fru {
                     FruRef::Job(j) => {
                         let host_tx = self
                             .host_of(FruRef::Job(j))
                             .is_some_and(|hn| self.scheduled.contains(&hn));
                         if host_tx {
-                            push(pattern, vec![FruRef::Job(j)]);
+                            push(vec![FruRef::Job(j)]);
                         }
                     }
                     // A component-level value fault (aging conditioning
@@ -376,25 +360,15 @@ impl<'a> Model<'a> {
                     // the per-job attribution; otherwise the evidence is
                     // indistinguishable from a per-job transducer fault.
                     FruRef::Component(host) => {
-                        let dases: BTreeSet<_> = self
-                            .exp
-                            .cluster
-                            .jobs
-                            .iter()
-                            .filter(|j| j.host == host)
-                            .map(|j| j.das)
-                            .collect();
-                        let cohost_fires = self.exp.ona.enable_cohost
-                            && dases.len() >= 2
-                            && self.pattern_available("cohost-correlation", n);
+                        let cohost_fires = self.hosts_several_dases(host)
+                            && self.reach("cohost-correlation", n).is_some();
                         if !cohost_fires && self.scheduled.contains(&host) {
                             for j in self.exp.cluster.jobs.iter().filter(|j| j.host == host) {
-                                push(pattern, vec![FruRef::Job(j.id)]);
+                                push(vec![FruRef::Job(j.id)]);
                             }
                         }
                     }
                 },
-                _ => {}
             }
         }
         obs.sort_by(|x, y| x.pattern.cmp(y.pattern).then_with(|| x.subjects.cmp(&y.subjects)));

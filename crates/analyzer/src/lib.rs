@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod checks;
-pub mod coverage;
 pub mod diagnosability;
 pub mod experiment;
 pub mod report;

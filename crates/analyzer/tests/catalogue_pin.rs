@@ -150,24 +150,24 @@ fn ona_grid() -> Vec<(&'static str, OnaParams)> {
 const HORIZONS: [u64; 9] = [1, 3, 5, 49, 50, 149, 150, 199, 200];
 
 const REPORTS: &str = "
-fig10 default: a90e45d8 64964402 6870ca9a 3d4e9a07 54c9cb2c bb488c51 ff19cdb1 8cd7ff1b 992da494
-fig10 spatial-off: 1c84cc87 89cf09e1 d899b37b c4f4af7f a2072157 16138256 2f9ec256 2191688c faf9b2f2
-fig10 cohost-off: 56b9fe84 46c90be9 34ab5dcb 4d194088 311cd791 8395564f ee9b6324 ab5f106b 5d09dddf
-fig10 radius-0: fa19a9f6 c84aad28 fa957a90 0d0a722a b8ac40ad 0012205e 507dfcca a937efd7 24348baf
-fig10 stuck-duty-0: e4998d2f 6ce84de2 e83639a7 48e1c084 eada7ee0 bd4687b3 e2f14d48 581068b4 618df6f7
+fig10 default: 66b5b24e 53dd13f4 408c3948 cb582943 ce2713e6 8ca32f05 ff19cdb1 8cd7ff1b 992da494
+fig10 spatial-off: 7c176817 9ef2b397 fc215c20 b91375fd 65300d75 6b80e32b 2f9ec256 2191688c faf9b2f2
+fig10 cohost-off: 2feadc3b f1f44f0b da6a95d0 4e6a60cd 0d892aa7 493c28a7 ee9b6324 ab5f106b 5d09dddf
+fig10 radius-0: b21886ed de5f919d c22c6b03 7daaca8d 814c8271 5bf10263 507dfcca a937efd7 24348baf
+fig10 stuck-duty-0: c2ec3c79 1d137e75 2abf44de 39a40823 b06eae53 73cacaa2 e2f14d48 581068b4 618df6f7
 fig10 alpha-inf: 16aeb2b8 5f52a202 bfb17fec 37db977a 6949f12b 534684a1 1e3cab4e 92b8a15d 2dcacf10
-avionics default: c9cf86e9 b6bd7003 d629e777 ba07f3bd e7bbd7b6 409ec487 cb1aa024 84630887 3c066361
-avionics spatial-off: 847df564 23165dab 7ed72ee3 b2293e19 98b585e2 c2098dd6 41bb4081 d4c525c0 c9b109b5
-avionics cohost-off: c150a7f8 65c69355 9f059662 a0611808 60d2932b 8e392a03 d73d7f02 e5d01251 3fdf4a38
-avionics radius-0: fa19a9f6 c84aad28 fa957a90 0d0a722a b8ac40ad 0012205e 507dfcca a937efd7 24348baf
-avionics stuck-duty-0: 2b3d6b63 735e4e35 82d46998 a4565b6b 93498f34 325fdd16 418e2574 c58cf40e 1a8d897e
+avionics default: b5d4e2c3 8a672c83 455c09e5 75f152b8 8ebea269 e737cfda cb1aa024 84630887 3c066361
+avionics spatial-off: b8a87b53 dd75e7ab 350ba9a4 13b3a8ff 737b328a 1502b43a 41bb4081 d4c525c0 c9b109b5
+avionics cohost-off: 9eca7b04 ec9fd516 6d5dc290 c039f49f 9d376f33 e614d460 d73d7f02 e5d01251 3fdf4a38
+avionics radius-0: b21886ed de5f919d c22c6b03 7daaca8d 814c8271 5bf10263 507dfcca a937efd7 24348baf
+avionics stuck-duty-0: 9f56af20 3dc587a1 784e8968 a03d1d28 cf9a472c a17d51fb 418e2574 c58cf40e 1a8d897e
 avionics alpha-inf: 17e1d04a 834d8f90 0f972711 190fdb80 e95fe3fa cd27eeb8 c7a4c33c d42a084d 62b6d154
-campaign default: 78889957 cc7c8e55 a2c834a7 cb7e69b9 bcc15cf6 bf9911b1 3a9481a2 92712e14 58734a10
-campaign spatial-off: e8b749e2 2a09e457 d9f533c8 ad16d623 a0e792af fbd44755 655ff7c9 ccdf695f 6e3f1154
-campaign cohost-off: ec28711f e0036e2d 93271afc 8daae55d 54c289e4 38e4f3f4 2a437346 e7972274 c32015d6
-campaign radius-0: 6acdf7c9 4299354d 82dced7d 1040db7b 9957a638 e33a3534 a00f113b b62050f7 cffe7554
-campaign stuck-duty-0: 326aef55 ab71055a a1689b23 55667a6d 68865c09 bb4288e3 0b3f00c7 e74c6a8d b7413db3
-campaign alpha-inf: c34150a6 400fe067 eed0edef 56705ef3 2e42c465 f690a031 70b5785b e3dcf612 7bddc119
+campaign default: 053d18a5 4c842013 ddd2775c d90cbc8c cc1195bb 412e6efe 3a9481a2 92712e14 58734a10
+campaign spatial-off: e77bac26 0760a835 89b835c1 16ae86dd 7e9cbb7f 13cdff6d 655ff7c9 ccdf695f 6e3f1154
+campaign cohost-off: ee888f05 da8b7560 28131c24 4063451e eed762aa 584ce726 2a437346 e7972274 c32015d6
+campaign radius-0: c0fada60 e8481e84 46a26f05 44776053 2502f750 70f5331f a00f113b b62050f7 cffe7554
+campaign stuck-duty-0: 774aadad 01072fc6 0b633f52 36f8e4b9 114adfe3 d77c0d13 0b3f00c7 e74c6a8d b7413db3
+campaign alpha-inf: 4d195505 97c7cc44 2268bedc 004d9768 4ca8526c d08a94fd 776da41e e1b13cf7 9d9467aa
 ";
 
 #[test]

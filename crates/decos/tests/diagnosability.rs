@@ -177,3 +177,36 @@ fn quartz_vs_connector_same_node_distinguishable() {
     let conn = FaultKind::ConnectorIntermittent { rate_per_hour: 2_000.0, duration_ms: 5.0 };
     assert_distinguishable((quartz, n2), (conn, n2), 47);
 }
+
+// ---------------------------------------------------------------------
+// Static "unreachable" claims must hold in vivo.
+// ---------------------------------------------------------------------
+
+/// With an α threshold no count can reach, only the patterns that fire on
+/// a declared α-count go dark: the connector pattern reads the count for
+/// its confidence alone. The static model must therefore still see the
+/// connector fault, and the run does convict the connector's FRU.
+#[test]
+fn unreachable_alpha_threshold_leaves_the_connector_visible() {
+    use decos::analyzer::DiagCode;
+    use decos::prelude::{run_campaign_opts, EngineParams, RunOptions};
+    let mut params = EngineParams::default();
+    params.ona.alpha.threshold = f64::INFINITY;
+    let faults = decos::faults::campaign::connector_campaign(NodeId(2), 2000.0);
+    let c = Campaign::reference(faults, ACCEL, 1000, 5);
+    let report = c.analyze(&params);
+    assert!(!report.contains(DiagCode::FaultClassInvisibleToOna), "{report}");
+    // The hardened gate admits the run: no DA08x verdict stands against it.
+    let opts = RunOptions { deny_diagnosability: true, ..RunOptions::default() };
+    let out = run_campaign_opts(&c, params, opts, |_, _, _| {})
+        .unwrap_or_else(|e| panic!("rejected: {e:?}"));
+    let n2 = FruRef::Component(NodeId(2));
+    assert!(
+        out.report
+            .verdicts
+            .iter()
+            .any(|v| v.fru == n2 && v.class == Some(FaultClass::ComponentBorderline)),
+        "N2 not convicted as component-borderline: {:?}",
+        out.report.verdicts
+    );
+}

@@ -38,7 +38,7 @@ pub use dissemination::DisseminationStats;
 pub use engine::{DiagnosticEngine, EngineParams, DEGRADED_QUALITY_THRESHOLD};
 pub use metrics::{score_case, ActionScore, ConfusionMatrix, REMOVAL_COST_USD};
 pub use model::{
-    earliest_fire_round, pattern_model, patterns_for_kind, PatternModel, SymptomDomain,
+    pattern_model, patterns_for_kind, reach, PatternModel, SymptomDomain, PATTERN_MODELS,
 };
 pub use patterns::{OnaBank, OnaParams, PatternMatch};
 pub use state::DistributedState;

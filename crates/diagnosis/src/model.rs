@@ -1,14 +1,16 @@
-//! Static facts behind the ONA pattern matchers, exposed for the
-//! decos-analyzer's abstract diagnosability model.
+//! The ONA pattern catalogue: which fault class each pattern indicates
+//! (Fig. 8), where its evidence is observed, and whether it can fire by
+//! round n — the static facts behind the runtime matchers.
 //!
 //! The [`OnaBank`](crate::patterns::OnaBank) matches symptom streams at
-//! runtime; the static n-diagnosability check needs the facts *behind*
-//! those matchers — which patterns a fault kind can manifest as, what
-//! confidence a firing carries, how early a pattern can possibly fire —
-//! without running a simulation. This module is the single home of those
-//! facts so the runtime matchers and the static model cannot drift apart
-//! silently: the constants here mirror `patterns.rs` and are pinned by
-//! tests in both crates.
+//! runtime; the decos-analyzer's coverage pass (DA020/DA021) and its
+//! bounded n-diagnosability model (DA080–DA082) need the facts *behind*
+//! those matchers without running a simulation. [`PATTERN_MODELS`] holds
+//! one row per pattern the bank can emit, and [`reach`] is the one rule
+//! both passes ask: a pattern is available within n rounds iff its
+//! parameter gates pass and its envelope round is at most n. The rows
+//! mirror the matcher literals in `patterns.rs`; a test there checks
+//! every emitted match against its row and [`reach`].
 //!
 //! The model is deliberately **optimistic** (a best-case envelope of the
 //! runtime): it assumes every manifestation is observed at the earliest
@@ -22,7 +24,7 @@
 //!   empirically by the paired-simulation soundness suite in
 //!   `crates/decos/tests/diagnosability.rs`.
 
-use decos_faults::FaultKind;
+use decos_faults::{FaultClass, FaultKind};
 use decos_reliability::AlphaParams;
 
 use crate::patterns::OnaParams;
@@ -47,11 +49,13 @@ pub enum SymptomDomain {
     JobValue,
 }
 
-/// One row of static pattern metadata.
+/// One row of the ONA pattern catalogue.
 #[derive(Debug, Clone, Copy)]
 pub struct PatternModel {
     /// Stable pattern name (matches `PatternMatch::pattern`).
     pub name: &'static str,
+    /// The fault class the pattern indicates (Fig. 8).
+    pub class: FaultClass,
     /// Evidence domain (detector-placement precondition).
     pub domain: SymptomDomain,
     /// Highest confidence the runtime matcher ever attaches to a firing
@@ -59,25 +63,37 @@ pub struct PatternModel {
     pub confidence: f64,
 }
 
-/// Static metadata for every pattern the ONA bank can emit, in Fig. 8
-/// order. Confidences mirror the literals in `patterns.rs`.
-pub(crate) const PATTERN_MODELS: &[PatternModel] = &[
-    PatternModel { name: "massive-transient", domain: SymptomDomain::Comm, confidence: 0.9 },
-    PatternModel { name: "isolated-transient", domain: SymptomDomain::Comm, confidence: 0.4 },
-    PatternModel { name: "connector", domain: SymptomDomain::Comm, confidence: 0.9 },
-    PatternModel { name: "connector-rx", domain: SymptomDomain::Comm, confidence: 0.45 },
-    PatternModel { name: "recurring-internal", domain: SymptomDomain::Comm, confidence: 0.8 },
-    PatternModel { name: "wearout", domain: SymptomDomain::Comm, confidence: 0.95 },
-    PatternModel { name: "oscillator", domain: SymptomDomain::Sync, confidence: 0.85 },
-    PatternModel { name: "cohost-correlation", domain: SymptomDomain::JobValue, confidence: 0.85 },
-    PatternModel { name: "configuration", domain: SymptomDomain::Queue, confidence: 0.9 },
-    PatternModel { name: "software-design", domain: SymptomDomain::JobValue, confidence: 0.7 },
-    PatternModel { name: "transducer-stuck", domain: SymptomDomain::JobValue, confidence: 0.8 },
-    PatternModel { name: "transducer-drift", domain: SymptomDomain::JobValue, confidence: 0.8 },
-    PatternModel { name: "transducer-dead", domain: SymptomDomain::JobValue, confidence: 0.75 },
-];
+const fn row(
+    name: &'static str,
+    class: FaultClass,
+    domain: SymptomDomain,
+    confidence: f64,
+) -> PatternModel {
+    PatternModel { name, class, domain, confidence }
+}
 
-/// Looks up the static metadata row for a pattern name.
+/// Every pattern the ONA bank can emit, in Fig. 8 order.
+pub const PATTERN_MODELS: &[PatternModel] = {
+    use FaultClass::*;
+    use SymptomDomain::*;
+    &[
+        row("massive-transient", ComponentExternal, Comm, 0.9),
+        row("isolated-transient", ComponentExternal, Comm, 0.4),
+        row("connector", ComponentBorderline, Comm, 0.9),
+        row("connector-rx", ComponentBorderline, Comm, 0.45),
+        row("recurring-internal", ComponentInternal, Comm, 0.8),
+        row("wearout", ComponentInternal, Comm, 0.95),
+        row("oscillator", ComponentInternal, Sync, 0.85),
+        row("cohost-correlation", ComponentInternal, JobValue, 0.85),
+        row("configuration", JobBorderline, Queue, 0.9),
+        row("software-design", JobInherentSoftware, JobValue, 0.7),
+        row("transducer-stuck", JobInherentTransducer, JobValue, 0.8),
+        row("transducer-drift", JobInherentTransducer, JobValue, 0.8),
+        row("transducer-dead", JobInherentTransducer, JobValue, 0.75),
+    ]
+};
+
+/// Looks up the catalogue row for a pattern name.
 pub fn pattern_model(name: &str) -> Option<&'static PatternModel> {
     PATTERN_MODELS.iter().find(|m| m.name == name)
 }
@@ -93,32 +109,70 @@ pub(crate) fn alpha_windows_to_declare(a: &AlphaParams) -> Option<u64> {
     Some((a.threshold.ceil() as u64).max(1))
 }
 
-/// Earliest round (1-indexed) at which a pattern can possibly fire,
-/// under the optimistic envelope (a manifestation in every round /
-/// judgement window from round 1 on). `None` when the pattern can never
-/// fire under these parameters.
-pub fn earliest_fire_round(pattern: &str, ona: &OnaParams) -> Option<u64> {
-    let windows = alpha_windows_to_declare(&ona.alpha)?;
+/// Whether pattern `p` can fire under `ona` within `rounds` (0 = no fixed
+/// horizon): the earliest round (1-indexed) it can fire, or why it
+/// cannot.
+///
+/// The round is the optimistic envelope — a manifestation in every round
+/// and judgement window from round 1 on. Only recurring-internal reads
+/// the α-count to fire; the connector and oscillator patterns read it for
+/// their confidence or class alone, and wearout fires on its trend.
+///
+/// # Errors
+///
+/// The reason, when a parameter gate closes the pattern or its envelope
+/// round lies beyond the horizon.
+pub fn reach(p: &PatternModel, ona: &OnaParams, rounds: u64) -> Result<u64, String> {
+    let within = |needed: u64, what: &str| {
+        if rounds == 0 || needed <= rounds {
+            Ok(needed)
+        } else {
+            Err(format!("{what} needs {needed} rounds but the horizon is {rounds}"))
+        }
+    };
     let jr = ona.judgement_rounds.max(1) as u64;
-    match pattern {
-        // Single-round comm/sync evidence.
-        "massive-transient" | "isolated-transient" | "connector" | "connector-rx"
-        | "oscillator" => Some(1),
-        // Correlated value violations within the correlation window.
-        "cohost-correlation" => Some(1),
-        // The α-count must declare: one failing judgement window per
-        // α-increment.
-        "recurring-internal" => Some(windows.saturating_mul(jr)),
-        // Declared α-count *and* an established positive trend over the
-        // minimum trend-window count.
-        "wearout" => Some(windows.max(ona.wearout_min_windows as u64).saturating_mul(jr)),
+    match p.name {
+        "massive-transient" if !ona.enable_spatial => {
+            Err("the spatial ONA is disabled (enable_spatial = false)".into())
+        }
+        "massive-transient" if !(ona.zone_radius_m.is_finite() && ona.zone_radius_m > 0.0) => {
+            Err(format!("zone radius {} m is not a positive finite number", ona.zone_radius_m))
+        }
+        "cohost-correlation" if !ona.enable_cohost => {
+            Err("the co-host correlation ONA is disabled (enable_cohost = false)".into())
+        }
+        // One failing judgement window per α-increment until the count
+        // declares.
+        "recurring-internal" => match alpha_windows_to_declare(&ona.alpha) {
+            Some(windows)
+                if ona.alpha.decay > 0.0 && ona.alpha.decay <= 1.0 && ona.alpha.threshold > 0.0 =>
+            {
+                within(windows.saturating_mul(jr), "the alpha-count declaration")
+            }
+            _ => Err(format!(
+                "alpha-count parameters (decay {}, threshold {}) cannot cross the threshold",
+                ona.alpha.decay, ona.alpha.threshold
+            )),
+        },
+        "wearout" if !ona.wearout_slope_min.is_finite() => {
+            Err("the minimum wearout slope is not finite".into())
+        }
+        // An established positive trend over the minimum window count.
+        "wearout" => {
+            within((ona.wearout_min_windows as u64).saturating_mul(jr).max(1), "the wearout trend")
+        }
         // One overflowing round per required overflow window.
-        "configuration" => Some(ona.overflow_min_windows.max(1)),
+        "configuration" => within(ona.overflow_min_windows.max(1), "the overflow evidence"),
+        "transducer-stuck" if !(ona.stuck_duty > 0.0 && ona.stuck_duty <= 1.0) => {
+            Err(format!("stuck duty {} is outside (0, 1]", ona.stuck_duty))
+        }
         // One symptomatic dispatch per round until the event floor.
         "software-design" | "transducer-stuck" | "transducer-drift" | "transducer-dead" => {
-            Some(ona.job_min_events.max(1))
+            within(ona.job_min_events.max(1), "the job symptom evidence")
         }
-        _ => None,
+        // Single-round evidence: the transient, connector, oscillator and
+        // co-host patterns.
+        _ => Ok(1),
     }
 }
 
@@ -235,10 +289,7 @@ mod tests {
                 let m = pattern_model(p)
                     .unwrap_or_else(|| panic!("{}: no model row for {p}", kind.name()));
                 assert!(m.confidence > 0.0 && m.confidence <= 1.0);
-                assert!(
-                    earliest_fire_round(p, &ona).is_some(),
-                    "{p}: no earliest-fire bound under default params"
-                );
+                assert!(reach(m, &ona, 0).is_ok(), "{p}: unreachable under default params");
             }
             assert_eq!(
                 patterns_for_kind(kind).is_empty(),
@@ -267,26 +318,135 @@ mod tests {
         }
     }
 
-    #[test]
-    fn earliest_fire_respects_judgement_horizon() {
-        let ona = OnaParams::default();
-        // Defaults: threshold 2.5 -> 3 windows of 50 rounds.
-        assert_eq!(earliest_fire_round("recurring-internal", &ona), Some(150));
-        // Wearout needs the trend floor too: max(3, 4) windows.
-        assert_eq!(earliest_fire_round("wearout", &ona), Some(200));
-        assert_eq!(earliest_fire_round("configuration", &ona), Some(5));
-        assert_eq!(earliest_fire_round("software-design", &ona), Some(3));
-        assert_eq!(earliest_fire_round("isolated-transient", &ona), Some(1));
-        assert_eq!(earliest_fire_round("no-such-pattern", &ona), None);
+    fn named(name: &str) -> &'static PatternModel {
+        pattern_model(name).unwrap_or_else(|| panic!("{name}"))
+    }
+
+    fn with_alpha(decay: f64, threshold: f64) -> OnaParams {
+        let mut o = OnaParams::default();
+        o.alpha.decay = decay;
+        o.alpha.threshold = threshold;
+        o
     }
 
     #[test]
-    fn confidences_mirror_patterns_rs() {
-        // Spot-pin the envelope values against the matcher literals.
-        assert_eq!(pattern_model("massive-transient").unwrap().confidence, 0.9);
-        assert_eq!(pattern_model("isolated-transient").unwrap().confidence, 0.4);
-        assert_eq!(pattern_model("wearout").unwrap().confidence, 0.95);
-        assert_eq!(pattern_model("transducer-dead").unwrap().confidence, 0.75);
-        assert!(pattern_model("nonexistent").is_none());
+    fn earliest_fire_respects_judgement_horizon() {
+        let ona = OnaParams::default();
+        let round = |name| reach(named(name), &ona, 0);
+        // Defaults: threshold 2.5 -> 3 windows of 50 rounds.
+        assert_eq!(round("recurring-internal"), Ok(150));
+        // The trend floor alone: 4 windows of 50 rounds.
+        assert_eq!(round("wearout"), Ok(200));
+        assert_eq!(round("configuration"), Ok(5));
+        assert_eq!(round("software-design"), Ok(3));
+        assert_eq!(round("isolated-transient"), Ok(1));
+        assert_eq!(round("connector-rx"), Ok(1));
+    }
+
+    #[test]
+    fn unknown_pattern_has_no_row() {
+        assert!(pattern_model("no-such-pattern").is_none());
+    }
+
+    #[test]
+    fn catalog_covers_every_class_by_default() {
+        let ona = OnaParams::default();
+        for class in FaultClass::ALL {
+            let covered =
+                PATTERN_MODELS.iter().any(|p| p.class == class && reach(p, &ona, 0).is_ok());
+            assert!(covered, "{class} uncovered under default parameters");
+        }
+    }
+
+    #[test]
+    fn disabling_spatial_removes_only_massive_transient() {
+        let ona = OnaParams { enable_spatial: false, ..OnaParams::default() };
+        assert!(reach(named("massive-transient"), &ona, 0).is_err());
+        // The class stays covered through the isolated-transient pattern.
+        assert!(reach(named("isolated-transient"), &ona, 0).is_ok());
+    }
+
+    #[test]
+    fn short_horizon_starves_evidence_thresholds() {
+        let ona = OnaParams::default();
+        let cfgp = named("configuration");
+        assert!(reach(cfgp, &ona, 2).is_err(), "5 overflow windows need > 2 rounds");
+        assert_eq!(reach(cfgp, &ona, 100), Ok(5));
+    }
+
+    #[test]
+    fn unavailability_boundaries_table() {
+        // Table-driven boundary cases: (pattern, ona, rounds, expect
+        // unavailable). Defaults: judgement_rounds 50, alpha threshold
+        // 2.5 (3 windows), wearout windows 4, overflow windows 5, job
+        // events 3.
+        let dflt = OnaParams::default;
+        let cases: Vec<(&str, OnaParams, u64, bool)> = vec![
+            // rounds = 0 means "unbounded": horizon starvation never fires.
+            ("recurring-internal", dflt(), 0, false),
+            ("wearout", dflt(), 0, false),
+            ("configuration", dflt(), 0, false),
+            ("software-design", dflt(), 0, false),
+            // Off-by-one around each envelope round.
+            ("recurring-internal", dflt(), 149, true),
+            ("recurring-internal", dflt(), 150, false),
+            ("wearout", dflt(), 199, true),
+            ("wearout", dflt(), 200, false),
+            ("configuration", dflt(), 4, true),
+            ("configuration", dflt(), 5, false),
+            ("software-design", dflt(), 2, true),
+            ("software-design", dflt(), 3, false),
+            ("transducer-stuck", dflt(), 2, true),
+            ("transducer-stuck", dflt(), 3, false),
+            ("transducer-drift", dflt(), 2, true),
+            ("transducer-dead", dflt(), 3, false),
+            // Instant patterns survive a one-round horizon.
+            ("isolated-transient", dflt(), 1, false),
+            ("connector", dflt(), 1, false),
+            ("connector-rx", dflt(), 1, false),
+            ("oscillator", dflt(), 1, false),
+            ("massive-transient", dflt(), 1, false),
+            // Saturated / degenerate parameters kill the pattern outright,
+            // regardless of horizon.
+            ("recurring-internal", with_alpha(0.9, f64::INFINITY), 0, true),
+            ("recurring-internal", with_alpha(0.0, 3.0), 0, true),
+            ("recurring-internal", with_alpha(0.9, 0.0), 0, true),
+            ("wearout", OnaParams { wearout_slope_min: f64::NAN, ..dflt() }, 0, true),
+            ("massive-transient", OnaParams { zone_radius_m: 0.0, ..dflt() }, 0, true),
+            ("massive-transient", OnaParams { zone_radius_m: f64::INFINITY, ..dflt() }, 0, true),
+            ("massive-transient", OnaParams { enable_spatial: false, ..dflt() }, 0, true),
+            ("cohost-correlation", OnaParams { enable_cohost: false, ..dflt() }, 0, true),
+            ("cohost-correlation", dflt(), 1, false),
+            ("transducer-stuck", OnaParams { stuck_duty: 0.0, ..dflt() }, 0, true),
+            ("transducer-stuck", OnaParams { stuck_duty: 1.5, ..dflt() }, 0, true),
+            ("transducer-stuck", OnaParams { stuck_duty: 1.0, ..dflt() }, 0, false),
+            // An unreachable alpha threshold closes only the pattern that
+            // fires on a declared count.
+            ("wearout", with_alpha(0.9, f64::INFINITY), 0, false),
+            ("connector", with_alpha(0.9, f64::INFINITY), 1, false),
+            ("oscillator", with_alpha(0.9, f64::INFINITY), 1, false),
+        ];
+        for (i, (name, ona, rounds, expect_unavailable)) in cases.iter().enumerate() {
+            let got = reach(named(name), ona, *rounds);
+            assert_eq!(
+                got.is_err(),
+                *expect_unavailable,
+                "case {i}: {name} at {rounds} rounds -> {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn scaled_judgement_interval_moves_the_horizon() {
+        // The rounds scale with the parameters, not with constants.
+        let ona =
+            OnaParams { judgement_rounds: 10, wearout_min_windows: 7, ..OnaParams::default() };
+        assert!(reach(named("recurring-internal"), &ona, 29).is_err());
+        assert_eq!(reach(named("recurring-internal"), &ona, 30), Ok(30));
+        assert!(reach(named("wearout"), &ona, 69).is_err());
+        assert_eq!(reach(named("wearout"), &ona, 70), Ok(70));
+        let ona = OnaParams { overflow_min_windows: 1, job_min_events: 1, ..OnaParams::default() };
+        assert_eq!(reach(named("configuration"), &ona, 1), Ok(1));
+        assert_eq!(reach(named("software-design"), &ona, 1), Ok(1));
     }
 }

@@ -699,26 +699,78 @@ mod tests {
     use decos_sim::{SeedSource, SimDuration};
     use proptest::prelude::*;
 
-    /// Runs a campaign and returns the pattern matches plus the bank.
-    fn run(faults: Vec<FaultSpec>, accel: f64, rounds: u64) -> Vec<PatternMatch> {
-        run_spec(fig10::reference_spec(), faults, accel, rounds)
+    /// The classifier scenarios: cluster, campaign, rate acceleration and
+    /// rounds, by name.
+    fn scenario(name: &str) -> (decos_platform::ClusterSpec, Vec<FaultSpec>, f64, u64) {
+        use decos_faults::{campaign, FaultKind};
+        let on = |node: u16, kind: FaultKind| {
+            let target = FruRef::Component(NodeId(node));
+            vec![FaultSpec { id: 1, kind, target, onset: SimTime::ZERO }]
+        };
+        let fig = fig10::reference_spec;
+        match name {
+            "emi" => {
+                let center = Position { x: 0.2, y: 0.1 };
+                let emi = FaultKind::EmiBurst {
+                    rate_per_hour: 4000.0,
+                    duration_ms: 10.0,
+                    center,
+                    radius_m: 1.0,
+                };
+                (fig(), on(0, emi), 10.0, 4000)
+            }
+            "connector" => (fig(), campaign::connector_campaign(NodeId(2), 4000.0), 10.0, 4000),
+            "recurring-internal" => {
+                let ic = FaultKind::IcTransient { rate_per_hour: 9000.0, duration_ms: 4.0 };
+                (fig(), on(1, ic), 10.0, 4000)
+            }
+            "misconfiguration" => {
+                (campaign::misconfiguration_campaign(fig(), 16).0, vec![], 1.0, 3000)
+            }
+            "stuck-sensor" => {
+                let stuck = FaultKind::SensorStuck { value: 99.0 };
+                (fig(), campaign::sensor_campaign(fig10::jobs::A1, stuck), 1.0, 1500)
+            }
+            "bohrbug" => (fig(), campaign::software_campaign(fig10::jobs::A1, false), 1.0, 4000),
+            // Component 0 hosts S1 (DAS S) and A1 (DAS A): a component-level
+            // aging fault biases both jobs' outputs.
+            "capacitor-aging" => {
+                (fig(), on(0, FaultKind::CapacitorAging { bias_per_hour: 40_000.0 }), 1.0, 4000)
+            }
+            "fault-free" => (fig(), vec![], 1.0, 1000),
+            other => panic!("no scenario {other}"),
+        }
     }
 
-    fn run_spec(
-        spec: decos_platform::ClusterSpec,
-        faults: Vec<FaultSpec>,
-        accel: f64,
-        rounds: u64,
-    ) -> Vec<PatternMatch> {
+    const SCENARIOS: [&str; 8] = [
+        "emi",
+        "connector",
+        "recurring-internal",
+        "misconfiguration",
+        "stuck-sensor",
+        "bohrbug",
+        "capacitor-aging",
+        "fault-free",
+    ];
+
+    /// Runs a scenario under default parameters.
+    fn run(name: &str) -> Vec<PatternMatch> {
+        run_with(name, OnaParams::default()).into_iter().map(|(_, m)| m).collect()
+    }
+
+    /// Runs a scenario and returns each pattern match with its round
+    /// (1-indexed).
+    fn run_with(name: &str, ona: OnaParams) -> Vec<(u64, PatternMatch)> {
+        let (spec, faults, accel, rounds) = scenario(name);
         let mut env = FaultEnvironment::for_cluster(faults, &spec, accel, SeedSource::new(21));
         let mut sim = decos_platform::ClusterSim::new(spec, 77).unwrap();
         let mut det = SymptomDetectors::new(&sim);
         let mut ds = DistributedState::new(512, SimDuration::from_millis(400));
-        let mut bank = OnaBank::new(&sim, OnaParams::default());
+        let mut bank = OnaBank::new(&sim, ona);
         let mut matches = Vec::new();
         let mut batch = Vec::new();
         let mut round_matches = Vec::new();
-        for r in 0..rounds {
+        for round in 1..=rounds {
             for _ in 0..4 {
                 let rec = sim.step_slot(&mut env);
                 det.detect(&sim, &rec, &mut batch);
@@ -726,8 +778,7 @@ mod tests {
             let now = sim.now();
             ds.ingest_round(now, std::mem::take(&mut batch));
             bank.evaluate_round_into(now, &ds, &mut round_matches);
-            matches.append(&mut round_matches);
-            let _ = r;
+            matches.extend(round_matches.drain(..).map(|m| (round, m)));
         }
         matches
     }
@@ -741,20 +792,34 @@ mod tests {
     }
 
     #[test]
+    fn matches_stay_inside_the_catalogue_envelope() {
+        // The static model's optimistic envelope must cover what the
+        // matchers really emit: the row's class, at most the row's
+        // confidence, and never before the round `reach` allows.
+        let mut alpha_10 = OnaParams::default();
+        alpha_10.alpha.threshold = 10.0;
+        for ona in [OnaParams::default(), alpha_10] {
+            for name in SCENARIOS {
+                for (round, m) in run_with(name, ona) {
+                    let at = format!(
+                        "{name}, threshold {}: {} in round {round}",
+                        ona.alpha.threshold, m.pattern
+                    );
+                    let row = crate::model::pattern_model(m.pattern)
+                        .unwrap_or_else(|| panic!("{at}: no catalogue row"));
+                    assert_eq!(m.class, row.class, "{at}");
+                    assert!(m.confidence <= row.confidence, "{at}: confidence {}", m.confidence);
+                    let earliest = crate::model::reach(row, &ona, 0)
+                        .unwrap_or_else(|why| panic!("{at}, but the model says {why}"));
+                    assert!(round >= earliest, "{at}, but the envelope says round {earliest}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn emi_is_classified_external() {
-        use decos_faults::FaultKind;
-        let faults = vec![FaultSpec {
-            id: 1,
-            kind: FaultKind::EmiBurst {
-                rate_per_hour: 4000.0,
-                duration_ms: 10.0,
-                center: Position { x: 0.2, y: 0.1 },
-                radius_m: 1.0,
-            },
-            target: FruRef::Component(NodeId(0)),
-            onset: SimTime::ZERO,
-        }];
-        let matches = run(faults, 10.0, 4000);
+        let matches = run("emi");
         assert!(!matches.is_empty());
         assert!(
             matches.iter().any(|m| m.pattern == "massive-transient"),
@@ -768,8 +833,7 @@ mod tests {
 
     #[test]
     fn connector_is_classified_borderline() {
-        let faults = decos_faults::campaign::connector_campaign(NodeId(2), 4000.0);
-        let matches = run(faults, 10.0, 4000);
+        let matches = run("connector");
         assert_eq!(
             dominant_class(&matches, FruRef::Component(NodeId(2))),
             Some(FaultClass::ComponentBorderline)
@@ -778,14 +842,7 @@ mod tests {
 
     #[test]
     fn recurring_internal_is_classified_internal() {
-        use decos_faults::FaultKind;
-        let faults = vec![FaultSpec {
-            id: 1,
-            kind: FaultKind::IcTransient { rate_per_hour: 9000.0, duration_ms: 4.0 },
-            target: FruRef::Component(NodeId(1)),
-            onset: SimTime::ZERO,
-        }];
-        let matches = run(faults, 10.0, 4000);
+        let matches = run("recurring-internal");
         assert_eq!(
             dominant_class(&matches, FruRef::Component(NodeId(1))),
             Some(FaultClass::ComponentInternal)
@@ -794,9 +851,7 @@ mod tests {
 
     #[test]
     fn misconfiguration_is_classified_job_borderline() {
-        let (spec, _) =
-            decos_faults::campaign::misconfiguration_campaign(fig10::reference_spec(), 16);
-        let matches = run_spec(spec, vec![], 1.0, 3000);
+        let matches = run("misconfiguration");
         assert_eq!(
             dominant_class(&matches, FruRef::Job(fig10::jobs::C3)),
             Some(FaultClass::JobBorderline)
@@ -805,11 +860,7 @@ mod tests {
 
     #[test]
     fn stuck_sensor_is_classified_transducer() {
-        let faults = decos_faults::campaign::sensor_campaign(
-            fig10::jobs::A1,
-            decos_faults::FaultKind::SensorStuck { value: 99.0 },
-        );
-        let matches = run(faults, 1.0, 1500);
+        let matches = run("stuck-sensor");
         assert_eq!(
             dominant_class(&matches, FruRef::Job(fig10::jobs::A1)),
             Some(FaultClass::JobInherentTransducer)
@@ -821,8 +872,7 @@ mod tests {
 
     #[test]
     fn bohrbug_is_classified_software() {
-        let faults = decos_faults::campaign::software_campaign(fig10::jobs::A1, false);
-        let matches = run(faults, 1.0, 4000);
+        let matches = run("bohrbug");
         assert_eq!(
             dominant_class(&matches, FruRef::Job(fig10::jobs::A1)),
             Some(FaultClass::JobInherentSoftware)
@@ -831,16 +881,7 @@ mod tests {
 
     #[test]
     fn capacitor_aging_triggers_cohost_correlation() {
-        use decos_faults::FaultKind;
-        // Component 0 hosts S1 (DAS S) and A1 (DAS A): a component-level
-        // aging fault biases both jobs' outputs.
-        let faults = vec![FaultSpec {
-            id: 1,
-            kind: FaultKind::CapacitorAging { bias_per_hour: 40_000.0 },
-            target: FruRef::Component(NodeId(0)),
-            onset: SimTime::ZERO,
-        }];
-        let matches = run(faults, 1.0, 4000);
+        let matches = run("capacitor-aging");
         assert!(
             matches.iter().any(|m| m.pattern == "cohost-correlation"
                 && m.fru == FruRef::Component(NodeId(0))),
@@ -854,7 +895,7 @@ mod tests {
 
     #[test]
     fn fault_free_cluster_triggers_nothing() {
-        let matches = run(vec![], 1.0, 1000);
+        let matches = run("fault-free");
         assert!(matches.is_empty(), "got {:?}", &matches[..matches.len().min(5)]);
     }
 

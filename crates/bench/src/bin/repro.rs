@@ -165,7 +165,7 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> 
 /// sharded fleet executor on the fig10 reference spec (DESIGN.md §16).
 /// Defaults to effort × 10⁶ vehicles, [`FLEET_ROUNDS`] rounds each.
 /// Telemetry is on so the summary can print the fingerprint hash.
-fn run_fleet_scale(o: &storecli::StoreCliOpts, shards: Option<usize>, effort: Effort) {
+fn run_fleet_scale(o: &storecli::StoreCliOpts, effort: Effort) {
     use decos::prelude::*;
     let cfg = FleetConfig {
         vehicles: o.vehicles.unwrap_or_else(|| effort.scale(FLEET_VEHICLES)),
@@ -173,7 +173,7 @@ fn run_fleet_scale(o: &storecli::StoreCliOpts, shards: Option<usize>, effort: Ef
         accel: o.accel.unwrap_or(10.0),
         seed: o.seed.unwrap_or(2026),
     };
-    let opts = FleetOptions { telemetry: true, shards, ..FleetOptions::default() };
+    let opts = FleetOptions { telemetry: true, shards: o.shards, ..FleetOptions::default() };
     let t0 = Instant::now();
     match run_fleet_configured(&fig10::reference_spec(), cfg, EngineParams::default(), &opts) {
         Ok(out) => {
@@ -186,7 +186,7 @@ fn run_fleet_scale(o: &storecli::StoreCliOpts, shards: Option<usize>, effort: Ef
                 cfg.vehicles,
                 cfg.rounds,
                 cfg.seed,
-                shards.map_or_else(|| "auto".to_string(), |s| s.to_string()),
+                o.shards.map_or_else(|| "auto".to_string(), |s| s.to_string()),
                 wall_secs,
                 cfg.vehicles as f64 / wall_secs,
                 slots as f64 / wall_secs,
@@ -216,7 +216,6 @@ fn main() {
     let flightrec = flag_value("--flightrec").cloned();
     let store_dir = flag_value("--store").cloned();
     let resume_dir = flag_value("--resume").cloned();
-    let shards: Option<usize> = numeric_flag(&args, "--shards");
     let store_opts = storecli::StoreCliOpts {
         rounds: numeric_flag(&args, "--rounds"),
         vehicles: numeric_flag(&args, "--vehicles"),
@@ -225,6 +224,7 @@ fn main() {
         snapshot_every: numeric_flag(&args, "--snapshot-every"),
         sync_every: numeric_flag(&args, "--sync-every"),
         chunk: numeric_flag(&args, "--chunk"),
+        shards: numeric_flag(&args, "--shards"),
     };
     const VALUE_FLAGS: &[&str] = &[
         "--effort",
@@ -263,7 +263,7 @@ fn main() {
         }
         Some(&"fleet") => {
             // Storeless fleet = the streaming scale workload (§16).
-            run_fleet_scale(&store_opts, shards, effort);
+            run_fleet_scale(&store_opts, effort);
             return;
         }
         Some(&"campaign") => {

@@ -34,6 +34,9 @@ pub struct StoreCliOpts {
     pub sync_every: Option<u64>,
     /// Fleet batch size ([`StorePolicy::chunk`]).
     pub chunk: Option<usize>,
+    /// Fleet worker threads ([`decos::fleet::FleetOptions::shards`]); not
+    /// part of the experiment's identity, so a resume may change it.
+    pub shards: Option<usize>,
 }
 
 impl StoreCliOpts {
@@ -58,8 +61,8 @@ fn reference_campaign(rounds: u64, accel: f64, seed: u64) -> Campaign {
     )
 }
 
-fn fleet_options() -> decos::fleet::FleetOptions {
-    decos::fleet::FleetOptions { telemetry: true, ..Default::default() }
+fn fleet_options(o: &StoreCliOpts) -> decos::fleet::FleetOptions {
+    decos::fleet::FleetOptions { telemetry: true, shards: o.shards, ..Default::default() }
 }
 
 fn exit_for(e: &StoreRunError) -> i32 {
@@ -152,7 +155,7 @@ fn run_stored_fleet(dir: &str, cfg: FleetConfig, o: &StoreCliOpts) -> i32 {
     };
     let spec = fig10::reference_spec();
     let params = EngineParams::default();
-    let opts = fleet_options();
+    let opts = fleet_options(o);
     let policy = o.policy();
     let mut fs = match FleetStore::open_or_create(io, &spec, &cfg, &params, &opts, &policy) {
         Ok(fs) => fs,
@@ -331,6 +334,46 @@ mod tests {
         assert_eq!(cmd_resume(&dir, &grown), exitcode::OK);
         assert_eq!(cmd_store_stat(&dir), exitcode::OK);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fleet_store_is_byte_identical_at_one_and_three_shards() {
+        let dirs = [tmpdir("fleet-shards-1"), tmpdir("fleet-shards-3")];
+        let mut images = Vec::new();
+        for (dir, shards) in dirs.iter().zip([1, 3]) {
+            let o = StoreCliOpts {
+                vehicles: Some(10),
+                rounds: Some(40),
+                seed: Some(8),
+                snapshot_every: Some(4),
+                chunk: Some(2),
+                shards: Some(shards),
+                ..Default::default()
+            };
+            assert_eq!(cmd_fleet(dir, &o), exitcode::OK);
+            images.push(dir_image(std::path::Path::new(dir)));
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        assert!(images[0].keys().any(|k| k.contains("snap-")), "snapshots were written");
+        assert_eq!(images[0], images[1], "store directories differ between 1 and 3 shards");
+    }
+
+    /// Every file under `root`, by relative path.
+    fn dir_image(root: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        let mut files = std::collections::BTreeMap::new();
+        let mut stack = vec![root.to_path_buf()];
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else {
+                    let rel = path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+                    files.insert(rel, std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        files
     }
 
     #[test]

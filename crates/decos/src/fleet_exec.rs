@@ -1,32 +1,38 @@
 //! Sharded work-stealing execution over a dense index space — the one
-//! parallel executor of the workspace (fleets, stored-fleet batches and
+//! parallel executor of the workspace (fleets, the stored fleet and
 //! experiment sweeps all run on it).
 //!
-//! The fleet path needs two properties a static contiguous split cannot
-//! give it at 10⁶ vehicles:
+//! It has two primitives:
 //!
-//! 1. **Streaming aggregation** — a shard folds each finished item into
-//!    its own accumulator immediately instead of materializing a
-//!    fleet-sized `Vec` of per-item results.
-//! 2. **Work stealing** — shards claim index *blocks* of a caller-chosen
-//!    size from a shared atomic cursor, so an expensive item idles one
-//!    shard for one block, not a whole contiguous range. The in-memory
-//!    fleet claims single vehicles (block size 1): a claim is one atomic
-//!    add against milliseconds of simulation, and the slowest vehicle,
-//!    not the slowest block of vehicles, sets the tail.
-//!
-//! Callers that do want every result back, in order, use [`map_ordered`]
-//! on top of the same executor.
+//! - [`run_sharded`] for **streaming aggregation** — a shard folds each
+//!   finished item into its own accumulator immediately instead of
+//!   materializing a fleet-sized `Vec` of per-item results. Shards claim
+//!   index *blocks* of a caller-chosen size from a shared atomic cursor
+//!   (**work stealing**), so an expensive item idles one shard for one
+//!   block, not a whole contiguous range. The in-memory fleet claims
+//!   single vehicles (block size 1): a claim is one atomic add against
+//!   milliseconds of simulation, and the slowest vehicle, not the slowest
+//!   block of vehicles, sets the tail.
+//! - `for_each_ordered` for **ordered streaming** — workers claim one
+//!   index at a time and the results reach a sink on the calling thread
+//!   in index order, within a bounded window ahead of the sink. The
+//!   stored fleet journals through it (the sink owns the store, which
+//!   need not be `Send`), and [`map_ordered`] collects through it with a
+//!   window spanning every item.
 //!
 //! Determinism contract: every index is processed by exactly one shard;
-//! which shard got which block varies between runs. Aggregates that are
-//! order-invariant (integer counters), or that the caller folds in a
-//! fixed index order (`FleetAccumulator` sorts its per-vehicle delivery
-//! qualities by index before it folds them), are therefore bit-identical
-//! for any shard count, including 1.
+//! which shard got which index varies between runs. Aggregates that are
+//! order-invariant (integer counters), that the caller folds in a fixed
+//! index order (`FleetAccumulator` sorts its per-vehicle delivery
+//! qualities by index before it folds them), or that a sink receives in
+//! index order are therefore bit-identical for any shard count,
+//! including 1.
 
+use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Runs `work` over `0..items` split into `block`-sized index blocks,
 /// dealt to `shards` worker threads through an atomic cursor.
@@ -82,29 +88,213 @@ where
     })
 }
 
-/// Blocks dealt per shard by [`map_ordered`]: enough that a straggler
-/// block leaves the other shards something to steal, few enough that the
-/// cursor is not contended on cheap items.
-const MAP_BLOCKS_PER_SHARD: u64 = 4;
+/// What the workers and the caller of `for_each_ordered` share, under
+/// one mutex.
+struct Stream<R> {
+    /// Next index a worker claims. Claiming and the window test are one
+    /// step under the lock, so a worker waiting on the window holds no
+    /// index.
+    claimed: u64,
+    /// Finished results the caller has not taken yet: `done[k]` holds the
+    /// result of index `taken + k` once a worker produced it.
+    done: VecDeque<Option<R>>,
+    /// Results the caller has taken off `done`.
+    taken: u64,
+    /// Results the sink has accepted: the lowest index not yet sunk, the
+    /// base of the window.
+    sunk: u64,
+    /// No worker starts another index: the caller stopped early (sink
+    /// error or unwinding) or a worker panicked.
+    stop: bool,
+    /// A worker panicked, so its index will never arrive.
+    panicked: bool,
+}
 
-/// Maps `f` over `0..items` on [`run_sharded`] and returns the results in
-/// index order, whichever shard finished which block first.
+struct Shared<R> {
+    stream: Mutex<Stream<R>>,
+    /// Wakes the caller: index `taken` is done, or a worker panicked.
+    ready: Condvar,
+    /// Wakes waiting workers: the window moved, or the run stopped.
+    room: Condvar,
+}
+
+impl<R> Shared<R> {
+    /// Locks the stream. Neither `work` nor the sink runs under the lock
+    /// and every update below leaves the stream consistent, so a poisoned
+    /// lock (a panic in an allocation) is safe to recover; the panic
+    /// itself still surfaces through the worker's join.
+    fn lock(&self) -> MutexGuard<'_, Stream<R>> {
+        self.stream.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn stop(&self, panicked: bool) {
+        let mut s = self.lock();
+        s.stop = true;
+        s.panicked |= panicked;
+        drop(s);
+        self.room.notify_all();
+        self.ready.notify_all();
+    }
+}
+
+/// Stops the stream when dropped: on a worker only while it unwinds (its
+/// index is lost, so the caller must not wait for it), on the caller
+/// always (every index is sunk, the sink failed, or the sink panicked —
+/// in each case no worker may wait on a window that will not move).
+struct StopOnDrop<'a, R> {
+    shared: &'a Shared<R>,
+    worker: bool,
+}
+
+impl<R> Drop for StopOnDrop<'_, R> {
+    fn drop(&mut self) {
+        let panicked = std::thread::panicking();
+        if panicked || !self.worker {
+            self.shared.stop(self.worker && panicked);
+        }
+    }
+}
+
+/// Streams `work` over `0..items` on `shards` worker threads and hands
+/// every result to `sink` on the calling thread, in ascending index
+/// order, while the workers go on with later indices.
 ///
-/// The block size follows from `items` and `shards` (about
-/// `MAP_BLOCKS_PER_SHARD` blocks per shard); since every result lands
-/// at its own index, it never shows in the output.
+/// The workers live for the whole call and claim one index at a time;
+/// no worker starts an index at or beyond the lowest index not yet sunk
+/// plus `window`, so at most `window` results (finished or in flight)
+/// wait for the sink. A sink error stops further claims and is returned
+/// once the workers have finished the indices they hold. A panic in
+/// `work` stops the stream and is resumed on the calling thread; a panic
+/// in `sink` stops the workers before it unwinds out of the call.
+///
+/// `shards` is clamped to `items` and `window` (an extra worker would
+/// only wait) and to a minimum of 1; with one shard every index runs on
+/// the calling thread, each sunk before the next starts.
+pub(crate) fn for_each_ordered<R, E, W, S>(
+    items: u64,
+    shards: usize,
+    window: u64,
+    work: W,
+    mut sink: S,
+) -> Result<(), E>
+where
+    R: Send,
+    W: Fn(u64) -> R + Sync,
+    S: FnMut(u64, R) -> Result<(), E>,
+{
+    let window = window.max(1);
+    let shards = shards.clamp(1, items.min(window).max(1).min(usize::MAX as u64) as usize);
+    if shards <= 1 {
+        return (0..items).try_for_each(|i| sink(i, work(i)));
+    }
+    let shared = Shared {
+        stream: Mutex::new(Stream {
+            claimed: 0,
+            done: VecDeque::new(),
+            taken: 0,
+            sunk: 0,
+            stop: false,
+            panicked: false,
+        }),
+        ready: Condvar::new(),
+        room: Condvar::new(),
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|_| {
+                let (shared, work) = (&shared, &work);
+                scope.spawn(move || {
+                    let _guard = StopOnDrop { shared, worker: true };
+                    let mut s = shared.lock();
+                    loop {
+                        if s.stop || s.claimed >= items {
+                            return;
+                        }
+                        let i = s.claimed;
+                        if i >= s.sunk.saturating_add(window) {
+                            s = shared.room.wait(s).unwrap_or_else(PoisonError::into_inner);
+                            continue;
+                        }
+                        s.claimed += 1;
+                        drop(s);
+                        let r = work(i);
+                        s = shared.lock();
+                        let k = (i - s.taken) as usize;
+                        if s.done.len() <= k {
+                            s.done.resize_with(k + 1, || None);
+                        }
+                        s.done[k] = Some(r);
+                        if k == 0 {
+                            shared.ready.notify_one();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let result = {
+            let _guard = StopOnDrop { shared: &shared, worker: false };
+            sink_in_order(&shared, items, window, &mut sink)
+        };
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        result
+    })
+}
+
+/// The calling thread's half of `for_each_ordered`: takes each run of
+/// consecutive finished results off the stream and sinks it outside the
+/// lock, moving the window after every item.
+fn sink_in_order<R, E>(
+    shared: &Shared<R>,
+    items: u64,
+    window: u64,
+    sink: &mut impl FnMut(u64, R) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut next = 0;
+    while next < items {
+        let run: Vec<R> = {
+            let mut s = shared.lock();
+            while !s.panicked && !matches!(s.done.front(), Some(Some(_))) {
+                s = shared.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
+            }
+            if s.panicked {
+                // The join resumes the worker's panic.
+                return Ok(());
+            }
+            let n = s.done.iter().take_while(|r| r.is_some()).count();
+            s.taken += n as u64;
+            s.done.drain(..n).flatten().collect()
+        };
+        for r in run {
+            sink(next, r)?;
+            next += 1;
+            // With the window at every item no worker ever waits on it.
+            if window < items {
+                shared.lock().sunk = next;
+                shared.room.notify_all();
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Maps `f` over `0..items` on `for_each_ordered` and returns the
+/// results in index order. The window spans every item, so no worker
+/// ever waits for the caller.
 pub fn map_ordered<R, F>(items: u64, shards: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(u64) -> R + Sync,
 {
-    let block = items.div_ceil(shards.max(1) as u64 * MAP_BLOCKS_PER_SHARD);
-    let parts = run_sharded(items, block, shards, Vec::new, |acc: &mut Vec<(u64, R)>, r| {
-        acc.extend(r.map(|i| (i, f(i))));
+    let mut out = Vec::new();
+    let Ok(()) = for_each_ordered(items, shards, items, f, |_, r| {
+        out.push(r);
+        Ok::<(), Infallible>(())
     });
-    let mut pairs: Vec<(u64, R)> = parts.into_iter().flatten().collect();
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, r)| r).collect()
+    out
 }
 
 /// One shard per available core: the executor's default when the caller
@@ -236,5 +426,164 @@ mod tests {
                 (0..n).map(|i| i * 2).collect::<Vec<_>>()
             );
         }
+    }
+
+    /// Index 0 of a `for_each_ordered` run blocks until every other
+    /// index its window admits has finished; returns the sunk indices and
+    /// the highest index any worker had started when index 0 resumed.
+    fn ordered_behind_blocked_zero(items: u64, shards: usize, window: u64) -> (Vec<u64>, u64) {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::mpsc;
+        let started = AtomicU64::new(0);
+        let finished = AtomicU64::new(0);
+        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let seen_at_resume = AtomicU64::new(0);
+        let mut sunk = Vec::new();
+        let ok: Result<(), ()> = for_each_ordered(
+            items,
+            shards,
+            window,
+            |i| {
+                started.fetch_max(i, Ordering::SeqCst);
+                if i == 0 {
+                    let rx = rx.lock().expect("only index 0 takes the receiver");
+                    rx.recv_timeout(Duration::from_secs(10))
+                        .expect("indices 1..window finish while index 0 waits");
+                    // Give a worker that ignored the window the time to
+                    // start a further index before looking.
+                    std::thread::sleep(Duration::from_millis(30));
+                    seen_at_resume.store(started.load(Ordering::SeqCst), Ordering::SeqCst);
+                } else if finished.fetch_add(1, Ordering::SeqCst) + 2 == window.min(items) {
+                    tx.lock().expect("one sender").send(()).expect("index 0 is waiting");
+                }
+                i * 3
+            },
+            |i, r| {
+                assert_eq!(r, i * 3, "result {r} sunk as index {i}");
+                sunk.push(i);
+                Ok(())
+            },
+        );
+        assert!(ok.is_ok());
+        (sunk, seen_at_resume.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn for_each_ordered_sinks_in_index_order_behind_a_blocked_index() {
+        for (items, shards, window) in [(40, 3, 8), (40, 2, 40), (5, 4, 3)] {
+            let (sunk, _) = ordered_behind_blocked_zero(items, shards, window);
+            assert_eq!(sunk, (0..items).collect::<Vec<_>>(), "{items} items, {shards} shards");
+        }
+    }
+
+    #[test]
+    fn for_each_ordered_starts_nothing_past_the_window_of_an_unsunk_index() {
+        let (sunk, highest) = ordered_behind_blocked_zero(64, 3, 8);
+        assert_eq!(highest, 7, "index 0 unsunk: workers start exactly indices 1..8");
+        assert_eq!(sunk.len(), 64);
+    }
+
+    #[test]
+    fn for_each_ordered_returns_a_sink_error_and_stops_claiming() {
+        use std::sync::atomic::AtomicU64;
+        let started = AtomicU64::new(0);
+        let window = 4;
+        let mut sunk = Vec::new();
+        let err = for_each_ordered(
+            1_000,
+            2,
+            window,
+            |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                i
+            },
+            |i, _| {
+                if i == 5 {
+                    return Err(format!("sink refused {i}"));
+                }
+                sunk.push(i);
+                Ok(())
+            },
+        );
+        assert_eq!(err, Err("sink refused 5".to_string()));
+        assert_eq!(sunk, vec![0, 1, 2, 3, 4]);
+        // Index 5 was never sunk, so nothing at or past 5 + window started.
+        assert!(started.load(Ordering::SeqCst) <= 5 + window, "started past the stop");
+    }
+
+    #[test]
+    fn for_each_ordered_on_one_shard_sinks_each_index_before_the_next_starts() {
+        let log = Mutex::new(Vec::new());
+        let ok: Result<(), ()> = for_each_ordered(
+            4,
+            1,
+            2,
+            |i| log.lock().expect("no panics").push(format!("w{i}")),
+            |i, ()| {
+                log.lock().expect("no panics").push(format!("s{i}"));
+                Ok(())
+            },
+        );
+        assert!(ok.is_ok());
+        let log = log.into_inner().expect("no panics");
+        assert_eq!(log, ["w0", "s0", "w1", "s1", "w2", "s2", "w3", "s3"]);
+        let mut none = 0;
+        let empty: Result<(), ()> = for_each_ordered(
+            0,
+            1,
+            2,
+            |_| (),
+            |_, ()| {
+                none += 1;
+                Ok(())
+            },
+        );
+        assert_eq!((empty, none), (Ok(()), 0));
+    }
+
+    /// Runs `f` on its own thread and returns its panic message, failing
+    /// the test if it neither panics nor returns within a few seconds.
+    fn panic_message_within_bound(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let _ = tx.send(caught);
+        });
+        let caught = rx.recv_timeout(Duration::from_secs(10)).expect("the call hung");
+        let payload = caught.expect_err("the call must panic");
+        payload.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default()
+    }
+
+    #[test]
+    fn for_each_ordered_panics_instead_of_hanging_when_an_item_panics() {
+        use std::sync::atomic::AtomicU64;
+        // Index 0 panics once the other workers sit on the window, so
+        // neither they nor the caller may wait for it.
+        let msg = panic_message_within_bound(|| {
+            let finished = AtomicU64::new(0);
+            let _: Result<(), ()> = for_each_ordered(
+                100,
+                3,
+                4,
+                |i| {
+                    if i == 0 {
+                        while finished.load(Ordering::SeqCst) < 3 {
+                            std::thread::yield_now();
+                        }
+                        panic!("vehicle 0 panicked");
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                },
+                |_, ()| Ok(()),
+            );
+        });
+        assert_eq!(msg, "vehicle 0 panicked");
+        // A panicking sink must release the workers waiting on its window.
+        let msg = panic_message_within_bound(|| {
+            let _: Result<(), ()> =
+                for_each_ordered(100, 2, 2, |_| (), |_, ()| panic!("sink panicked"));
+        });
+        assert_eq!(msg, "sink panicked");
     }
 }

@@ -20,10 +20,19 @@
 //! fold into the same [`FleetAccumulator`] the in-memory executor uses,
 //! whose quality mean does not depend on the order vehicles arrive in —
 //! so the resumed aggregate (including its one order-sensitive float sum)
-//! is bit-identical to the uninterrupted run's. Memory is 16 B per vehicle
-//! in the accumulator, plus, on a resume, every committed
-//! [`VehicleRecord`], which [`FleetStore::open_or_create`] reads into
-//! memory.
+//! is bit-identical to the uninterrupted run's.
+//!
+//! Missing vehicles are simulated on worker threads and committed on the
+//! calling thread, which owns the [`Store`]: results reach it in index
+//! order, and each [`StorePolicy::chunk`] batch is appended, fsynced,
+//! folded and (on the snapshot cadence) snapshotted while the workers go
+//! on with the next vehicles, at most four batches ahead of the
+//! committer. A crash loses at most the batch not yet committed;
+//! vehicles simulated ahead of it were never journaled and are simulated
+//! again on resume. Memory is 16 B per vehicle in the accumulator, at
+//! most five batches of outcomes in flight, plus, on a resume, every
+//! committed [`VehicleRecord`], which [`FleetStore::open_or_create`]
+//! reads into memory.
 //!
 //! # What guards the journal
 //!
@@ -72,10 +81,15 @@ pub struct StorePolicy {
     /// round is a commit point; larger trades durability window for
     /// throughput).
     pub sync_every: u64,
-    /// Fleet: vehicles simulated per parallel batch between journal
-    /// commits — a crash loses at most one batch.
+    /// Fleet: vehicles per journal commit (one fsync each) — a crash
+    /// loses at most the batch not yet committed.
     pub chunk: usize,
 }
+
+/// How far, in [`StorePolicy::chunk`] batches, the stored fleet's workers
+/// may simulate past the oldest vehicle the committer has not taken yet:
+/// enough that the next batch is ready when a commit's fsync returns.
+const COMMIT_WINDOW_CHUNKS: u64 = 4;
 
 impl Default for StorePolicy {
     fn default() -> Self {
@@ -623,14 +637,16 @@ fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
 }
 
 /// Runs (or resumes) a fleet against its store. Committed vehicles are
-/// read back from the journal and skipped; missing vehicles are simulated
-/// in batches of [`StorePolicy::chunk`] on the [`fleet_exec`] executor
-/// ([`FleetOptions::shards`] shards, one per core by default). Each batch
-/// is journaled in ascending index order and committed with one fsync
-/// before it is folded, so the journal never depends on the shard count.
-/// A rejected vehicle fails the run with the same error
-/// [`crate::fleet::run_fleet_configured`] returns, and its batch is not
-/// journaled.
+/// read back from the journal and skipped; missing vehicles stream
+/// through one `fleet_exec::for_each_ordered` call
+/// ([`FleetOptions::shards`] workers, one per core by default) that hands
+/// them back in index order to the calling thread. There every
+/// [`StorePolicy::chunk`] vehicles are journaled in ascending index
+/// order, committed with one fsync and only then folded, while the
+/// workers simulate up to four batches ahead; so the journal never
+/// depends on the shard count. A rejected vehicle fails the run with the
+/// same error [`crate::fleet::run_fleet_configured`] returns, and nothing
+/// of its batch is journaled.
 pub fn run_fleet_stored<IO: StoreIo>(
     spec: &ClusterSpec,
     cfg: FleetConfig,
@@ -661,54 +677,66 @@ pub fn run_fleet_stored<IO: StoreIo>(
         acc.record(v, vr.outcome.clone(), vr.counters.as_deref().map(snapshot_from_counters));
         stats.verified += 1;
     }
-    for batch in missing.chunks(chunk) {
-        let results = fleet_exec::map_ordered(batch.len() as u64, shards, |i| {
-            let v = batch[i as usize];
+    let window = COMMIT_WINDOW_CHUNKS * chunk as u64;
+    let n = missing.len() as u64;
+    let mut batch = Vec::with_capacity(chunk);
+    fleet_exec::for_each_ordered(
+        n,
+        shards,
+        window,
+        |i| {
+            let v = missing[i as usize];
             run_vehicle(spec, cfg, seeds, v, params, opts).map(|r| (v, r))
-        });
-        // A rejected vehicle fails the run before its batch is journaled.
-        // Results come in index order, so the first rejection is the
-        // lowest.
-        let results: Vec<_> = results.into_iter().collect::<Result<_, _>>()?;
-        // Journal in index order within the batch; out-of-order *across*
-        // batches cannot happen because `missing` is sorted and batches
-        // are committed in sequence — but a resumed store whose committed
-        // set is a non-prefix subset (crash mid-batch plus manual edits)
-        // could demand interleaved indices. `Store::append` enforces
-        // monotonicity, so such a store is rejected rather than silently
-        // reordered.
-        for (v, (outcome, telemetry)) in &results {
-            let vr = VehicleRecord {
-                schema: VEHICLE_RECORD_SCHEMA.to_string(),
-                vehicle: *v,
-                outcome: outcome.clone(),
-                counters: telemetry.as_ref().map(|t| t.counters.clone()),
-            };
-            let payload = serde_json::to_string(&vr)
-                .map_err(|e| StoreError::Corrupt(format!("vehicle serialization: {e}")))?;
-            fs.store.append(VEHICLE_KIND, *v, *v, payload.as_bytes())?;
-            fs.fingerprint = fnv1a_extend(fs.fingerprint, payload.as_bytes());
-            stats.appended += 1;
-        }
-        fs.store.sync()?;
-        // Fold only after the batch is journaled and synced: the
-        // accumulator must never get ahead of the crash-consistent
-        // prefix it claims to summarize.
-        for (v, (outcome, telemetry)) in results {
-            acc.record(v, outcome, telemetry);
-        }
-        let done = fs.committed.len() as u64 + stats.appended;
-        if policy.snapshot_every > 0 && stats.appended > 0 && done % policy.snapshot_every == 0 {
-            let snap = FleetSnapshot {
-                schema: FLEET_SNAP_SCHEMA.to_string(),
-                vehicles_done: done,
-                journal_fingerprint: fs.fingerprint,
-            };
-            let body = serde_json::to_string_pretty(&snap)
-                .map_err(|e| StoreError::Corrupt(format!("snapshot serialization: {e}")))?;
-            fs.store.write_snapshot(&snap_name(done), &body)?;
-        }
-    }
+        },
+        |i, result| {
+            // A rejected vehicle fails the run before its batch is
+            // journaled. Results come in index order, so the first
+            // rejection is the lowest.
+            batch.push(result?);
+            if batch.len() < chunk && i + 1 < n {
+                return Ok(());
+            }
+            // Journal in index order within the batch; out-of-order
+            // *across* batches cannot happen because `missing` is sorted
+            // and batches are committed in sequence — but a resumed store
+            // whose committed set is a non-prefix subset (crash mid-batch
+            // plus manual edits) could demand interleaved indices.
+            // `Store::append` enforces monotonicity, so such a store is
+            // rejected rather than silently reordered.
+            for (v, (outcome, telemetry)) in &batch {
+                let vr = VehicleRecord {
+                    schema: VEHICLE_RECORD_SCHEMA.to_string(),
+                    vehicle: *v,
+                    outcome: outcome.clone(),
+                    counters: telemetry.as_ref().map(|t| t.counters.clone()),
+                };
+                let payload = serde_json::to_string(&vr)
+                    .map_err(|e| StoreError::Corrupt(format!("vehicle serialization: {e}")))?;
+                fs.store.append(VEHICLE_KIND, *v, *v, payload.as_bytes())?;
+                fs.fingerprint = fnv1a_extend(fs.fingerprint, payload.as_bytes());
+                stats.appended += 1;
+            }
+            fs.store.sync()?;
+            // Fold only after the batch is journaled and synced: the
+            // accumulator must never get ahead of the crash-consistent
+            // prefix it claims to summarize.
+            for (v, (outcome, telemetry)) in batch.drain(..) {
+                acc.record(v, outcome, telemetry);
+            }
+            let done = fs.committed.len() as u64 + stats.appended;
+            if policy.snapshot_every > 0 && done % policy.snapshot_every == 0 {
+                let snap = FleetSnapshot {
+                    schema: FLEET_SNAP_SCHEMA.to_string(),
+                    vehicles_done: done,
+                    journal_fingerprint: fs.fingerprint,
+                };
+                let body = serde_json::to_string_pretty(&snap)
+                    .map_err(|e| StoreError::Corrupt(format!("snapshot serialization: {e}")))?;
+                fs.store.write_snapshot(&snap_name(done), &body)?;
+            }
+            Ok::<(), StoreRunError>(())
+        },
+    )?;
     if cfg.vehicles > fs.store.manifest().vehicles {
         let mut m = fs.store.manifest().clone();
         m.vehicles = cfg.vehicles;

@@ -265,9 +265,19 @@ fn fleet_resume_skips_committed_vehicles_and_matches_the_straight_fleet() {
 
 #[test]
 fn fleet_crash_mid_batch_loses_at_most_the_uncommitted_batch() {
+    // One shard commits on the thread that simulates; three simulate
+    // ahead of the committer, so a failing commit finds vehicles in
+    // flight that must never reach the journal.
+    for shards in [1, 3] {
+        fleet_commit_failures_keep_the_committed_prefix(shards);
+    }
+}
+
+fn fleet_commit_failures_keep_the_committed_prefix(shards: usize) {
     let spec = fig10::reference_spec();
     let params = EngineParams::default();
-    let opts = decos::fleet::FleetOptions { telemetry: true, ..Default::default() };
+    let opts =
+        decos::fleet::FleetOptions { telemetry: true, shards: Some(shards), ..Default::default() };
     let cfg = FleetConfig { vehicles: 5, rounds: 250, accel: 10.0, seed: 8 };
 
     // Let two vehicles commit, then kill the journal mid-append of the
@@ -282,6 +292,23 @@ fn fleet_crash_mid_batch_loses_at_most_the_uncommitted_batch() {
     assert_eq!(scanned.records.len(), 5);
     let third_start = scanned.records[2].offset;
 
+    // The disk fills up in the second batch: the run fails with the
+    // store's error, and the journal holds exactly the first batch.
+    let io = FaultIo::with_plan(FaultPlan {
+        enospc_after_bytes: Some(third_start + 10),
+        ..Default::default()
+    });
+    let mut fs =
+        FleetStore::open_or_create(io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
+    let err = run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut fs)
+        .expect_err("the full disk must surface");
+    assert!(matches!(err, StoreRunError::Store(StoreError::Io(_))), "{shards} shards: got {err}");
+    assert_eq!(
+        io.file(JOURNAL_FILE).unwrap(),
+        &clean[..third_start as usize],
+        "{shards} shards: the journal holds exactly the first batch"
+    );
+
     let io = FaultIo::with_plan(FaultPlan {
         crash_after_bytes: Some(third_start + 10),
         ..Default::default()
@@ -290,7 +317,7 @@ fn fleet_crash_mid_batch_loses_at_most_the_uncommitted_batch() {
         FleetStore::open_or_create(io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
     let err = run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut fs)
         .expect_err("the scripted crash must surface");
-    assert!(matches!(err, StoreRunError::Store(StoreError::Io(_))), "got {err}");
+    assert!(matches!(err, StoreRunError::Store(StoreError::Io(_))), "{shards} shards: got {err}");
 
     io.restart();
     let io2 = FaultIo::from_files(io.files(), FaultPlan::default());

@@ -29,10 +29,16 @@
 //! on with the next vehicles, at most four batches ahead of the
 //! committer. A crash loses at most the batch not yet committed;
 //! vehicles simulated ahead of it were never journaled and are simulated
-//! again on resume. Memory is 16 B per vehicle in the accumulator, at
-//! most five batches of outcomes in flight, plus, on a resume, every
-//! committed [`VehicleRecord`], which [`FleetStore::open_or_create`]
-//! reads into memory.
+//! again on resume.
+//!
+//! A stored fleet keeps one copy of its journal in memory: [`Store`] keeps
+//! the records recovery read at open and does not mirror appends, and
+//! [`FleetStore::open_or_create`] decodes each committed
+//! [`VehicleRecord`] only long enough to verify it and fold it into the
+//! accumulator. Memory is 16 B per vehicle in the accumulator and at most
+//! five batches of outcomes in flight. On a resume add the recovered
+//! journal: [`Store::open`] holds the file and its scanned records at once
+//! (about twice the journal), and the handle keeps the scanned records.
 //!
 //! # What guards the journal
 //!
@@ -40,7 +46,9 @@
 //! (cluster, faults, engine parameters, accel, seed — *not* the horizon,
 //! so a resume may extend it). A mismatch is rejected up front with the
 //! analyzer's DA090 ([`DiagCode::StoreSpecMismatch`]) before any
-//! simulation or journal mutation.
+//! simulation or journal mutation: when the store opens, and again when a
+//! run starts, so a handle only ever runs the experiment it was opened
+//! for.
 
 use crate::fleet::{
     preflight, run_vehicle, FleetAccumulator, FleetConfig, FleetOptions, FleetOutcome,
@@ -58,7 +66,6 @@ use decos_store::{
     STORE_SCHEMA, VEHICLE_KIND,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Manifest `kind` for single-campaign stores.
 pub const CAMPAIGN_KIND: &str = "campaign";
@@ -152,7 +159,9 @@ pub struct StoreRunStats {
     /// Rounds (campaign) or vehicles (fleet) already committed when the
     /// store opened.
     pub committed_before: u64,
-    /// Rounds replay-verified against the journal this run.
+    /// Campaign: rounds replay-verified against the journal this run.
+    /// Fleet: committed vehicles folded from the journal instead of
+    /// simulated.
     pub verified: u64,
     /// Rounds/vehicles appended this run.
     pub appended: u64,
@@ -166,6 +175,28 @@ pub struct StoreRunStats {
     pub snapshots_written: u64,
     /// Torn-tail bytes quarantined by recovery at open.
     pub quarantined_bytes: u64,
+}
+
+impl StoreRunStats {
+    /// A run's starting point: `committed_before`, and what recovery
+    /// quarantined when `store` opened.
+    fn opened<IO: StoreIo>(committed_before: u64, store: &Store<IO>) -> Self {
+        StoreRunStats {
+            committed_before,
+            quarantined_bytes: store.stats().quarantined_bytes,
+            ..StoreRunStats::default()
+        }
+    }
+
+    /// Fills in the journal totals `store` holds after the run.
+    fn closed<IO: StoreIo>(mut self, store: &Store<IO>) -> Self {
+        let s = store.stats();
+        self.journal_records = s.recovered_records + s.appended_records;
+        self.journal_bytes = store.journal_len();
+        self.fsyncs = s.fsyncs;
+        self.snapshots_written = s.snapshots_written;
+        self
+    }
 }
 
 /// Canonical campaign spec hash: cluster, faults, engine parameters,
@@ -207,21 +238,45 @@ pub(crate) fn fleet_spec_hash(
     fnv1a(s.as_bytes())
 }
 
-fn spec_mismatch_rejection(expected: u64, found: u64) -> CampaignError {
+/// A DA090 rejection: the store belongs to another experiment than the
+/// one this run asks for.
+fn store_mismatch(message: String, suggestion: &str) -> StoreRunError {
     let mut report = AnalysisReport::new();
     report.push(
-        Diagnostic::new(
-            DiagCode::StoreSpecMismatch,
-            Severity::Error,
-            format!(
-                "store was written by experiment {found:016x}, this run is {expected:016x}: \
-                 cluster, faults, engine parameters, accel or seed differ"
-            ),
-        )
-        .suggest("point --store/--resume at a fresh directory, or rerun the stored experiment"),
+        Diagnostic::new(DiagCode::StoreSpecMismatch, Severity::Error, message).suggest(suggestion),
     );
     report.finish();
-    CampaignError::Rejected(report)
+    StoreRunError::Campaign(CampaignError::Rejected(report))
+}
+
+/// Refuses a store of another `kind` as corrupt, and one written by
+/// another experiment than `hash` with DA090.
+fn check_experiment(m: &Manifest, kind: &str, hash: u64) -> Result<(), StoreRunError> {
+    if m.kind != kind {
+        return Err(
+            StoreError::Corrupt(format!("store kind {:?} is not a {kind} store", m.kind)).into()
+        );
+    }
+    if m.spec_hash != hash {
+        return Err(store_mismatch(
+            format!(
+                "store was written by experiment {:016x}, this run is {hash:016x}: \
+                 cluster, faults, engine parameters, accel or seed differ",
+                m.spec_hash
+            ),
+            "point --store/--resume at a fresh directory, or rerun the stored experiment",
+        ));
+    }
+    Ok(())
+}
+
+/// Opens (running recovery) or creates the store `manifest` describes,
+/// then checks that it belongs to that experiment.
+fn open_checked<IO: StoreIo>(io: IO, manifest: Manifest) -> Result<Store<IO>, StoreRunError> {
+    let (kind, hash) = (manifest.kind.clone(), manifest.spec_hash);
+    let store = Store::open_or_create(io, manifest)?;
+    check_experiment(store.manifest(), &kind, hash)?;
+    Ok(store)
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +323,6 @@ impl<IO: StoreIo> CampaignStore<IO> {
         params: &EngineParams,
         policy: &StorePolicy,
     ) -> Result<Self, StoreRunError> {
-        let hash = campaign_spec_hash(c, params);
         let manifest = Manifest {
             schema: STORE_SCHEMA.to_string(),
             kind: CAMPAIGN_KIND.to_string(),
@@ -277,24 +331,14 @@ impl<IO: StoreIo> CampaignStore<IO> {
                 c.spec.components.len(),
                 c.faults.len()
             ),
-            spec_hash: hash,
+            spec_hash: campaign_spec_hash(c, params),
             seed: c.seed,
             accel: c.accel,
             rounds: c.rounds,
             vehicles: 1,
             snapshot_every: policy.snapshot_every,
         };
-        let store = Store::open_or_create(io, manifest)?;
-        if store.manifest().kind != CAMPAIGN_KIND {
-            return Err(StoreError::Corrupt(format!(
-                "store kind {:?} is not a campaign store",
-                store.manifest().kind
-            ))
-            .into());
-        }
-        if store.manifest().spec_hash != hash {
-            return Err(spec_mismatch_rejection(hash, store.manifest().spec_hash).into());
-        }
+        let store = open_checked(io, manifest)?;
         let mut deltas = Vec::with_capacity(store.records().len());
         let mut fingerprint = fnv1a(b"decos-store-campaign");
         for (i, rec) in store.records().iter().enumerate() {
@@ -389,108 +433,78 @@ pub fn run_campaign_stored<IO: StoreIo>(
     policy: &StorePolicy,
     cs: &mut CampaignStore<IO>,
 ) -> Result<(CampaignOutcome, StoreRunStats), StoreRunError> {
+    check_experiment(cs.store.manifest(), CAMPAIGN_KIND, campaign_spec_hash(c, &params))?;
     let committed = cs.committed_rounds();
-    let mut stats = StoreRunStats {
-        committed_before: committed,
-        quarantined_bytes: cs.store.stats().quarantined_bytes,
-        ..StoreRunStats::default()
-    };
+    let mut stats = StoreRunStats::opened(committed, &cs.store);
     // Latched first error: the runner's observer callback cannot return
     // early, so failures park here and surface after the run.
     let mut failure: Option<StoreRunError> = None;
     let mut prev = Cumulative::default();
-    {
-        let cs = &mut *cs;
-        let stats = &mut stats;
-        let failure = &mut failure;
-        let out = run_campaign_opts(c, params, opts, |sim, engine, rec| {
-            let spr = sim.schedule().slots_per_round();
-            if rec.addr.slot.0 != spr - 1 || failure.is_some() {
-                return;
-            }
-            let round = rec.addr.round;
-            let cur = Cumulative::capture(engine);
-            let delta = cur.delta(round, &prev, engine);
-            prev = cur;
-            if round < committed {
-                // Replay of committed history: verify, never rewrite.
-                let stored = &cs.deltas[round as usize];
-                if *stored != delta {
-                    *failure = Some(StoreRunError::Determinism {
-                        round,
-                        detail: format!("journal has {stored:?}, replay produced {delta:?}"),
-                    });
-                    return;
-                }
-                stats.verified += 1;
-                return;
-            }
-            let payload = delta.encode();
-            if let Err(e) = cs.store.append(ROUND_DELTA_KIND, round, round, &payload) {
-                *failure = Some(e.into());
-                return;
-            }
-            cs.fingerprint = fnv1a_extend(cs.fingerprint, &payload);
-            cs.deltas.push(delta);
-            stats.appended += 1;
-            if policy.sync_every > 0 && (round + 1) % policy.sync_every == 0 {
-                if let Err(e) = cs.store.sync() {
-                    *failure = Some(e.into());
-                    return;
-                }
-            }
-            if policy.snapshot_every > 0 && (round + 1) % policy.snapshot_every == 0 {
-                let snap = CampaignSnapshot {
-                    schema: CAMPAIGN_SNAP_SCHEMA.to_string(),
+    let out = run_campaign_opts(c, params, opts, |sim, engine, rec| {
+        let spr = sim.schedule().slots_per_round();
+        if rec.addr.slot.0 != spr - 1 || failure.is_some() {
+            return;
+        }
+        let round = rec.addr.round;
+        let cur = Cumulative::capture(engine);
+        let delta = cur.delta(round, &prev, engine);
+        prev = cur;
+        if round < committed {
+            // Replay of committed history: verify, never rewrite.
+            let stored = &cs.deltas[round as usize];
+            if *stored != delta {
+                failure = Some(StoreRunError::Determinism {
                     round,
-                    journal_fingerprint: cs.fingerprint,
-                    delivery_quality: engine.delivery_quality(),
-                    dissemination: engine.dissemination_stats(),
-                    report: engine.report(),
-                };
-                let body = match serde_json::to_string_pretty(&snap) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        *failure = Some(
-                            StoreError::Corrupt(format!("snapshot serialization: {e}")).into(),
-                        );
-                        return;
-                    }
-                };
-                if let Err(e) = cs.store.write_snapshot(&snap_name(round), &body) {
-                    *failure = Some(e.into());
-                }
+                    detail: format!("journal has {stored:?}, replay produced {delta:?}"),
+                });
+                return;
             }
-        });
-        match out {
-            Ok(outcome) => {
-                if let Some(e) = failure.take() {
-                    return Err(e);
-                }
-                // Final commit point, then record the (possibly grown)
-                // horizon in the manifest.
-                cs.store.sync()?;
-                if c.rounds > cs.store.manifest().rounds {
-                    let mut m = cs.store.manifest().clone();
-                    m.rounds = c.rounds;
-                    cs.store.update_manifest(m)?;
-                }
-                stats.journal_records = cs.store.records().len() as u64;
-                stats.journal_bytes = cs.store.journal_len();
-                stats.fsyncs = cs.store.stats().fsyncs;
-                stats.snapshots_written = cs.store.stats().snapshots_written;
-                Ok((outcome, *stats))
-            }
-            Err(e) => {
-                // A latched store/determinism failure is the root cause;
-                // prefer it over the runner's follow-on error.
-                match failure.take() {
-                    Some(first) => Err(first),
-                    None => Err(e.into()),
-                }
+            stats.verified += 1;
+            return;
+        }
+        let payload = delta.encode();
+        if let Err(e) = cs.store.append(ROUND_DELTA_KIND, round, round, &payload) {
+            failure = Some(e.into());
+            return;
+        }
+        cs.fingerprint = fnv1a_extend(cs.fingerprint, &payload);
+        cs.deltas.push(delta);
+        stats.appended += 1;
+        if policy.sync_every > 0 && (round + 1) % policy.sync_every == 0 {
+            if let Err(e) = cs.store.sync() {
+                failure = Some(e.into());
+                return;
             }
         }
+        if policy.snapshot_every > 0 && (round + 1) % policy.snapshot_every == 0 {
+            let snap = CampaignSnapshot {
+                schema: CAMPAIGN_SNAP_SCHEMA.to_string(),
+                round,
+                journal_fingerprint: cs.fingerprint,
+                delivery_quality: engine.delivery_quality(),
+                dissemination: engine.dissemination_stats(),
+                report: engine.report(),
+            };
+            if let Err(e) = write_snap(&mut cs.store, round, &snap) {
+                failure = Some(e.into());
+            }
+        }
+    });
+    // A latched store/determinism failure is the root cause; prefer it over
+    // the runner's follow-on error.
+    if let Some(e) = failure {
+        return Err(e);
     }
+    let outcome = out?;
+    // Final commit point, then record the (possibly grown) horizon in the
+    // manifest.
+    cs.store.sync()?;
+    if c.rounds > cs.store.manifest().rounds {
+        let mut m = cs.store.manifest().clone();
+        m.rounds = c.rounds;
+        cs.store.update_manifest(m)?;
+    }
+    Ok((outcome, stats.closed(&cs.store)))
 }
 
 /// Snapshot file name for a round, zero-padded so lexicographic order is
@@ -498,6 +512,18 @@ pub fn run_campaign_stored<IO: StoreIo>(
 #[must_use]
 pub fn snap_name(round: u64) -> String {
     format!("snap-{round:012}.json")
+}
+
+/// Writes `snap` as the snapshot document for `round` (campaign) or
+/// vehicle count (fleet).
+fn write_snap<IO: StoreIo>(
+    store: &mut Store<IO>,
+    round: u64,
+    snap: &impl Serialize,
+) -> Result<(), StoreError> {
+    let body = serde_json::to_string_pretty(snap)
+        .map_err(|e| StoreError::Corrupt(format!("snapshot serialization: {e}")))?;
+    store.write_snapshot(&snap_name(round), &body)
 }
 
 // ---------------------------------------------------------------------------
@@ -532,16 +558,24 @@ pub struct FleetSnapshot {
     pub journal_fingerprint: u64,
 }
 
-/// An open fleet store: journaled vehicle records by index.
+/// An open fleet store: the journal, with the committed vehicles below the
+/// fleet size it was opened for already folded.
 pub struct FleetStore<IO: StoreIo> {
     store: Store<IO>,
-    committed: BTreeMap<u64, VehicleRecord>,
+    /// The fleet size the handle was opened for.
+    vehicles: u64,
+    /// The committed vehicles below `vehicles`, folded at open; the one
+    /// run the handle allows takes it.
+    acc: Option<FleetAccumulator>,
     fingerprint: u64,
 }
 
 impl<IO: StoreIo> FleetStore<IO> {
     /// Opens (running recovery) or creates the store for this fleet
-    /// experiment, rejecting a spec-hash mismatch with DA090.
+    /// experiment, rejecting a spec-hash mismatch with DA090. Each
+    /// recovered record is verified against its frame header, added to the
+    /// journal fingerprint and, if its vehicle is below `cfg.vehicles`,
+    /// folded; the decoded record is not kept.
     pub fn open_or_create(
         io: IO,
         spec: &ClusterSpec,
@@ -550,7 +584,6 @@ impl<IO: StoreIo> FleetStore<IO> {
         opts: &FleetOptions,
         policy: &StorePolicy,
     ) -> Result<Self, StoreRunError> {
-        let hash = fleet_spec_hash(spec, cfg, params, opts);
         let manifest = Manifest {
             schema: STORE_SCHEMA.to_string(),
             kind: FLEET_KIND.to_string(),
@@ -560,31 +593,23 @@ impl<IO: StoreIo> FleetStore<IO> {
                 cfg.rounds,
                 spec.components.len()
             ),
-            spec_hash: hash,
+            spec_hash: fleet_spec_hash(spec, cfg, params, opts),
             seed: cfg.seed,
             accel: cfg.accel,
             rounds: cfg.rounds,
             vehicles: cfg.vehicles,
             snapshot_every: policy.snapshot_every,
         };
-        let store = Store::open_or_create(io, manifest)?;
-        if store.manifest().kind != FLEET_KIND {
-            return Err(StoreError::Corrupt(format!(
-                "store kind {:?} is not a fleet store",
-                store.manifest().kind
-            ))
-            .into());
-        }
-        if store.manifest().spec_hash != hash {
-            return Err(spec_mismatch_rejection(hash, store.manifest().spec_hash).into());
-        }
-        let mut committed = BTreeMap::new();
+        let store = open_checked(io, manifest)?;
+        let mut acc = FleetAccumulator::new(cfg.vehicles, FleetRetention::Auto);
         let mut fingerprint = fnv1a(b"decos-store-fleet");
         for rec in store.records() {
-            if rec.kind != VEHICLE_KIND {
+            // The scan keeps headers strictly ascending, so with seq equal
+            // to round no vehicle is committed twice.
+            if rec.kind != VEHICLE_KIND || rec.seq != rec.round {
                 return Err(StoreError::Corrupt(format!(
-                    "fleet journal carries a kind-{} record",
-                    rec.kind
+                    "fleet journal carries a kind-{} record with seq {} at vehicle {}",
+                    rec.kind, rec.seq, rec.round
                 ))
                 .into());
             }
@@ -600,15 +625,18 @@ impl<IO: StoreIo> FleetStore<IO> {
                 .into());
             }
             fingerprint = fnv1a_extend(fingerprint, &rec.payload);
-            committed.insert(vr.vehicle, vr);
+            if vr.vehicle < cfg.vehicles {
+                let telemetry = vr.counters.as_deref().map(snapshot_from_counters);
+                acc.record(vr.vehicle, vr.outcome, telemetry);
+            }
         }
-        Ok(FleetStore { store, committed, fingerprint })
+        Ok(FleetStore { store, vehicles: cfg.vehicles, acc: Some(acc), fingerprint })
     }
 
-    /// Vehicles committed in the journal.
+    /// Vehicles committed in the journal at open.
     #[must_use]
     pub fn committed_vehicles(&self) -> u64 {
-        self.committed.len() as u64
+        self.store.stats().recovered_records
     }
 
     /// The underlying store.
@@ -636,9 +664,9 @@ fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
     TelemetrySnapshot::assemble(&set, &GaugeSet::new())
 }
 
-/// Runs (or resumes) a fleet against its store. Committed vehicles are
-/// read back from the journal and skipped; missing vehicles stream
-/// through one `fleet_exec::for_each_ordered` call
+/// Runs (or resumes) a fleet against its store. The run starts from the
+/// committed vehicles [`FleetStore::open_or_create`] folded; missing
+/// vehicles stream through one `fleet_exec::for_each_ordered` call
 /// ([`FleetOptions::shards`] workers, one per core by default) that hands
 /// them back in index order to the calling thread. There every
 /// [`StorePolicy::chunk`] vehicles are journaled in ascending index
@@ -646,7 +674,9 @@ fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
 /// workers simulate up to four batches ahead; so the journal never
 /// depends on the shard count. A rejected vehicle fails the run with the
 /// same error [`crate::fleet::run_fleet_configured`] returns, and nothing
-/// of its batch is journaled.
+/// of its batch is journaled. A handle runs once, and only the experiment
+/// it was opened for: another spec hash or fleet size, or a second run, is
+/// refused with DA090 before anything is simulated.
 pub fn run_fleet_stored<IO: StoreIo>(
     spec: &ClusterSpec,
     cfg: FleetConfig,
@@ -655,28 +685,33 @@ pub fn run_fleet_stored<IO: StoreIo>(
     policy: &StorePolicy,
     fs: &mut FleetStore<IO>,
 ) -> Result<(FleetOutcome, StoreRunStats), StoreRunError> {
+    check_experiment(fs.store.manifest(), FLEET_KIND, fleet_spec_hash(spec, &cfg, &params, opts))?;
+    let Some(mut acc) = fs.acc.take_if(|_| fs.vehicles == cfg.vehicles) else {
+        return Err(store_mismatch(
+            format!(
+                "the store handle was opened for one run of {} vehicles; this run asks for {} \
+                 vehicles, or the handle already ran",
+                fs.vehicles, cfg.vehicles
+            ),
+            "reopen the store with the run's fleet configuration",
+        ));
+    };
     // Same pre-flight as the unstored fleet, before any vehicle is
     // simulated or journaled.
     preflight(spec, cfg, params, opts)?;
-    let mut stats = StoreRunStats {
-        committed_before: fs.committed_vehicles(),
-        quarantined_bytes: fs.store.stats().quarantined_bytes,
-        ..StoreRunStats::default()
-    };
+    let mut stats = StoreRunStats::opened(fs.committed_vehicles(), &fs.store);
     let seeds = SeedSource::new(cfg.seed);
-    let missing: Vec<u64> = (0..cfg.vehicles).filter(|v| !fs.committed.contains_key(v)).collect();
-    let chunk = policy.chunk.max(1);
-    let shards = opts.shard_count();
     // Journaled and freshly simulated vehicles fold into the same
     // accumulator the in-memory executor uses; its quality mean does not
-    // depend on the order they arrive in. Every index below the fleet
-    // size is either committed or missing, so all of them are folded.
-    let mut acc = FleetAccumulator::new(cfg.vehicles, FleetRetention::Auto);
-    for (&v, vr) in fs.committed.range(..cfg.vehicles) {
-        // Reused straight from the journal — the compute a resume saves.
-        acc.record(v, vr.outcome.clone(), vr.counters.as_deref().map(snapshot_from_counters));
-        stats.verified += 1;
-    }
+    // depend on the order they arrive in. The recovered headers ascend, so
+    // one merge against them finds every index below the fleet size that
+    // was not folded at open.
+    let mut committed = fs.store.records().iter().map(|r| r.round).peekable();
+    let missing: Vec<u64> =
+        (0..cfg.vehicles).filter(|&v| committed.next_if_eq(&v).is_none()).collect();
+    stats.verified = cfg.vehicles - missing.len() as u64;
+    let chunk = policy.chunk.max(1);
+    let shards = opts.shard_count();
     let window = COMMIT_WINDOW_CHUNKS * chunk as u64;
     let n = missing.len() as u64;
     let mut batch = Vec::with_capacity(chunk);
@@ -723,16 +758,14 @@ pub fn run_fleet_stored<IO: StoreIo>(
             for (v, (outcome, telemetry)) in batch.drain(..) {
                 acc.record(v, outcome, telemetry);
             }
-            let done = fs.committed.len() as u64 + stats.appended;
+            let done = stats.committed_before + stats.appended;
             if policy.snapshot_every > 0 && done % policy.snapshot_every == 0 {
                 let snap = FleetSnapshot {
                     schema: FLEET_SNAP_SCHEMA.to_string(),
                     vehicles_done: done,
                     journal_fingerprint: fs.fingerprint,
                 };
-                let body = serde_json::to_string_pretty(&snap)
-                    .map_err(|e| StoreError::Corrupt(format!("snapshot serialization: {e}")))?;
-                fs.store.write_snapshot(&snap_name(done), &body)?;
+                write_snap(&mut fs.store, done, &snap)?;
             }
             Ok::<(), StoreRunError>(())
         },
@@ -742,9 +775,5 @@ pub fn run_fleet_stored<IO: StoreIo>(
         m.vehicles = cfg.vehicles;
         fs.store.update_manifest(m)?;
     }
-    stats.journal_records = fs.store.records().len() as u64;
-    stats.journal_bytes = fs.store.journal_len();
-    stats.fsyncs = fs.store.stats().fsyncs;
-    stats.snapshots_written = fs.store.stats().snapshots_written;
-    Ok((acc.finish(), stats))
+    Ok((acc.finish(), stats.closed(&fs.store)))
 }

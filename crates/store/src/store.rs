@@ -128,13 +128,16 @@ pub struct StoreStats {
     pub snapshots_written: u64,
 }
 
-/// An open store: committed records in memory, journal on "disk" via the
-/// [`StoreIo`] implementation.
+/// An open store: the records recovered at open in memory, the journal on
+/// "disk" via the [`StoreIo`] implementation.
 #[derive(Debug)]
 pub struct Store<IO: StoreIo> {
     io: IO,
     manifest: Manifest,
     records: Vec<ScanRecord>,
+    /// `(round, seq)` of the newest committed record, recovered or
+    /// appended: the header the next append must exceed.
+    last: Option<(u64, u64)>,
     journal_len: u64,
     stats: StoreStats,
 }
@@ -150,6 +153,7 @@ impl<IO: StoreIo> Store<IO> {
             io,
             manifest,
             records: Vec::new(),
+            last: None,
             journal_len: 0,
             stats: StoreStats::default(),
         })
@@ -178,7 +182,8 @@ impl<IO: StoreIo> Store<IO> {
             io.write_atomic(&format!("{QUARANTINE_DIR}/tail-{}.bin", scan.valid_len), tail)?;
             io.truncate(JOURNAL_FILE, scan.valid_len)?;
         }
-        Ok(Store { io, manifest, records: scan.records, journal_len: scan.valid_len, stats })
+        let last = scan.records.last().map(|r| (r.round, r.seq));
+        Ok(Store { io, manifest, records: scan.records, last, journal_len: scan.valid_len, stats })
     }
 
     /// Opens if a manifest exists, otherwise creates with `manifest`.
@@ -213,7 +218,9 @@ impl<IO: StoreIo> Store<IO> {
         Ok(())
     }
 
-    /// Committed records, oldest first.
+    /// The committed records recovery read at open, oldest first. Records
+    /// appended through this handle are not kept in memory: reopen the
+    /// store to read them back; [`StoreStats`] counts both.
     #[must_use]
     pub fn records(&self) -> &[ScanRecord] {
         &self.records
@@ -241,11 +248,10 @@ impl<IO: StoreIo> Store<IO> {
         seq: u64,
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        if let Some(last) = self.records.last() {
-            if (round, seq) <= (last.round, last.seq) {
+        if let Some((last_round, last_seq)) = self.last {
+            if (round, seq) <= (last_round, last_seq) {
                 return Err(StoreError::Corrupt(format!(
-                    "append out of order: ({round}, {seq}) after ({}, {})",
-                    last.round, last.seq
+                    "append out of order: ({round}, {seq}) after ({last_round}, {last_seq})"
                 )));
             }
         }
@@ -262,13 +268,7 @@ impl<IO: StoreIo> Store<IO> {
             }
             off += n;
         }
-        self.records.push(ScanRecord {
-            kind,
-            round,
-            seq,
-            payload: payload.to_vec(),
-            offset: self.journal_len,
-        });
+        self.last = Some((round, seq));
         self.journal_len += buf.len() as u64;
         self.stats.appended_records += 1;
         self.stats.appended_bytes += buf.len() as u64;
@@ -487,5 +487,22 @@ mod tests {
         assert!(matches!(s.append(1, 5, 5, b"y"), Err(StoreError::Corrupt(_))));
         assert!(matches!(s.append(1, 4, 4, b"y"), Err(StoreError::Corrupt(_))));
         s.append(1, 6, 6, b"z").unwrap();
+    }
+
+    #[test]
+    fn appends_are_journaled_not_mirrored_and_order_survives_reopen() {
+        let io = FaultIo::pristine();
+        let mut s = Store::create(io.clone(), manifest()).unwrap();
+        s.append(1, 0, 0, b"a").unwrap();
+        s.append(1, 1, 1, b"b").unwrap();
+        assert!(s.records().is_empty(), "a fresh store recovered nothing");
+        assert_eq!(s.stats().appended_records, 2);
+
+        let mut back = Store::open(io.clone()).unwrap();
+        assert!(matches!(back.append(1, 1, 1, b"x"), Err(StoreError::Corrupt(_))));
+        back.append(1, 2, 2, b"c").unwrap();
+        assert_eq!(back.records().len(), 2, "only what recovery read");
+        assert_eq!(back.stats().recovered_records + back.stats().appended_records, 3);
+        assert_eq!(Store::open(io).unwrap().records().len(), 3);
     }
 }

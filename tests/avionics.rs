@@ -105,15 +105,10 @@ fn fleet_sampling_a_job_the_cluster_lacks_is_rejected() {
     let policy = StorePolicy::default();
     let mut journaled = Vec::new();
     for shards in [1, 3] {
-        let mut fs = FleetStore::open_or_create(
-            decos::store::FaultIo::pristine(),
-            &spec,
-            &cfg,
-            &params,
-            &opts(shards),
-            &policy,
-        )
-        .expect("store created");
+        let io = decos::store::FaultIo::pristine();
+        let mut fs =
+            FleetStore::open_or_create(io.clone(), &spec, &cfg, &params, &opts(shards), &policy)
+                .expect("store created");
         match run_fleet_stored(&spec, cfg, params, &opts(shards), &policy, &mut fs) {
             Err(StoreRunError::Campaign(CampaignError::Rejected(report))) => {
                 assert_eq!(report.to_string(), unstored[0], "stored at {shards} shards");
@@ -121,7 +116,9 @@ fn fleet_sampling_a_job_the_cluster_lacks_is_rejected() {
             Err(e) => panic!("expected an analyzer rejection, got: {e}"),
             Ok(_) => panic!("expected an analyzer rejection, the stored fleet ran"),
         }
-        journaled.push(fs.store().records().len() as u64);
+        // The handle keeps only what recovery read; reopen to count.
+        let reopened = decos::store::Store::open(io).expect("store reopens");
+        journaled.push(reopened.records().len() as u64);
     }
     assert_eq!(journaled[0], journaled[1], "the journal depends on the shard count");
 

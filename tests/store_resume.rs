@@ -11,8 +11,8 @@
 use decos::analyzer::DiagCode;
 use decos::prelude::*;
 use decos::store::{
-    fnv1a, fnv1a_extend, frame, scan, FaultIo, FaultPlan, RoundDelta, StoreError, JOURNAL_FILE,
-    ROUND_DELTA_KIND,
+    fnv1a, fnv1a_extend, frame, scan, FaultIo, FaultPlan, RoundDelta, Store, StoreError,
+    JOURNAL_FILE, ROUND_DELTA_KIND,
 };
 use decos::store_run::{
     run_campaign_stored, run_fleet_stored, CampaignSnapshot, CampaignStore, FleetStore,
@@ -148,6 +148,10 @@ fn resume_against_a_different_experiment_is_rejected_with_da090() {
     let err = CampaignStore::open_or_create(io2, &c2, &params, &policy())
         .err()
         .expect("spec mismatch must be rejected");
+    assert_da090(err);
+}
+
+fn assert_da090(err: StoreRunError) {
     match err {
         StoreRunError::Campaign(CampaignError::Rejected(report)) => {
             assert!(
@@ -158,6 +162,156 @@ fn resume_against_a_different_experiment_is_rejected_with_da090() {
             assert!(report.has_errors(), "DA090 is error severity");
         }
         other => panic!("expected a DA090 rejection, got {other}"),
+    }
+}
+
+#[test]
+fn campaign_run_against_a_different_experiment_than_its_store_is_rejected_with_da090() {
+    let c1 = reference_campaign(30, 1);
+    let c2 = reference_campaign(30, 2);
+    let params = EngineParams::default();
+    let io = FaultIo::pristine();
+    // A fresh handle opened for seed 1, then one that recovered seed 1's
+    // journal: a seed-2 run must extend neither.
+    for _ in 0..2 {
+        let journal = io.file(JOURNAL_FILE);
+        let mut cs = CampaignStore::open_or_create(io.clone(), &c1, &params, &policy()).unwrap();
+        let err = run_campaign_stored(&c2, params, telemetry_opts(), &policy(), &mut cs)
+            .expect_err("a seed-2 run on a seed-1 store must be rejected");
+        assert_da090(err);
+        assert_eq!(io.file(JOURNAL_FILE), journal, "the journal is untouched");
+        run_campaign_stored(&c1, params, telemetry_opts(), &policy(), &mut cs)
+            .expect("the opened experiment runs");
+    }
+}
+
+#[test]
+fn fleet_run_against_a_different_experiment_than_its_store_is_rejected_with_da090() {
+    let spec = fig10::reference_spec();
+    let params = EngineParams::default();
+    let opts = decos::fleet::FleetOptions { telemetry: true, ..Default::default() };
+    let cfg = FleetConfig { vehicles: 2, rounds: 40, accel: 10.0, seed: 5 };
+    let io = FaultIo::pristine();
+    // A fresh handle opened for seed 5 at two vehicles, then one that
+    // recovered them: another seed, another fleet size and a second run on
+    // the spent handle are all refused.
+    for _ in 0..2 {
+        let journal = io.file(JOURNAL_FILE);
+        let mut fs =
+            FleetStore::open_or_create(io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
+        for other in [FleetConfig { seed: 6, ..cfg }, FleetConfig { vehicles: 4, ..cfg }] {
+            let err = run_fleet_stored(&spec, other, params, &opts, &policy(), &mut fs)
+                .expect_err("a run of another experiment must be rejected");
+            assert_da090(err);
+        }
+        assert_eq!(io.file(JOURNAL_FILE), journal, "the journal is untouched");
+        run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut fs).expect("the fleet runs");
+        let journal = io.file(JOURNAL_FILE);
+        let err = run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut fs)
+            .expect_err("a handle runs once");
+        assert_da090(err);
+        assert_eq!(io.file(JOURNAL_FILE), journal, "the journal is untouched");
+    }
+}
+
+/// A two-vehicle fleet store whose journal `forge` rewrote record by
+/// record with valid CRCs: opening it must fail as corrupt and leave the
+/// forged journal as it was.
+fn assert_forged_vehicle_journal_is_refused(
+    what: &str,
+    forge: impl Fn(&decos::store::ScanRecord) -> (u8, u64, Vec<u8>),
+) {
+    let spec = fig10::reference_spec();
+    let params = EngineParams::default();
+    let opts = decos::fleet::FleetOptions { telemetry: true, ..Default::default() };
+    let cfg = FleetConfig { vehicles: 2, rounds: 40, accel: 10.0, seed: 3 };
+    let io = FaultIo::pristine();
+    let mut fs =
+        FleetStore::open_or_create(io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
+    run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut fs).unwrap();
+
+    let mut forged = Vec::new();
+    for rec in scan(&io.file(JOURNAL_FILE).unwrap()).records {
+        let (kind, seq, payload) =
+            if rec.round == 1 { forge(&rec) } else { (rec.kind, rec.seq, rec.payload.clone()) };
+        frame::encode_record(kind, rec.round, seq, &payload, &mut forged);
+    }
+    let io2 =
+        FaultIo::from_files([(JOURNAL_FILE.to_string(), forged.clone())], FaultPlan::default());
+    io2.put("MANIFEST.json", io.file("MANIFEST.json").unwrap());
+    match FleetStore::open_or_create(io2.clone(), &spec, &cfg, &params, &opts, &policy()) {
+        Err(StoreRunError::Store(StoreError::Corrupt(_))) => {}
+        Err(e) => panic!("{what}: expected a corrupt store, got {e}"),
+        Ok(_) => panic!("{what}: the forged journal opened"),
+    }
+    assert_eq!(io2.file(JOURNAL_FILE).unwrap(), forged, "{what}: the journal is untouched");
+}
+
+/// Rewrites a journaled vehicle record's JSON through `edit`.
+fn edit_vehicle(
+    rec: &decos::store::ScanRecord,
+    edit: impl Fn(&mut decos::store_run::VehicleRecord),
+) -> Vec<u8> {
+    let mut vr = serde_json::from_str(std::str::from_utf8(&rec.payload).unwrap()).unwrap();
+    edit(&mut vr);
+    serde_json::to_string(&vr).unwrap().into_bytes()
+}
+
+#[test]
+fn fleet_store_refuses_vehicle_records_that_contradict_their_frames() {
+    use decos::store::VEHICLE_KIND;
+    assert_forged_vehicle_journal_is_refused("wrong kind", |r| {
+        (ROUND_DELTA_KIND, r.seq, r.payload.clone())
+    });
+    assert_forged_vehicle_journal_is_refused("seq differs from the vehicle", |r| {
+        (VEHICLE_KIND, r.seq + 1, r.payload.clone())
+    });
+    assert_forged_vehicle_journal_is_refused("not UTF-8", |r| {
+        (VEHICLE_KIND, r.seq, vec![0xff, 0xfe, 0xfd])
+    });
+    assert_forged_vehicle_journal_is_refused("unparseable JSON", |r| {
+        (VEHICLE_KIND, r.seq, b"{\"schema\":".to_vec())
+    });
+    assert_forged_vehicle_journal_is_refused("wrong schema", |r| {
+        (VEHICLE_KIND, r.seq, edit_vehicle(r, |vr| vr.schema = "decos-store-vehicle/0".into()))
+    });
+    assert_forged_vehicle_journal_is_refused("vehicle differs from the frame", |r| {
+        (VEHICLE_KIND, r.seq, edit_vehicle(r, |vr| vr.vehicle = 0))
+    });
+}
+
+#[test]
+fn stored_runs_keep_only_the_recovered_records_in_memory() {
+    // Fresh store, then a resume: the handle's records are what recovery
+    // read, and the run's journal count adds what it appended.
+    let io = FaultIo::pristine();
+    let params = EngineParams::default();
+    for (rounds, recovered) in [(20, 0), (30, 20)] {
+        let c = reference_campaign(rounds, 12);
+        let mut cs = CampaignStore::open_or_create(io.clone(), &c, &params, &policy()).unwrap();
+        let (_, stats) = run_campaign_stored(&c, params, telemetry_opts(), &policy(), &mut cs)
+            .expect("stored campaign runs");
+        let store = cs.store();
+        assert_eq!(store.records().len() as u64, store.stats().recovered_records);
+        assert_eq!(store.stats().recovered_records, recovered);
+        assert_eq!(stats.journal_records, recovered + store.stats().appended_records);
+        assert_eq!(stats.journal_records, rounds);
+    }
+
+    let spec = fig10::reference_spec();
+    let opts = decos::fleet::FleetOptions { telemetry: true, ..Default::default() };
+    let io = FaultIo::pristine();
+    for (vehicles, recovered) in [(2, 0), (5, 2)] {
+        let cfg = FleetConfig { vehicles, rounds: 40, accel: 10.0, seed: 12 };
+        let mut fs =
+            FleetStore::open_or_create(io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
+        let (_, stats) = run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut fs)
+            .expect("stored fleet runs");
+        let store = fs.store();
+        assert_eq!(store.records().len() as u64, store.stats().recovered_records);
+        assert_eq!(store.stats().recovered_records, recovered);
+        assert_eq!(stats.journal_records, recovered + store.stats().appended_records);
+        assert_eq!(stats.journal_records, vehicles);
     }
 }
 
@@ -200,7 +354,7 @@ fn campaign_snapshots_anchor_the_journal_prefix() {
     let c = reference_campaign(N, 33);
     let io = FaultIo::pristine();
     let params = EngineParams::default();
-    let mut cs = CampaignStore::open_or_create(io, &c, &params, &policy()).unwrap();
+    let mut cs = CampaignStore::open_or_create(io.clone(), &c, &params, &policy()).unwrap();
     run_campaign_stored(&c, params, telemetry_opts(), &policy(), &mut cs).unwrap();
 
     let names = cs.store_mut().snapshot_names().unwrap();
@@ -211,7 +365,7 @@ fn campaign_snapshots_anchor_the_journal_prefix() {
     // The snapshot's fingerprint is the streaming hash of the journal
     // prefix it claims to capture.
     let mut fp = fnv1a(b"decos-store-campaign");
-    for rec in cs.store().records().iter().take(32) {
+    for rec in Store::open(io).unwrap().records().iter().take(32) {
         fp = fnv1a_extend(fp, &rec.payload);
     }
     assert_eq!(snap.journal_fingerprint, fp);
